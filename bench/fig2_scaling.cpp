@@ -52,6 +52,10 @@ struct ShardRow {
   long merge_levels = 0;
   long merge_ops = 0;
   long parallel_groups = 0;          ///< groups dispatched to the pool
+  /// parallel_tree_merge on the shared pool reproduced the serially
+  /// executed tree_merge bit for bit (the deterministic half of the
+  /// merge_scaling gate).
+  bool parallel_merge_bitwise = true;
 };
 
 /// Ingests the pre-sliced batches through a P-shard FD wrapper on the
@@ -102,7 +106,9 @@ void write_json(const std::string& path, const std::vector<ShardRow>& rows,
         << ", \"parallel_merge_modeled_s\": " << r.parallel_modeled_s
         << ", \"merge_levels\": " << r.merge_levels
         << ", \"merge_ops\": " << r.merge_ops
-        << ", \"parallel_groups\": " << r.parallel_groups << "}"
+        << ", \"parallel_groups\": " << r.parallel_groups
+        << ", \"parallel_merge_bitwise\": "
+        << (r.parallel_merge_bitwise ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -207,10 +213,15 @@ int main(int argc, char** argv) {
         auto copy = shard_sketches;
         core::serial_merge(std::move(copy), ell, &serial_stats);
         copy = shard_sketches;
-        core::tree_merge(std::move(copy), ell, 2, &tree_stats);
+        const linalg::Matrix tree =
+            core::tree_merge(std::move(copy), ell, 2, &tree_stats);
         copy = shard_sketches;
-        core::parallel_tree_merge(std::move(copy), ell, 2, &rep_par_stats,
-                                  &parallel::shared_pool());
+        const linalg::Matrix par = core::parallel_tree_merge(
+            std::move(copy), ell, 2, &rep_par_stats,
+            &parallel::shared_pool());
+        row.parallel_merge_bitwise =
+            row.parallel_merge_bitwise && par.rows() == tree.rows() &&
+            linalg::Matrix::max_abs_diff(par, tree) == 0.0;
         const auto keep_min = [rep](double& slot, double wall) {
           slot = (rep == 0) ? wall : std::min(slot, wall);
         };

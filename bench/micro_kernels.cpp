@@ -1,11 +1,14 @@
 // Micro-kernel benchmarks (google-benchmark): the primitives that dominate
 // the sketching pipeline — GEMM, row Gram, Gram-trick SVD vs Jacobi SVD,
-// FD append throughput, priority-sampler push throughput.
+// FD append throughput, priority-sampler push throughput, and the wide-row
+// (d ≫ ℓ) ingest hot path: short-fat GEMM, FD shrink, one rank-adaptive
+// decision and one priority-sampled batch.
 
 #include <benchmark/benchmark.h>
 
 #include "core/fd.hpp"
 #include "core/priority_sampler.hpp"
+#include "core/rank_adaptive.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/svd.hpp"
@@ -211,6 +214,85 @@ void BM_PrioritySamplerPush(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4096);
 }
 BENCHMARK(BM_PrioritySamplerPush);
+
+// ---- wide rows (d ≫ ℓ): the beam_ingest operating point, 128×128 frames
+// (d = 16384) sketched at ℓ = 32 with ν = 10 probes and 256-frame batches.
+constexpr std::size_t kWideDim = 16384;
+constexpr std::size_t kWideEll = 32;
+
+// The shrink's back-multiplication Uᵀ·B: 2ℓ×ℓ coefficients against the
+// 2ℓ×d buffer — short and fat, 32 column blocks against 8 row tiles.
+void BM_WideGemmShrinkTn(benchmark::State& state) {
+  const Matrix u = random_matrix(2 * kWideEll, kWideEll, 60);
+  const Matrix b = random_matrix(2 * kWideEll, kWideDim, 61);
+  Matrix out;
+  for (auto _ : state) {
+    linalg::matmul_tn(u, b, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(2 * kWideEll * kWideEll *
+                                               kWideDim));
+}
+BENCHMARK(BM_WideGemmShrinkTn)->UseRealTime();
+
+// The probe block Y = G·X: ν Gaussian rows against the ℓ recent rows.
+void BM_WideGemmProbe(benchmark::State& state) {
+  const Matrix g = random_matrix(10, kWideEll, 62);
+  const Matrix x = random_matrix(kWideEll, kWideDim, 63);
+  Matrix out;
+  for (auto _ : state) {
+    linalg::matmul(g, x, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(10 * kWideEll * kWideDim));
+}
+BENCHMARK(BM_WideGemmProbe)->UseRealTime();
+
+// One FD shrink of the full 2ℓ×d buffer per iteration: ℓ fresh rows
+// re-fill it each pass (one pass in ℓ ends just short of a shrink).
+void BM_WideFdShrink(benchmark::State& state) {
+  const Matrix block = random_matrix(kWideEll, kWideDim, 64);
+  core::FrequentDirections fd(core::FdConfig{kWideEll, true});
+  fd.append_batch(random_matrix(2 * kWideEll - 1, kWideDim, 65));
+  for (auto _ : state) {
+    fd.append_batch(block);
+    benchmark::DoNotOptimize(fd.occupied_rows());
+  }
+}
+BENCHMARK(BM_WideFdShrink)->UseRealTime();
+
+// The same shrink plus one Algorithm-1 decision (ν = 10 probes over the ℓ
+// recent rows against the post-shrink basis); ε is unreachable, so ℓ stays
+// fixed. The difference to BM_WideFdShrink is the decision's cost.
+void BM_WideRankAdaptiveDecision(benchmark::State& state) {
+  const Matrix block = random_matrix(kWideEll, kWideDim, 66);
+  core::RankAdaptiveConfig config;
+  config.initial_ell = kWideEll;
+  config.nu = 10;
+  config.epsilon = 1e6;
+  core::RankAdaptiveFd fd(config);
+  fd.append_batch(random_matrix(2 * kWideEll, kWideDim, 67));
+  for (auto _ : state) {
+    fd.append_batch(block);  // one shrink, one decision
+    benchmark::DoNotOptimize(fd.last_error_estimate());
+  }
+}
+BENCHMARK(BM_WideRankAdaptiveDecision)->UseRealTime();
+
+// Stage 1 of ARAMS on one 256-frame batch at β = 0.8.
+void BM_WidePrioritySample(benchmark::State& state) {
+  const Matrix batch = random_matrix(256, kWideDim, 68);
+  core::PrioritySamplerConfig config;
+  core::PrioritySampleScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::priority_sample(batch, 0.8, config, scratch).data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
+}
+BENCHMARK(BM_WidePrioritySample)->UseRealTime();
 
 }  // namespace
 

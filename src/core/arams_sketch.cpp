@@ -81,14 +81,12 @@ AramsResult Arams::sketch_matrix(const Matrix& x) {
   Stopwatch timer;
 
   const Matrix* input = &x;
-  Matrix sampled;
   if (config_.use_sampling && config_.beta < 1.0) {
     const obs::ScopedSpan sample_span("arams.sample");
     PrioritySamplerConfig ps;
     ps.weight = config_.weight;
     ps.seed = config_.seed ^ 0x5a5a5a5aull;
-    sampled = priority_sample(x, config_.beta, ps);
-    input = &sampled;
+    input = &priority_sample(x, config_.beta, ps, sampler_scratch_);
   }
   result.report.set_seconds("sample", timer.lap());
   result.rows_sampled = input->rows();
@@ -112,53 +110,55 @@ AramsResult Arams::sketch_matrix(const Matrix& x) {
 }
 
 void Arams::push_batch(const Matrix& batch) {
+  if (batch.rows() == 0) return;
   Stopwatch timer;
   const Matrix* input = &batch;
-  Matrix sampled;
   if (config_.use_sampling && config_.beta < 1.0) {
-    PrioritySamplerConfig ps;
-    ps.weight = config_.weight;
-    ps.seed = config_.seed ^ (0x9e3779b9ull + rows_sampled_total_);
-    sampled = priority_sample(batch, config_.beta, ps);
-    input = &sampled;
+    input = &priority_sample(batch, config_.beta, batch_sampler_config(),
+                             sampler_scratch_);
   }
   sample_seconds_ += timer.lap();
   rows_sampled_total_ += input->rows();
-  if (ra_fd_) {
-    ra_fd_->append_batch(*input);
-  } else {
-    fixed_fd_->append_batch(*input);
-  }
+  append_rows(*input);
 }
 
 void Arams::push_batch(linalg::MatrixViewF batch) {
   if (batch.rows() == 0) return;
   Stopwatch timer;
   if (config_.use_sampling && config_.beta < 1.0) {
-    PrioritySamplerConfig ps;
-    ps.weight = config_.weight;
-    ps.seed = config_.seed ^ (0x9e3779b9ull + rows_sampled_total_);
     // The fp32 sampler overload widens only the ⌈βn⌉ survivors.
-    const Matrix sampled = priority_sample(batch, config_.beta, ps);
+    const Matrix& sampled = priority_sample(
+        batch, config_.beta, batch_sampler_config(), sampler_scratch_);
     sample_seconds_ += timer.lap();
     rows_sampled_total_ += sampled.rows();
-    if (ra_fd_) {
-      ra_fd_->append_batch(sampled);
-    } else {
-      fixed_fd_->append_batch(sampled);
-    }
+    append_rows(sampled);
     return;
   }
   sample_seconds_ += timer.lap();
   rows_sampled_total_ += batch.rows();
   if (ra_fd_) {
-    // RankAdaptiveFd's recent-row window shadows the float append path;
+    // RankAdaptiveFd's recent-row ring shadows the float append path;
     // widen once into grow-only scratch and reuse its fp64 entry point.
     linalg::widen(batch, f32_widen_);
     ra_fd_->append_batch(f32_widen_);
   } else {
     fixed_fd_->append_batch(batch);
   }
+}
+
+void Arams::append_rows(const Matrix& rows) {
+  if (ra_fd_) {
+    ra_fd_->append_batch(rows);
+  } else {
+    fixed_fd_->append_batch(rows);
+  }
+}
+
+PrioritySamplerConfig Arams::batch_sampler_config() const {
+  PrioritySamplerConfig ps;
+  ps.weight = config_.weight;
+  ps.seed = config_.seed ^ (0x9e3779b9ull + rows_sampled_total_);
+  return ps;
 }
 
 Matrix Arams::sketch() {

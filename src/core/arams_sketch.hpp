@@ -76,14 +76,15 @@ class Arams {
   AramsResult sketch_matrix(const linalg::Matrix& x);
 
   /// Streaming: sample within this batch, then feed the survivors to the
-  /// persistent FD state.
+  /// persistent FD state. An empty batch is a no-op. Survivors land in
+  /// grow-only scratch, so steady-state ingest does not allocate.
   void push_batch(const linalg::Matrix& batch);
 
   /// fp32 streaming ingest. When sampling is on, the fp32 priority-sampler
   /// overload consumes the float rows directly (weights accumulate in
   /// double, same RNG stream) and emits fp64 survivors; when sampling is
   /// off the batch feeds fixed FD's float path, or is widened once into
-  /// grow-only scratch for the rank-adaptive FD (whose recent-row window
+  /// grow-only scratch for the rank-adaptive FD (whose recent-row ring
   /// is fp64). Bitwise identical to widening the batch up front.
   void push_batch(linalg::MatrixViewF batch);
 
@@ -107,11 +108,19 @@ class Arams {
  private:
   FrequentDirections& fd();
 
+  /// Feeds rows to whichever FD variant this instance owns.
+  void append_rows(const linalg::Matrix& rows);
+
+  /// Sampler config for the next streamed batch: the seed advances with
+  /// the rows sampled so far, so successive batches draw independently.
+  [[nodiscard]] PrioritySamplerConfig batch_sampler_config() const;
+
   AramsConfig config_;
   std::unique_ptr<RankAdaptiveFd> ra_fd_;        // set when rank_adaptive
   std::unique_ptr<FrequentDirections> fixed_fd_; // set otherwise
   double sample_seconds_ = 0.0;
   std::size_t rows_sampled_total_ = 0;
+  PrioritySampleScratch sampler_scratch_;  ///< grow-only sampler buffers
   linalg::Matrix f32_widen_;  ///< grow-only fp32-lane widen scratch
 };
 

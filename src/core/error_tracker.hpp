@@ -10,7 +10,6 @@
 // deliberately does not provide.
 
 #include <cstdint>
-#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "rng/rng.hpp"
@@ -38,7 +37,8 @@ class SketchErrorTracker {
   /// orthonormal row basis (e.g. FrequentDirections::basis(k)):
   /// ‖R − R·VᵀV‖²_F / ‖R‖²_F. Unbiased for the stream average because the
   /// reservoir is a uniform sample. Throws CheckError before any rows.
-  [[nodiscard]] double relative_error(const linalg::Matrix& basis) const;
+  /// Reads the reservoir in place: a health check copies nothing.
+  [[nodiscard]] double relative_error(linalg::MatrixView basis) const;
 
   [[nodiscard]] long rows_seen() const { return rows_seen_; }
   [[nodiscard]] std::size_t reservoir_count() const;
@@ -50,7 +50,8 @@ class SketchErrorTracker {
  private:
   ErrorTrackerConfig config_;
   Rng rng_;
-  std::vector<std::vector<double>> reservoir_;
+  /// The sampled rows, one per matrix row (grows to reservoir_size rows).
+  linalg::Matrix reservoir_;
   long rows_seen_ = 0;
   std::size_t dim_ = 0;
 };

@@ -7,7 +7,6 @@
 // sketching each kept row is rescaled by √(max(1, τ/wᵢ)) so that
 // E[B̃ᵀB̃] = AᵀA (property-tested).
 
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -82,20 +81,40 @@ class PrioritySampler {
   Rng rng_;
   std::vector<Entry> heap_;  ///< min-heap of the top-(m+1) priorities
   long rows_seen_ = 0;
-  double evicted_priority_ = 0.0;  ///< max priority ever evicted
   double last_threshold_ = 0.0;
   std::size_t dim_ = 0;
 };
 
-/// One-shot convenience: priority-samples the rows of `a` down to
-/// ⌈fraction·n⌉ rows. fraction in (0, 1]; 1 returns `a` unchanged.
-linalg::Matrix priority_sample(const linalg::Matrix& a, double fraction,
-                               const PrioritySamplerConfig& base_config);
+/// Grow-only buffers for priority_sample. Reused across calls at a steady
+/// batch shape, they make sampling allocation-free.
+struct PrioritySampleScratch {
+  /// A row still in the running: its priority, weight and batch index.
+  struct Candidate {
+    double priority;
+    double weight;
+    std::size_t index;
+  };
+  std::vector<Candidate> heap;  ///< min-heap of the top-(m+1) priorities
+  linalg::Matrix rows;          ///< the sample of the latest call
+};
 
-/// fp32 one-shot: identical sampling decisions to the fp64 overload on the
-/// widened input; only the survivors are widened (fraction ≥ 1 widens the
-/// whole view).
-linalg::Matrix priority_sample(linalg::MatrixViewF a, double fraction,
-                               const PrioritySamplerConfig& base_config);
+/// One-shot: priority-samples the rows of `a` down to ⌈fraction·n⌉ rows
+/// into scratch.rows and returns it. fraction in (0, 1]; 1 copies `a`
+/// unchanged. Bitwise identical to a PrioritySampler with capacity
+/// ⌈fraction·n⌉ fed `a` and drained by take() — the same weights, RNG draws,
+/// keep/evict rule and τ — but the heap holds row indices, not row copies,
+/// and only the survivors are copied, once. Throws CheckError on an empty
+/// `a` (fraction < 1).
+const linalg::Matrix& priority_sample(const linalg::Matrix& a,
+                                      double fraction,
+                                      const PrioritySamplerConfig& config,
+                                      PrioritySampleScratch& scratch);
+
+/// fp32 one-shot: identical sampling decisions to the streaming sampler fed
+/// the same fp32 rows; only the survivors are widened (fraction ≥ 1 widens
+/// the whole view).
+const linalg::Matrix& priority_sample(linalg::MatrixViewF a, double fraction,
+                                      const PrioritySamplerConfig& config,
+                                      PrioritySampleScratch& scratch);
 
 }  // namespace arams::core

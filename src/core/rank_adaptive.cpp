@@ -35,8 +35,8 @@ bool RankAdaptiveFd::can_rank_adapt() const {
 void RankAdaptiveFd::append(std::span<const double> row) {
   Stopwatch timer;
   if (dim_ == 0) {
-    // First row fixes d; size the recent-rows window to ℓ.
-    window_.assign(ell_, {});
+    // First row fixes d; size the recent-row ring to ℓ.
+    recent_ = Matrix(ell_, row.size());
   }
 
   if (buffer_full()) {
@@ -52,8 +52,8 @@ void RankAdaptiveFd::append(std::span<const double> row) {
       static obs::Counter& rank_increases =
           obs::metrics().counter("fd.rank_increases");
       rank_increases.add(1);
-      // Window tracks ℓ so the estimate always covers one buffer period.
-      window_.resize(ell_);
+      // The ring tracks ℓ so the estimate always covers one buffer period.
+      recent_.append_zero_rows(ell_ - recent_.rows());
     } else {
       shrink();
       if (adapt_ok) {
@@ -67,11 +67,12 @@ void RankAdaptiveFd::append(std::span<const double> row) {
     --rows_remaining_;
   }
 
-  // Record the row in the ring window.
-  auto& slot = window_[window_next_];
-  slot.assign(row.begin(), row.end());
-  window_next_ = (window_next_ + 1) % window_.size();
-  window_count_ = std::min(window_count_ + 1, window_.size());
+  // Record the row in the ring. Slots fill in index order and a rank
+  // growth appends empty slots at the end, so the filled slots are always
+  // the prefix [0, recent_filled_).
+  recent_.set_row(recent_next_, row);
+  recent_filled_ = std::max(recent_filled_, recent_next_ + 1);
+  recent_next_ = (recent_next_ + 1) % recent_.rows();
   stats_.total_seconds += timer.seconds();
 }
 
@@ -88,9 +89,9 @@ Matrix RankAdaptiveFd::process(const Matrix& x) {
   return sketch();
 }
 
-Matrix RankAdaptiveFd::post_shrink_basis() const {
+linalg::MatrixView RankAdaptiveFd::post_shrink_basis() {
   const std::size_t rows = next_zero_row_;
-  Matrix basis(rows, dim_);
+  Matrix& basis = ws_.mat(linalg::wslot::kRankBasis, rows, dim_);
   for (std::size_t i = 0; i < rows; ++i) {
     const auto src = buffer_.row(i);
     const double nrm = linalg::norm2(src);
@@ -104,24 +105,15 @@ Matrix RankAdaptiveFd::post_shrink_basis() const {
 }
 
 void RankAdaptiveFd::update_adaptation_decision() {
-  if (window_count_ == 0 || next_zero_row_ == 0) return;
+  if (recent_filled_ == 0 || next_zero_row_ == 0) return;
 
-  // Assemble the recent-rows batch X from the filled ring slots (slots
-  // added by a recent rank growth may still be empty).
-  std::vector<const std::vector<double>*> filled;
-  filled.reserve(window_.size());
-  for (const auto& slot : window_) {
-    if (!slot.empty()) filled.push_back(&slot);
-  }
-  if (filled.empty()) return;
-  Matrix x(filled.size(), dim_);
-  for (std::size_t i = 0; i < filled.size(); ++i) {
-    x.set_row(i, *filled[i]);
-  }
-
-  const Matrix v = post_shrink_basis();
-  double estimate =
-      linalg::estimate_residual(x, v, config_.estimator, config_.nu, rng_);
+  // The recent-rows batch X is the filled ring prefix, viewed in place
+  // (slots added by a recent rank growth may still be empty).
+  const linalg::MatrixView x =
+      linalg::MatrixView::rows_of(recent_, 0, recent_filled_);
+  const linalg::MatrixView v = post_shrink_basis();
+  double estimate = linalg::estimate_residual(x, v, config_.estimator,
+                                              config_.nu, rng_, ws_);
   stats_.probe_count += config_.nu;
   static obs::Counter& probe_count =
       obs::metrics().counter("fd.probe_count");

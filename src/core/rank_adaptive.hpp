@@ -67,8 +67,9 @@ class RankAdaptiveFd : public FrequentDirections {
   void update_adaptation_decision();
 
   /// Orthonormal right-vector basis recovered from the just-shrunk buffer
-  /// rows (they are orthogonal scaled vᵢᵀ — normalizing suffices).
-  [[nodiscard]] linalg::Matrix post_shrink_basis() const;
+  /// rows (they are orthogonal scaled vᵢᵀ — normalizing suffices), written
+  /// into the workspace slot wslot::kRankBasis.
+  [[nodiscard]] linalg::MatrixView post_shrink_basis();
 
   [[nodiscard]] bool can_rank_adapt() const;
 
@@ -78,10 +79,10 @@ class RankAdaptiveFd : public FrequentDirections {
   long rows_remaining_ = 0;  ///< 0 = unknown (streaming)
   double last_estimate_ = std::numeric_limits<double>::quiet_NaN();
 
-  /// Ring buffer of the most recent rows (window size tracks ℓ).
-  std::vector<std::vector<double>> window_;
-  std::size_t window_next_ = 0;
-  std::size_t window_count_ = 0;
+  /// Contiguous ring of the most recent rows (ℓ×d, rows track ℓ).
+  linalg::Matrix recent_;
+  std::size_t recent_next_ = 0;    ///< slot the next row lands in
+  std::size_t recent_filled_ = 0;  ///< filled slots, always a prefix
 };
 
 }  // namespace arams::core

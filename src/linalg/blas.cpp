@@ -82,13 +82,13 @@ constexpr std::size_t kNc = 512;
 constexpr std::size_t kMr = 4;
 
 // Calls above this many flops (2·m·n·k for GEMM, m²·d for Gram) fan out
-// row bands across the shared pool; below it they stay sequential so the
-// small shapes FD produces at modest ℓ pay no dispatch overhead.
+// across the shared pool; below it they stay sequential so the small
+// shapes FD produces at modest ℓ pay no dispatch overhead.
 constexpr double kParallelFlopThreshold = 8e6;
 
 // Grow-only, per-thread packing scratch: steady-state kernel calls never
-// allocate. pack_b is filled by the calling thread; pack_a by whichever
-// thread runs the row band (each worker keeps its own).
+// allocate. GEMM packs A panels into pack_a and B panels into pack_b, each
+// on the thread that runs the tile.
 std::vector<double>& pack_a_scratch() {
   thread_local std::vector<double> buf;
   return buf;
@@ -102,10 +102,13 @@ parallel::ThreadPool* maybe_pool(double flops) {
   if (flops < kParallelFlopThreshold) return nullptr;
   parallel::ThreadPool& pool = parallel::shared_pool();
   if (pool.thread_count() < 2) return nullptr;
+  return &pool;
+}
+
+void count_dispatch() {
   static obs::Counter& dispatches =
       obs::metrics().counter("linalg.gemm_parallel_count");
   dispatches.add(1);
-  return &pool;
 }
 
 /// Packs Bop[pc..pc+kb) × [jc..jc+jb) into dst, kb rows of jb contiguous
@@ -281,11 +284,22 @@ void micro_kernel(const double* am, std::size_t kb, const double* bp,
 
 /// out = Aop · Bop where Aop(i,p) = a[i·ars + p·acs] (m×k) and
 /// Bop(p,j) = b[p·brs + j·bcs] (k×n). One strided entry point serves NN,
-/// TN and NT products — only the stride pairs differ. Row bands are
-/// disjoint and keep the identical (jc, pc, p, j) accumulation order, so
-/// sequential and parallel runs produce bit-identical results. Operand
-/// element types are template parameters: fp32 operands widen at packing
-/// time, the micro-kernel and accumulation order never change.
+/// TN and NT products — only the stride pairs differ. Operand element
+/// types are template parameters: fp32 operands widen at packing time, the
+/// micro-kernel and accumulation order never change.
+///
+/// The parallel axis is chosen once per call from the shape:
+///  * column blocks — when there are at least as many NC column blocks as
+///    MR row tiles (the d ≫ ℓ short-fat products of an FD shrink and the
+///    rank-adaptive probes): one task per block packs its own B panels and
+///    runs every KC panel and row tile, so the pool is entered once;
+///  * row bands — otherwise: the caller packs each (NC, KC) B panel and
+///    the pool splits its row tiles;
+///  * serial — below the flop threshold, on a 1-thread pool, or when
+///    neither axis offers at least one unit per pool thread (e.g. the
+///    K-dominant 10×32, k = 16384 probe product).
+/// Every C element sees the same (jc, pc, p) accumulation sequence under
+/// all three, so results are bitwise identical at any pool size.
 template <typename TA, typename TB>
 void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
                   const TA* a, std::size_t ars, std::size_t acs,
@@ -296,44 +310,67 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
     out.fill(0.0);
     return;
   }
+  double* c = out.data();
+  const std::size_t tiles = (m + kMr - 1) / kMr;
+  const std::size_t col_blocks = (n + kNc - 1) / kNc;
+
+  // Row tiles [t0, t1) of one packed (jc, pc) panel, A packed per thread.
+  const auto run_tiles = [&](std::size_t jc, std::size_t jb, std::size_t pc,
+                             std::size_t kb, const double* bp,
+                             std::size_t t0, std::size_t t1) {
+    std::vector<double>& abuf = pack_a_scratch();
+    if (abuf.size() < kMr * kb) abuf.resize(kMr * kb);
+    const std::size_t i1 = std::min(t1 * kMr, m);
+    for (std::size_t i = t0 * kMr; i < i1; i += kMr) {
+      const std::size_t mr = std::min(kMr, i1 - i);
+      pack_a_panel(a, ars, acs, i, pc, mr, kb, abuf.data());
+      micro_kernel(abuf.data(), kb, bp, jb, c + i * n + jc, n, mr, pc == 0);
+    }
+  };
+  const auto pack_b = [&](std::size_t jc, std::size_t jb, std::size_t pc,
+                          std::size_t kb) {
+    std::vector<double>& bbuf = pack_b_scratch();
+    if (bbuf.size() < kb * jb) bbuf.resize(kb * jb);
+    pack_b_panel(b, brs, bcs, pc, jc, kb, jb, bbuf.data());
+    return static_cast<const double*>(bbuf.data());
+  };
+  // Column block `blk`: every KC panel over every row tile.
+  const auto run_block = [&](std::size_t blk) {
+    const std::size_t jc = blk * kNc;
+    const std::size_t jb = std::min(kNc, n - jc);
+    for (std::size_t pc = 0; pc < k; pc += kKc) {
+      const std::size_t kb = std::min(kKc, k - pc);
+      run_tiles(jc, jb, pc, kb, pack_b(jc, jb, pc, kb), 0, tiles);
+    }
+  };
+
   parallel::ThreadPool* pool =
       maybe_pool(2.0 * static_cast<double>(m) * static_cast<double>(n) *
                  static_cast<double>(k));
-  double* c = out.data();
+  const std::size_t threads = pool == nullptr ? 1 : pool->thread_count();
+  if (std::max(col_blocks, tiles) < threads) pool = nullptr;
+
+  if (pool == nullptr) {
+    for (std::size_t blk = 0; blk < col_blocks; ++blk) run_block(blk);
+    return;
+  }
+  count_dispatch();
+  if (col_blocks >= tiles) {
+    pool->parallel_for(col_blocks, run_block);
+    return;
+  }
+  // Row bands: boundaries are whole tiles so none straddles two bands;
+  // ~4 bands per worker lets the queue balance load.
+  const std::size_t bands = std::min(tiles, threads * 4);
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t jb = std::min(kNc, n - jc);
     for (std::size_t pc = 0; pc < k; pc += kKc) {
       const std::size_t kb = std::min(kKc, k - pc);
-      std::vector<double>& bbuf = pack_b_scratch();
-      if (bbuf.size() < kb * jb) bbuf.resize(kb * jb);
-      pack_b_panel(b, brs, bcs, pc, jc, kb, jb, bbuf.data());
-      const double* bp = bbuf.data();
-
-      const bool first = pc == 0;
-      const auto run_band = [&](std::size_t i0, std::size_t i1) {
-        std::vector<double>& abuf = pack_a_scratch();
-        if (abuf.size() < kMr * kb) abuf.resize(kMr * kb);
-        for (std::size_t i = i0; i < i1; i += kMr) {
-          const std::size_t mr = std::min(kMr, i1 - i);
-          pack_a_panel(a, ars, acs, i, pc, mr, kb, abuf.data());
-          micro_kernel(abuf.data(), kb, bp, jb, c + i * n + jc, n, mr, first);
-        }
-      };
-
-      if (pool == nullptr) {
-        run_band(0, m);
-      } else {
-        // Band boundaries are multiples of kMr so no tile straddles two
-        // bands; ~4 bands per worker lets the queue balance load.
-        const std::size_t tiles = (m + kMr - 1) / kMr;
-        const std::size_t bands =
-            std::min(tiles, pool->thread_count() * 4);
-        pool->parallel_for(bands, [&](std::size_t t) {
-          const std::size_t t0 = tiles * t / bands;
-          const std::size_t t1 = tiles * (t + 1) / bands;
-          run_band(t0 * kMr, std::min(t1 * kMr, m));
-        });
-      }
+      const double* bp = pack_b(jc, jb, pc, kb);
+      pool->parallel_for(bands, [&](std::size_t t) {
+        run_tiles(jc, jb, pc, kb, bp, tiles * t / bands,
+                  tiles * (t + 1) / bands);
+      });
     }
   }
 }
@@ -393,6 +430,7 @@ void gram_tiled(std::size_t n, std::size_t len, std::size_t stride,
   if (pool == nullptr) {
     for (std::size_t ti = 0; ti < tiles; ++ti) do_tile_row(ti);
   } else {
+    count_dispatch();
     pool->parallel_for(tiles, do_tile_row);
   }
 

@@ -5,11 +5,14 @@
 //
 // The matmul/Gram family is cache-blocked (KC×NC panels packed into
 // contiguous scratch) with an MR=4 register-blocked micro-kernel, and
-// dispatches row bands onto the shared parallel::ThreadPool once a call
-// exceeds a flop threshold — below it everything stays sequential so the
-// small shapes FD produces at modest ℓ pay zero overhead. The parallel
-// partition is over disjoint output rows with an unchanged inner loop
-// order, so tiled, parallel and sequential paths produce identical results.
+// fans out onto the shared parallel::ThreadPool once a call exceeds a flop
+// threshold — below it everything stays sequential so the small shapes FD
+// produces at modest ℓ pay zero overhead. GEMM picks its parallel axis by
+// shape, once per call: whole NC column blocks per task for short-fat
+// d ≫ ℓ products, row bands otherwise, serial when neither axis has a unit
+// of work per pool thread. Every partition covers disjoint outputs with an
+// unchanged per-element accumulation order, so tiled, parallel and
+// sequential paths produce identical results at any pool size.
 // Packing scratch is thread-local and grow-only: steady-state calls do not
 // touch the heap. Dispatches are counted in the
 // "linalg.gemm_parallel_count" metric.

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "linalg/blas.hpp"
+#include "linalg/workspace.hpp"
 
 namespace arams::linalg {
 
@@ -77,7 +78,7 @@ double covariance_error_relative(const Matrix& a, const Matrix& b, Rng& rng,
   return covariance_error(a, b, rng, iters) / denom;
 }
 
-double projection_residual_exact(const Matrix& x, const Matrix& v) {
+double projection_residual_exact(MatrixView x, MatrixView v) {
   ARAMS_CHECK(v.cols() == x.cols(), "projection basis dimension mismatch");
   // ‖X − XVᵀV‖²_F = ‖X‖²_F − ‖XVᵀ‖²_F for orthonormal rows of V.
   const Matrix coeff = matmul_nt(x, v);  // n×k
@@ -86,35 +87,43 @@ double projection_residual_exact(const Matrix& x, const Matrix& v) {
   return std::max(total - captured, 0.0);
 }
 
-double estimate_projection_residual(const Matrix& x, const Matrix& v,
-                                    int probes, Rng& rng) {
+double estimate_projection_residual(MatrixView x, MatrixView v, int probes,
+                                    Rng& rng, Workspace& ws) {
   ARAMS_CHECK(probes > 0, "need at least one probe");
   ARAMS_CHECK(v.cols() == x.cols(), "projection basis dimension mismatch");
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  const std::size_t k = v.rows();
+  const auto nu = static_cast<std::size_t>(probes);
 
-  std::vector<double> g(n);
-  std::vector<double> y(d);
-  std::vector<double> c(k);
-  std::vector<double> yhat(d);
+  // G's rows are drawn probe by probe, the order a per-probe loop would
+  // draw its g vectors in.
+  Matrix& g = ws.mat(wslot::kProbeG, nu, x.rows());
+  for (std::size_t p = 0; p < nu; ++p) rng.fill_normal(g.row(p));
+  // Y = G·X: row p is Xᵀg_p, a random combination of the batch rows.
+  Matrix& y = ws.mat(wslot::kProbeY, 0, 0);
+  matmul(g, x, y);
+  // Ŷ = (Y·Vᵀ)·V: every probe projected onto the retained subspace.
+  Matrix& c = ws.mat(wslot::kProbeC, 0, 0);
+  matmul_nt(y, v, c);
+  Matrix& yhat = ws.mat(wslot::kProbeYhat, 0, 0);
+  matmul(c, v, yhat);
 
   double acc = 0.0;
-  for (int p = 0; p < probes; ++p) {
-    rng.fill_normal(g);
-    // y = Xᵀ g — random combination of the batch rows.
-    gemv_t(x, g, y);
-    // yhat = Vᵀ (V y) — projection onto the retained subspace.
-    gemv(v, y, c);
-    gemv_t(v, c, yhat);
+  for (std::size_t p = 0; p < nu; ++p) {
+    const auto yp = y.row(p);
+    const auto hp = yhat.row(p);
     double r = 0.0;
-    for (std::size_t i = 0; i < d; ++i) {
-      const double diff = y[i] - yhat[i];
+    for (std::size_t i = 0; i < yp.size(); ++i) {
+      const double diff = yp[i] - hp[i];
       r += diff * diff;
     }
     acc += r;
   }
   return acc / probes;
+}
+
+double estimate_projection_residual(MatrixView x, MatrixView v, int probes,
+                                    Rng& rng) {
+  Workspace ws;
+  return estimate_projection_residual(x, v, probes, rng, ws);
 }
 
 }  // namespace arams::linalg

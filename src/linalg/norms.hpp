@@ -18,6 +18,8 @@
 
 namespace arams::linalg {
 
+class Workspace;
+
 /// Largest absolute eigenvalue of a symmetric operator given only its
 /// matvec. `dim` is the operator order. Uses power iteration with a random
 /// start; deterministic given `rng`.
@@ -40,12 +42,22 @@ double covariance_error_relative(const Matrix& a, const Matrix& b, Rng& rng,
 
 /// ‖X − X·VᵀV‖²_F computed exactly (rows of `v` must be orthonormal,
 /// spanning the retained subspace). O(n·d·k); used by tests as ground truth.
-double projection_residual_exact(const Matrix& x, const Matrix& v);
+double projection_residual_exact(MatrixView x, MatrixView v);
 
 /// Randomized estimate of projection_residual_exact using `probes` Gaussian
 /// probe vectors (Algorithm 1 of the paper). Unbiased; relative accuracy
 /// improves roughly 10% per 10 probes as reported in the paper.
-double estimate_projection_residual(const Matrix& x, const Matrix& v,
-                                    int probes, Rng& rng);
+///
+/// The ν probes run as one block of three GEMMs — Y = G·X, C = Y·Vᵀ,
+/// Ŷ = C·V — so X and V each stream through memory a constant number of
+/// times instead of once or twice per probe. G's rows come from `rng` in
+/// probe order, so the draws match a probe-at-a-time loop. Scratch lives in
+/// `ws` (wslot::kProbe*): repeated calls at a fixed shape do not allocate.
+double estimate_projection_residual(MatrixView x, MatrixView v, int probes,
+                                    Rng& rng, Workspace& ws);
+
+/// Convenience form with a call-local workspace.
+double estimate_projection_residual(MatrixView x, MatrixView v, int probes,
+                                    Rng& rng);
 
 }  // namespace arams::linalg

@@ -6,6 +6,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/workspace.hpp"
 #include "util/check.hpp"
 
 namespace arams::linalg {
@@ -91,12 +92,13 @@ double hutchpp_trace(const SymMatVec& matvec, std::size_t dim, int probes,
   return top + rest / rest_probes;
 }
 
-double estimate_residual(const Matrix& x, const Matrix& v,
-                         ResidualEstimator estimator, int probes, Rng& rng) {
+double estimate_residual(MatrixView x, MatrixView v,
+                         ResidualEstimator estimator, int probes, Rng& rng,
+                         Workspace& ws) {
   ARAMS_CHECK(v.cols() == x.cols(), "projection basis dimension mismatch");
   ARAMS_CHECK(probes >= 1, "need at least one probe");
   if (estimator == ResidualEstimator::kGaussianProbes) {
-    return estimate_projection_residual(x, v, probes, rng);
+    return estimate_projection_residual(x, v, probes, rng, ws);
   }
 
   // Residual = tr(M) for the n×n PSD operator M = X(I−VᵀV)Xᵀ.
@@ -124,6 +126,12 @@ double estimate_residual(const Matrix& x, const Matrix& v,
     return hutchinson_trace(matvec, n, probes, rng);
   }
   return hutchpp_trace(matvec, n, probes, rng);
+}
+
+double estimate_residual(MatrixView x, MatrixView v,
+                         ResidualEstimator estimator, int probes, Rng& rng) {
+  Workspace ws;
+  return estimate_residual(x, v, estimator, probes, rng, ws);
 }
 
 ResidualEstimator parse_residual_estimator(const std::string& name) {

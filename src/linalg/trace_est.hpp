@@ -23,6 +23,8 @@
 
 namespace arams::linalg {
 
+class Workspace;
+
 using SymMatVec =
     std::function<void(std::span<const double>, std::span<double>)>;
 
@@ -45,8 +47,14 @@ enum class ResidualEstimator {
 
 /// ‖X − X·VᵀV‖²_F estimated with the selected strategy and `probes`
 /// matvec-equivalents. V must have orthonormal rows. All strategies are
-/// unbiased; they differ in variance per probe.
-double estimate_residual(const Matrix& x, const Matrix& v,
+/// unbiased; they differ in variance per probe. The Gaussian-probe
+/// strategy runs blocked in `ws` (see estimate_projection_residual).
+double estimate_residual(MatrixView x, MatrixView v,
+                         ResidualEstimator estimator, int probes, Rng& rng,
+                         Workspace& ws);
+
+/// Convenience form with a call-local workspace.
+double estimate_residual(MatrixView x, MatrixView v,
                          ResidualEstimator estimator, int probes, Rng& rng);
 
 /// Parses "gaussian" / "hutchinson" / "hutchpp"; throws on other input.

@@ -84,6 +84,15 @@ inline constexpr std::size_t kIngestRow = 10;    ///< vec slot: widened row
 // nests above sigma_vt_svd in the same arena, so it claims a fresh id.
 inline constexpr std::size_t kMergeStack = 16;   ///< stacked group sketches
 inline constexpr std::size_t kShardGather = 17;  ///< gathered shard rows
+// Rank-adaptive FD (core/rank_adaptive.cpp) and the blocked Algorithm-1
+// estimator it calls (norms.cpp). The basis is written after a shrink, when
+// the SVD slots are free again, and stays live while the estimator fills
+// its own probe slots.
+inline constexpr std::size_t kRankBasis = 18;  ///< post-shrink basis V
+inline constexpr std::size_t kProbeG = 19;     ///< ν×n Gaussian probes G
+inline constexpr std::size_t kProbeY = 20;     ///< Y = G·X
+inline constexpr std::size_t kProbeC = 21;     ///< C = Y·Vᵀ
+inline constexpr std::size_t kProbeYhat = 22;  ///< Ŷ = C·V
 }  // namespace wslot
 
 class Workspace {

@@ -226,7 +226,10 @@ void MetricsRegistry::reset() {
 }
 
 MetricsRegistry& metrics() {
-  static MetricsRegistry registry;
+  // Never destroyed: a pool worker records its task's run time and
+  // utilization after the task's future is ready, so at process exit it
+  // can still be writing here while static destructors run.
+  static MetricsRegistry& registry = *new MetricsRegistry();
   return registry;
 }
 

@@ -140,7 +140,9 @@ void TraceRecorder::write_json_lines(std::ostream& out) const {
 }
 
 TraceRecorder& tracer() {
-  static TraceRecorder recorder;
+  // Never destroyed, like the metrics registry: a pool worker closes its
+  // "pool.task" span after the task's future is ready.
+  static TraceRecorder& recorder = *new TraceRecorder();
   return recorder;
 }
 

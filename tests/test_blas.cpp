@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
@@ -380,6 +385,163 @@ TEST(BlasMixed, OutParameterReusesStorage) {
   EXPECT_EQ(out.cols(), 9u);
   EXPECT_EQ(Matrix::max_abs_diff(out, matmul_tn(a.to_matrix(), b.to_matrix())),
             0.0);
+}
+
+// ------------------------------------------ wide (d ≫ ℓ) GEMM dispatch
+//
+// The short-fat products of an FD shrink and of the blocked rank-adaptive
+// probes run as whole column blocks per pool task; the K-dominant probe
+// product (10×32, k = 16384) stays serial on a 4-thread pool. Whatever the
+// mode, every product must be bitwise identical at pool sizes 1, 2 and 4.
+// The shared pool's size is fixed per process, so the cross-size check
+// re-runs this binary with ARAMS_POOL_THREADS set and compares bit-level
+// fingerprints of every product.
+
+struct WideShape {
+  std::size_t m, n, k;
+};
+
+std::vector<WideShape> wide_shapes() {
+  std::vector<WideShape> shapes;
+  for (std::size_t m : {1, 4, 10, 32}) {
+    for (std::size_t n : {1024, 16387}) {
+      for (std::size_t k : {32, 64}) shapes.push_back({m, n, k});
+    }
+  }
+  shapes.push_back({10, 32, 16384});  // K-dominant: C = Y·Vᵀ of the probes
+  return shapes;
+}
+
+std::string shape_name(const WideShape& s) {
+  return std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
+         std::to_string(s.k);
+}
+
+/// fp32-representable fp64 operand, so the fp64 and fp32 variants share
+/// one naive reference.
+Matrix representable_matrix(std::size_t r, std::size_t c, Rng& rng) {
+  return narrow_matrix(random_matrix(r, c, rng)).to_matrix();
+}
+
+struct WideProducts {
+  Matrix naive_nn, naive_tn, naive_nt;
+  std::vector<std::pair<std::string, Matrix>> got;  ///< variant → product
+};
+
+/// NN, TN and NT in fp64 plus the fp32 and mixed overloads, for one shape.
+WideProducts wide_products(const WideShape& s, bool with_naive) {
+  Rng rng(s.m * 1000003 + s.n * 101 + s.k);
+  const Matrix a = representable_matrix(s.m, s.k, rng);   // Aop for NN/NT
+  const Matrix at = representable_matrix(s.k, s.m, rng);  // Aᵀ stored, TN
+  const Matrix b = representable_matrix(s.k, s.n, rng);   // Bop for NN/TN
+  const Matrix bt = representable_matrix(s.n, s.k, rng);  // Bᵀ stored, NT
+  const MatrixF a32 = narrow_matrix(a);
+  const MatrixF at32 = narrow_matrix(at);
+  const MatrixF b32 = narrow_matrix(b);
+
+  WideProducts out;
+  out.got.emplace_back("nn", matmul(a, b));
+  out.got.emplace_back("tn", matmul_tn(at, b));
+  out.got.emplace_back("nt", matmul_nt(a, bt));
+  out.got.emplace_back("nn_f32", matmul(MatrixViewF(a32), MatrixViewF(b32)));
+  out.got.emplace_back("tn_f32",
+                       matmul_tn(MatrixViewF(at32), MatrixViewF(b32)));
+  out.got.emplace_back("tn_mixed", matmul_tn(MatrixView(at), MatrixViewF(b32)));
+  if (with_naive) {
+    out.naive_nn = naive_matmul(a, b);
+    out.naive_tn = naive_matmul(at.transposed(), b);
+    out.naive_nt = naive_matmul(a, bt.transposed());
+  }
+  return out;
+}
+
+/// FNV-1a over the raw bytes of a matrix: equal iff bitwise equal (up to
+/// hash collisions).
+std::uint64_t fingerprint(const Matrix& m) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+  for (std::size_t i = 0; i < m.size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(BlasParallel, WideShapesMatchNaive) {
+  for (const WideShape& s : wide_shapes()) {
+    const WideProducts p = wide_products(s, /*with_naive=*/true);
+    for (const auto& [variant, got] : p.got) {
+      const Matrix& want = variant.rfind("nn", 0) == 0   ? p.naive_nn
+                           : variant.rfind("tn", 0) == 0 ? p.naive_tn
+                                                         : p.naive_nt;
+      EXPECT_LE(relative_frobenius_error(got, want), 1e-12)
+          << shape_name(s) << " " << variant;
+    }
+  }
+}
+
+TEST(BlasParallel, WideShapeDispatchFollowsShape) {
+  ASSERT_TRUE(kPoolEnvForced);
+  if (parallel::shared_pool().thread_count() != 4) {
+    GTEST_SKIP() << "dispatch rule pinned for a 4-thread pool";
+  }
+  obs::Counter& dispatches =
+      obs::metrics().counter("linalg.gemm_parallel_count");
+  Rng rng(91);
+  // Short-fat (the FD shrink's Uᵀ·B at ℓ = 32, d = 16384): 32 column
+  // blocks against 8 row tiles — one column-block dispatch.
+  const Matrix u = random_matrix(64, 32, rng);
+  const Matrix b = random_matrix(64, 16384, rng);
+  long before = dispatches.value();
+  (void)matmul_tn(u, b);
+  EXPECT_EQ(dispatches.value(), before + 1);
+  // K-dominant 10×32 with k = 16384: 1 column block, 3 row tiles — fewer
+  // units than threads on either axis, so it runs serially.
+  const Matrix y = random_matrix(10, 16384, rng);
+  const Matrix v = random_matrix(32, 16384, rng);
+  before = dispatches.value();
+  (void)matmul_nt(y, v);
+  EXPECT_EQ(dispatches.value(), before);
+}
+
+/// Child half of WideShapesBitwiseAcrossPoolSizes: prints one fingerprint line per
+/// product at this process's pool size. Passes on its own.
+TEST(BlasParallel, WideShapeFingerprints) {
+  for (const WideShape& s : wide_shapes()) {
+    for (const auto& [variant, got] : wide_products(s, false).got) {
+      std::printf("fingerprint %s %s %016llx\n", shape_name(s).c_str(),
+                  variant.c_str(),
+                  static_cast<unsigned long long>(fingerprint(got)));
+    }
+  }
+}
+
+std::vector<std::string> fingerprints_at(int threads) {
+  const std::string exe = std::filesystem::read_symlink("/proc/self/exe");
+  const std::string cmd = "ARAMS_POOL_THREADS=" + std::to_string(threads) +
+                          " '" + exe +
+                          "' --gtest_filter=BlasParallel.WideShapeFingerprints";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {};
+  std::vector<std::string> lines;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+    const std::string line(buf);
+    if (line.rfind("fingerprint ", 0) == 0) lines.push_back(line);
+  }
+  ::pclose(pipe);
+  return lines;
+}
+
+TEST(BlasParallel, WideShapesBitwiseAcrossPoolSizes) {
+  const std::vector<std::string> one = fingerprints_at(1);
+  ASSERT_EQ(one.size(), wide_shapes().size() * 6);
+  for (int threads : {2, 4}) {
+    const std::vector<std::string> many = fingerprints_at(threads);
+    ASSERT_EQ(many.size(), one.size()) << threads << " threads";
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(many[i], one[i]) << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

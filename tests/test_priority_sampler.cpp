@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/priority_sampler.hpp"
@@ -168,7 +169,9 @@ TEST_P(SampleFraction, KeepsRequestedFraction) {
   const double beta = GetParam();
   Rng rng(6);
   const Matrix a = random_matrix(100, 5, rng);
-  const Matrix out = priority_sample(a, beta, PrioritySamplerConfig{});
+  PrioritySampleScratch scratch;
+  const Matrix& out =
+      priority_sample(a, beta, PrioritySamplerConfig{}, scratch);
   EXPECT_EQ(out.rows(), static_cast<std::size_t>(std::ceil(100 * beta)));
 }
 
@@ -178,14 +181,123 @@ INSTANTIATE_TEST_SUITE_P(Fractions, SampleFraction,
 TEST(PrioritySample, FractionOneReturnsInputUnchanged) {
   Rng rng(7);
   const Matrix a = random_matrix(10, 3, rng);
-  const Matrix out = priority_sample(a, 1.0, PrioritySamplerConfig{});
+  PrioritySampleScratch scratch;
+  const Matrix& out =
+      priority_sample(a, 1.0, PrioritySamplerConfig{}, scratch);
   EXPECT_EQ(Matrix::max_abs_diff(out, a), 0.0);
 }
 
 TEST(PrioritySample, InvalidFractionThrows) {
   const Matrix a(5, 2);
-  EXPECT_THROW(priority_sample(a, 0.0, PrioritySamplerConfig{}), CheckError);
-  EXPECT_THROW(priority_sample(a, 1.5, PrioritySamplerConfig{}), CheckError);
+  PrioritySampleScratch scratch;
+  EXPECT_THROW(priority_sample(a, 0.0, PrioritySamplerConfig{}, scratch),
+               CheckError);
+  EXPECT_THROW(priority_sample(a, 1.5, PrioritySamplerConfig{}, scratch),
+               CheckError);
+}
+
+// ------------------------------------ one-shot vs streaming parity
+//
+// priority_sample keeps an index heap and gathers the survivors once; it
+// must reproduce a streaming PrioritySampler of capacity ⌈βn⌉ fed the same
+// rows bitwise — same draws, same keep/evict decisions, same τ, same
+// rescaled survivors in stream order.
+
+PrioritySamplerConfig streaming_config(std::size_t rows, double fraction,
+                                       PrioritySamplerConfig config) {
+  config.capacity = std::max<std::size_t>(
+      static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(rows))),
+      1);
+  return config;
+}
+
+template <typename Rows>
+Matrix streaming_sample(const Rows& a, double fraction,
+                        const PrioritySamplerConfig& config) {
+  PrioritySampler sampler(streaming_config(a.rows(), fraction, config));
+  sampler.push_batch(a);
+  return sampler.take();
+}
+
+struct ParityCase {
+  const char* name;
+  std::size_t rows;
+  std::size_t zero_rows;  ///< leading rows of every third zeroed
+  double fraction;
+  SamplingWeight weight;
+  bool rescale;
+};
+
+Matrix parity_input(const ParityCase& c, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix a = random_matrix(c.rows, 9, rng);
+  for (std::size_t z = 0; z < c.zero_rows; ++z) a.zero_row(3 * z);
+  return a;
+}
+
+const ParityCase kParityCases[] = {
+    {"overflow", 120, 0, 0.3, SamplingWeight::kRowNormSquared, true},
+    {"zero_weight_rows", 90, 12, 0.5, SamplingWeight::kRowNormSquared, true},
+    // 7 non-zero rows against a capacity of 8: the heap never overflows.
+    {"fewer_rows_than_capacity", 10, 3, 0.8, SamplingWeight::kRowNorm, true},
+    {"row_norm_no_rescale", 64, 3, 0.8, SamplingWeight::kRowNorm, false},
+};
+
+TEST(PrioritySample, MatchesStreamingSamplerBitwise) {
+  for (const ParityCase& c : kParityCases) {
+    PrioritySamplerConfig config;
+    config.weight = c.weight;
+    config.rescale = c.rescale;
+    config.seed = 4242;
+    const Matrix a = parity_input(c, 11);
+    const Matrix want = streaming_sample(a, c.fraction, config);
+    PrioritySampleScratch scratch;
+    const Matrix& got = priority_sample(a, c.fraction, config, scratch);
+    ASSERT_EQ(got.rows(), want.rows()) << c.name;
+    ASSERT_EQ(got.cols(), want.cols()) << c.name;
+    EXPECT_EQ(Matrix::max_abs_diff(got, want), 0.0) << c.name;
+  }
+}
+
+TEST(PrioritySample, F32MatchesStreamingSamplerBitwise) {
+  for (const ParityCase& c : kParityCases) {
+    PrioritySamplerConfig config;
+    config.weight = c.weight;
+    config.rescale = c.rescale;
+    config.seed = 777;
+    const linalg::MatrixF a = linalg::MatrixF::from_matrix(parity_input(c, 12));
+    const Matrix want =
+        streaming_sample(linalg::MatrixViewF(a), c.fraction, config);
+    PrioritySampleScratch scratch;
+    const Matrix& got =
+        priority_sample(linalg::MatrixViewF(a), c.fraction, config, scratch);
+    ASSERT_EQ(got.rows(), want.rows()) << c.name;
+    EXPECT_EQ(Matrix::max_abs_diff(got, want), 0.0) << c.name;
+  }
+}
+
+TEST(PrioritySample, ScratchIsReusedAcrossCalls) {
+  Rng rng(13);
+  const Matrix big = random_matrix(200, 6, rng);
+  const Matrix small = random_matrix(20, 6, rng);
+  PrioritySamplerConfig config;
+  config.seed = 5;
+  PrioritySampleScratch scratch;
+  EXPECT_EQ(priority_sample(big, 0.5, config, scratch).rows(), 100u);
+  // A smaller sample into the same scratch equals a fresh one bitwise.
+  const Matrix& reused = priority_sample(small, 0.5, config, scratch);
+  PrioritySampleScratch fresh_scratch;
+  const Matrix& fresh = priority_sample(small, 0.5, config, fresh_scratch);
+  EXPECT_EQ(&reused, &scratch.rows);
+  ASSERT_EQ(reused.rows(), fresh.rows());
+  EXPECT_EQ(Matrix::max_abs_diff(reused, fresh), 0.0);
+}
+
+TEST(PrioritySample, EmptyInputThrowsLikeTheStreamingSampler) {
+  PrioritySampleScratch scratch;
+  EXPECT_THROW(
+      priority_sample(Matrix(0, 4), 0.5, PrioritySamplerConfig{}, scratch),
+      CheckError);
 }
 
 }  // namespace

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/rank_adaptive.hpp"
+#include "data/beam_profile.hpp"
+#include "data/diffraction.hpp"
 #include "data/synthetic.hpp"
+#include "image/image.hpp"
+#include "image/preprocess.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "rng/rng.hpp"
@@ -223,6 +229,122 @@ TEST(RankAdaptive, ProbeBudgetIsAccounted) {
   // Every estimate consumed exactly ν probes.
   EXPECT_EQ(fd.stats().probe_count % config.nu, 0);
   EXPECT_GT(fd.stats().probe_count, 0);
+}
+
+// ------------------------------------------- blocked Algorithm 1 probes
+//
+// The estimator runs its ν probes as three GEMMs (Y = G·X, C = Y·Vᵀ,
+// Ŷ = C·V). The per-probe form below — three gemv sweeps per probe — is the
+// reference it replaced; both draw G from the RNG in the same order, so
+// they differ only in floating-point summation order.
+
+double per_probe_reference(const Matrix& x, const Matrix& v, int probes,
+                           Rng& rng) {
+  std::vector<double> g(x.rows());
+  std::vector<double> y(x.cols());
+  std::vector<double> c(v.rows());
+  std::vector<double> yhat(x.cols());
+  double acc = 0.0;
+  for (int p = 0; p < probes; ++p) {
+    rng.fill_normal(g);
+    linalg::gemv_t(x, g, y);
+    linalg::gemv(v, y, c);
+    linalg::gemv_t(v, c, yhat);
+    double r = 0.0;
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      r += (y[i] - yhat[i]) * (y[i] - yhat[i]);
+    }
+    acc += r;
+  }
+  return acc / probes;
+}
+
+/// Orthonormal k×d basis of a random stream's FD sketch — the shape
+/// post_shrink_basis hands the estimator.
+Matrix sketch_basis(std::size_t k, std::size_t d, Rng& rng) {
+  FrequentDirections fd(FdConfig{k + 1, true});
+  fd.append_batch(random_matrix(4 * (k + 1), d, rng));
+  return fd.basis(k);
+}
+
+TEST(RankAdaptive, BlockedEstimateMatchesPerProbeReference) {
+  // (n, d, k, ν): a small shape, and the beam_ingest decision shape
+  // (ℓ = 32 recent rows of 128×128 frames against a 31-row basis).
+  const std::size_t shapes[][4] = {{8, 50, 5, 3}, {32, 16384, 31, 10}};
+  for (const auto& s : shapes) {
+    Rng data(s[0] + s[1]);
+    const Matrix x = random_matrix(s[0], s[1], data);
+    const Matrix v = sketch_basis(s[2], s[1], data);
+    const int nu = static_cast<int>(s[3]);
+    Rng blocked_rng(99);
+    Rng reference_rng(99);
+    const double blocked =
+        linalg::estimate_projection_residual(x, v, nu, blocked_rng);
+    const double reference = per_probe_reference(x, v, nu, reference_rng);
+    EXPECT_NEAR(blocked, reference, 1e-12 * reference) << "d=" << s[1];
+    // Both consumed the same draws.
+    EXPECT_EQ(blocked_rng.next_u64(), reference_rng.next_u64());
+  }
+}
+
+/// Preprocessed frame rows of a generator stream, the way the monitor
+/// feeds them to the sketch.
+Matrix frame_rows(const std::vector<image::ImageF>& frames) {
+  return image::images_to_matrix(
+      image::preprocess_batch(frames, image::PreprocessConfig{}));
+}
+
+struct Decisions {
+  long rank_increases;
+  std::size_t final_ell;
+  long probe_count;
+};
+
+Decisions stream_decisions(const Matrix& rows, double epsilon) {
+  RankAdaptiveConfig config;
+  config.initial_ell = 8;
+  config.nu = 10;
+  config.rank_step = 2;  // small steps: many decisions shape the final ℓ
+  config.epsilon = epsilon;
+  config.seed = 2024;
+  RankAdaptiveFd fd(config);
+  for (std::size_t r0 = 0; r0 < rows.rows(); r0 += 64) {
+    fd.append_batch(rows.slice_rows(r0, std::min(rows.rows(), r0 + 64)));
+  }
+  return {fd.stats().rank_increases, fd.ell(), fd.stats().probe_count};
+}
+
+// Pinned to the per-probe estimator's decisions on the same streams: the
+// blocked form must not flip a single grow/shrink decision.
+TEST(RankAdaptive, DecisionsPinnedOnBeamStream) {
+  data::BeamProfileConfig beam;
+  beam.height = 32;
+  beam.width = 32;
+  Rng rng(41);
+  std::vector<image::ImageF> frames;
+  for (auto& sample : data::generate_beam_profiles(beam, 640, rng)) {
+    frames.push_back(std::move(sample.frame));
+  }
+  const Decisions got = stream_decisions(frame_rows(frames), 0.01);
+  EXPECT_EQ(got.rank_increases, 5);
+  EXPECT_EQ(got.final_ell, 18u);
+  EXPECT_EQ(got.probe_count, 350);
+}
+
+TEST(RankAdaptive, DecisionsPinnedOnDiffractionStream) {
+  data::DiffractionConfig diff;
+  diff.height = 32;
+  diff.width = 32;
+  const data::DiffractionGenerator generator(diff);
+  Rng rng(42);
+  std::vector<image::ImageF> frames;
+  for (auto& sample : generator.generate_batch(640, rng)) {
+    frames.push_back(std::move(sample.frame));
+  }
+  const Decisions got = stream_decisions(frame_rows(frames), 0.02);
+  EXPECT_EQ(got.rank_increases, 3);
+  EXPECT_EQ(got.final_ell, 14u);
+  EXPECT_EQ(got.probe_count, 430);
 }
 
 }  // namespace

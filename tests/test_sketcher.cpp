@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -235,22 +236,51 @@ TEST_P(SketcherConformance, SketchIsIdempotent) {
   EXPECT_EQ(sketcher->stats().rows_processed, 50);
 }
 
+/// The paper's default ARAMS config — priority sampling at β = 0.8 and
+/// rank adaptation with ν probes — with ε set so high that ℓ never grows
+/// (a rank growth re-sizes the FD buffer, which allocates by design).
+/// Shapes stay tiny so the GEMM cores run serially (no pool dispatch).
+SketcherConfig default_arams_fixed_rank_config() {
+  SketcherConfig config;
+  config.backend = "arams";
+  config.ell = 6;
+  config.arams.ell = 6;
+  config.arams.seed = 5;
+  config.arams.epsilon = 1e6;
+  return config;
+}
+
+/// Warm-up fixes d, grows every scratch buffer and (for fd/arams/isvd)
+/// passes through at least one shrink cycle — for arams with rank
+/// adaptation, one probe estimate too; then ingest must not allocate.
+template <typename Batch>
+void expect_steady_state_allocation_free(const SketcherConfig& config,
+                                         const std::vector<Batch>& batches) {
+  const auto sketcher = make_sketcher(config);
+  const std::size_t warm = batches.size() * 2 / 3;
+  for (std::size_t i = 0; i < warm; ++i) sketcher->push_batch(batches[i]);
+
+  const long before = g_heap_allocations.load(std::memory_order_relaxed);
+  for (std::size_t i = warm; i < batches.size(); ++i) {
+    sketcher->push_batch(batches[i]);
+  }
+  const long after = g_heap_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0) << config.backend;
+  EXPECT_EQ(sketcher->current_ell(), config.ell) << config.backend;
+}
+
 TEST_P(SketcherConformance, SteadyStateIngestIsAllocationFree) {
-  // Shapes stay tiny so the GEMM cores run serially (no pool dispatch).
-  const auto sketcher = make_sketcher(conformance_config(GetParam(), 6, 5));
   std::vector<Matrix> batches;
   batches.reserve(24);
   for (std::size_t i = 0; i < 24; ++i) {
-    batches.push_back(random_matrix(4, 12, 100 + i));
+    batches.push_back(random_matrix(8, 12, 100 + i));
   }
-  // Warm-up fixes d, grows every scratch buffer and (for fd/arams/isvd)
-  // passes through at least one shrink cycle.
-  for (std::size_t i = 0; i < 16; ++i) sketcher->push_batch(batches[i]);
-
-  const long before = g_heap_allocations.load(std::memory_order_relaxed);
-  for (std::size_t i = 16; i < 24; ++i) sketcher->push_batch(batches[i]);
-  const long after = g_heap_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0) << GetParam();
+  expect_steady_state_allocation_free(conformance_config(GetParam(), 6, 5),
+                                      batches);
+  if (GetParam() == "arams") {
+    expect_steady_state_allocation_free(default_arams_fixed_rank_config(),
+                                        batches);
+  }
 }
 
 TEST_P(SketcherConformance, BasisIsRowOrthonormal) {
@@ -355,22 +385,44 @@ TEST_P(SketcherConformance, F32SteadyStateIngestIsAllocationFree) {
   // fp32 twin of SteadyStateIngestIsAllocationFree: the widening shim's
   // grow-only workspace (and every native fp32 override) must go quiet
   // once the batch shape has been seen.
-  const auto sketcher = make_sketcher(conformance_config(GetParam(), 6, 5));
-  std::vector<linalg::MatrixF> batches;
+  std::vector<linalg::MatrixF> storage;
+  storage.reserve(24);
+  std::vector<linalg::MatrixViewF> batches;
   batches.reserve(24);
   for (std::size_t i = 0; i < 24; ++i) {
-    batches.push_back(random_matrix_f32(4, 12, 200 + i));
+    storage.push_back(random_matrix_f32(8, 12, 200 + i));
+    batches.emplace_back(storage.back());
   }
-  for (std::size_t i = 0; i < 16; ++i) {
-    sketcher->push_batch(linalg::MatrixViewF(batches[i]));
+  expect_steady_state_allocation_free(conformance_config(GetParam(), 6, 5),
+                                      batches);
+  if (GetParam() == "arams") {
+    expect_steady_state_allocation_free(default_arams_fixed_rank_config(),
+                                        batches);
   }
+}
 
-  const long before = g_heap_allocations.load(std::memory_order_relaxed);
-  for (std::size_t i = 16; i < 24; ++i) {
-    sketcher->push_batch(linalg::MatrixViewF(batches[i]));
+TEST_P(SketcherConformance, EmptyBatchIsANoOp) {
+  // An empty batch leaves every backend untouched, in both lanes — for
+  // arams also under the stock factory config, where sampling is on.
+  std::vector<std::unique_ptr<Sketcher>> sketchers;
+  sketchers.push_back(make_sketcher(conformance_config(GetParam(), 8, 5)));
+  sketchers.push_back(make_sketcher(GetParam(), 8, 5));
+  for (const auto& sketcher : sketchers) {
+    sketcher->push_batch(Matrix(0, 12));
+    sketcher->push_batch(linalg::MatrixViewF(linalg::MatrixF(0, 12)));
+    EXPECT_EQ(sketcher->dim(), 0u) << GetParam();
+    EXPECT_EQ(sketcher->stats().rows_processed, 0) << GetParam();
+
+    sketcher->push_batch(random_matrix(30, 12, 18));
+    const Matrix before = sketcher->sketch();
+    const long rows = sketcher->stats().rows_processed;
+    sketcher->push_batch(Matrix(0, 12));
+    sketcher->push_batch(linalg::MatrixViewF(linalg::MatrixF(0, 12)));
+    const Matrix after = sketcher->sketch();
+    ASSERT_EQ(after.rows(), before.rows()) << GetParam();
+    EXPECT_EQ(Matrix::max_abs_diff(after, before), 0.0) << GetParam();
+    EXPECT_EQ(sketcher->stats().rows_processed, rows) << GetParam();
   }
-  const long after = g_heap_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0) << GetParam();
 }
 
 TEST_P(SketcherConformance, F32LaneCountersFlowIntoStageReport) {

@@ -20,6 +20,12 @@
 # `ablation_baselines` and `fig2_scaling` are not google-benchmark binaries;
 # they are special-cased below onto their own --json-out flag (default
 # outputs BENCH_sketchers.json and BENCH_merge.json).
+#
+# Every output file is stamped with a top-level "provenance" object: the
+# host's `nproc`, the shared-pool size the run used (ARAMS_POOL_THREADS,
+# else nproc), and the `arams_build_info` line of the build that produced
+# it (read from <build_dir>/tools/arams; "unknown" when the CLI is not
+# built), including its git describe.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -48,17 +54,43 @@ if [[ ! -x "${bench_bin}" ]]; then
   exit 1
 fi
 
+stamp() {
+  local build_line="unknown"
+  if [[ -x "${build_dir}/tools/arams" ]]; then
+    build_line="$("${build_dir}/tools/arams" backends | sed -n 's/^# arams //p')"
+  fi
+  python3 - "${out_file}" "$(nproc)" "${ARAMS_POOL_THREADS:-$(nproc)}" \
+    "${build_line}" <<'EOF'
+import json
+import sys
+
+path, nproc, pool, build = sys.argv[1:5]
+with open(path) as f:
+    doc = json.load(f)
+fields = dict(kv.split("=", 1) for kv in build.split() if "=" in kv)
+doc["provenance"] = {
+    "nproc": int(nproc),
+    "pool_threads": int(pool),
+    "arams_build_info": build,
+    "git": fields.get("git", "unknown"),
+}
+with open(path, "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+EOF
+}
+
 echo "Running ${bench_bin} -> ${out_file}" >&2
 if [[ "${bench_name}" == "ablation_baselines" || "${bench_name}" == "fig2_scaling" ]]; then
   # Hand-rolled harnesses: they emit their own JSON via --json-out instead
   # of the google-benchmark reporter flags.
   "${bench_bin}" --json-out="${out_file}" "$@"
-  echo "Wrote ${out_file}" >&2
-  exit 0
+else
+  "${bench_bin}" \
+    --benchmark_out="${out_file}" \
+    --benchmark_out_format=json \
+    --benchmark_repetitions=1 \
+    "$@"
 fi
-"${bench_bin}" \
-  --benchmark_out="${out_file}" \
-  --benchmark_out_format=json \
-  --benchmark_repetitions=1 \
-  "$@"
+stamp
 echo "Wrote ${out_file}" >&2

@@ -1,27 +1,71 @@
 #!/usr/bin/env bash
-# Merge-scaling gate: runs the measured fig2_scaling harness and asserts
-# the sharded ingest + pool-executed tree merge actually scale —
-#   * 4-shard ingest throughput >= 1.5x the single-shard rate, and
-#   * parallel tree-merge wall < the serial fold wall at P >= 4 shards.
-# Both claims need real cores, so on hosts with fewer than 4 the check
-# SKIPS (exit 0 with a notice) instead of asserting noise: a 1-core
-# container runs every shard and merge group inline, where the columns are
-# flat by construction.
+# Merge-scaling gate over the measured fig2_scaling harness, in two halves:
 #
-# Invoked by ctest as `merge_scaling` with FIG2_BENCH pointing at the
-# fig2_scaling binary.
+#   check_merge_scaling.sh            deterministic (tier-1 `merge_scaling`)
+#       * parallel_tree_merge on the shared pool is bitwise identical to
+#         the serially executed tree_merge at every shard count, and
+#       * with a pool of >= 2 threads, merges at P >= 4 shards dispatch at
+#         least one group to the pool (parallel_groups > 0).
+#       Neither assertion reads a clock, so CPU contention from parallel
+#       test processes cannot fail it.
+#
+#   check_merge_scaling.sh --timing   wall-clock (`merge_scaling_perf`,
+#                                     ctest label `perf`)
+#       * 4-shard ingest throughput >= 1.5x the single-shard rate, and
+#       * parallel tree-merge wall < the serial fold wall at P >= 4 shards.
+#       Both claims need real cores, so below 4 the check SKIPS (exit 0
+#       with a notice): a 1-core container runs every shard and merge group
+#       inline, where the columns are flat by construction. ctest runs it
+#       RUN_SERIAL so no other test competes for those cores.
+#
+# Run the timing half on its own with
+#   ctest --test-dir build -L perf --output-on-failure
+#
+# FIG2_BENCH must point at the fig2_scaling binary.
 set -euo pipefail
 
 BIN="${FIG2_BENCH:?FIG2_BENCH must point at the fig2_scaling bench binary}"
+MODE="${1:-}"
+DIR="$(mktemp -d)"
+trap 'rm -rf "$DIR"' EXIT
+
+if [[ "${MODE}" != "--timing" ]]; then
+  "$BIN" --n=2048 --d=64 --ell=16 --max-shards=8 --reps=1 \
+    --json-out="$DIR/merge.json" >/dev/null
+  python3 - "$DIR/merge.json" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+pool = int(report["pool_threads"])
+status = 0
+for row in report["benchmarks"]:
+    shards = row["shards"]
+    if shards < 2:
+        continue
+    ok = row["parallel_merge_bitwise"] is True
+    print(f"[{'ok' if ok else 'FAIL'}] merge @{shards} shards: parallel tree "
+          f"merge bitwise equal to the serial tree merge")
+    status |= 0 if ok else 1
+    if shards >= 4 and pool >= 2:
+        groups = int(row["parallel_groups"])
+        ok = groups > 0
+        print(f"[{'ok' if ok else 'FAIL'}] merge @{shards} shards: "
+              f"{groups} groups dispatched to a {pool}-thread pool")
+        status |= 0 if ok else 1
+sys.exit(status)
+EOF
+  echo "merge structure OK"
+  exit 0
+fi
+
 CORES="$(nproc 2>/dev/null || echo 1)"
 if [[ "${CORES}" -lt 4 ]]; then
   echo "SKIP: merge scaling needs >= 4 cores, host has ${CORES}" \
        "(shards and merge groups run inline below that)"
   exit 0
 fi
-
-DIR="$(mktemp -d)"
-trap 'rm -rf "$DIR"' EXIT
 
 "$BIN" --n=8192 --d=256 --ell=32 --max-shards=8 --reps=3 \
   --json-out="$DIR/merge.json" >/dev/null
