@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     table.add_row({name, Table::num(stats.critical_path_ops),
                    Table::num(stats.merge_ops),
                    Table::num(stats.total_seconds),
-                   Table::num(stats.critical_path_seconds),
+                   Table::num(stats.critical_path_seconds_modeled),
                    Table::num(err)});
   };
 

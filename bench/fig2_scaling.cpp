@@ -5,11 +5,11 @@
 // cubically decaying spectrum over 1–128 MPI ranks. This harness is the
 // *measured* in-process realization: a core::ShardedSketcher round-robins
 // the stream across P concurrent FD shards on the shared pool, and the
-// merge phase compares serial_merge / tree_merge (serial execution) /
-// parallel_tree_merge (pool-executed) by real wall time, with the modeled
-// makespan reported alongside. On a single-core host the ingest columns
-// are flat — the bench reports the host/pool size so that is legible —
-// while the merge-strategy walls and the exact critical-path structure
+// merge phase compares serial_merge / tree_merge inline / tree_merge on the
+// shared pool by real wall time, with the modeled makespan reported
+// alongside. On a single-core host the ingest columns are flat — the bench
+// reports the host/pool size so that is legible — while the merge-strategy
+// walls and the exact critical-path structure
 // (levels, shrink counts, dispatched groups) remain meaningful anywhere.
 //
 // Expected shape (≥4 cores): ingest rows/s grows with shards until the
@@ -46,15 +46,14 @@ struct ShardRow {
   double ingest_rows_per_s = 0.0;
   double ingest_speedup = 0.0;       ///< vs the 1-shard row
   double serial_merge_s = 0.0;       ///< serial_merge measured wall
-  double tree_merge_s = 0.0;         ///< tree_merge (serial exec) wall
-  double parallel_merge_s = 0.0;     ///< parallel_tree_merge measured wall
+  double tree_merge_s = 0.0;         ///< tree_merge inline wall
+  double parallel_merge_s = 0.0;     ///< tree_merge on the pool, wall
   double parallel_modeled_s = 0.0;   ///< its modeled critical path
   long merge_levels = 0;
   long merge_ops = 0;
   long parallel_groups = 0;          ///< groups dispatched to the pool
-  /// parallel_tree_merge on the shared pool reproduced the serially
-  /// executed tree_merge bit for bit (the deterministic half of the
-  /// merge_scaling gate).
+  /// tree_merge on the shared pool reproduced the inline tree_merge bit
+  /// for bit (the deterministic half of the merge_scaling gate).
   bool parallel_merge_bitwise = true;
 };
 
@@ -216,9 +215,9 @@ int main(int argc, char** argv) {
         const linalg::Matrix tree =
             core::tree_merge(std::move(copy), ell, 2, &tree_stats);
         copy = shard_sketches;
-        const linalg::Matrix par = core::parallel_tree_merge(
-            std::move(copy), ell, 2, &rep_par_stats,
-            &parallel::shared_pool());
+        const linalg::Matrix par =
+            core::tree_merge(std::move(copy), ell, 2, &rep_par_stats,
+                             &parallel::shared_pool());
         row.parallel_merge_bitwise =
             row.parallel_merge_bitwise && par.rows() == tree.rows() &&
             linalg::Matrix::max_abs_diff(par, tree) == 0.0;

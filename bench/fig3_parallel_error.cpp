@@ -1,16 +1,21 @@
 // Figure 3 — error vs number of cores (log-log), tree vs serial merge.
 //
+// Each core sketches one contiguous row range with FD; the P range sketches
+// are then reduced once by core::tree_merge and once by core::serial_merge.
+//
 // Expected shape: the tree-merge error tracks the serial-merge error
 // closely across core counts — the mergeable-summary guarantee does not
 // degrade in the branching scheme.
 
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "core/fd.hpp"
+#include "core/merge.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
-#include "parallel/virtual_cores.hpp"
 
 int main(int argc, char** argv) {
   using namespace arams;
@@ -60,23 +65,20 @@ int main(int argc, char** argv) {
   Table table({"cores", "tree_error_rel", "serial_error_rel",
                "tree/serial", "fd_bound_rel"});
   for (std::size_t cores = 1; cores <= max_cores; cores *= 2) {
+    std::vector<linalg::Matrix> sketches(cores);
+    for (std::size_t c = 0; c < cores; ++c) {
+      core::FrequentDirections fd(core::FdConfig{ell, /*fast=*/true});
+      fd.append_batch(a.slice_rows(c * n / cores, (c + 1) * n / cores));
+      fd.compress();
+      sketches[c] = fd.sketch();
+    }
+    const linalg::Matrix merged[2] = {core::tree_merge(sketches, ell),
+                                      core::serial_merge(sketches, ell)};
     double errors[2] = {0.0, 0.0};
-    int idx = 0;
-    for (const auto strategy :
-         {parallel::MergeStrategy::kTree, parallel::MergeStrategy::kSerial}) {
-      parallel::ScalingConfig config;
-      config.num_cores = cores;
-      config.ell = ell;
-      config.strategy = strategy;
-      const parallel::ScalingResult r = parallel::run_sharded_sketch(
-          config, [&](std::size_t core) {
-            const std::size_t r0 = core * n / cores;
-            const std::size_t r1 = (core + 1) * n / cores;
-            return a.slice_rows(r0, r1);
-          });
+    for (int i = 0; i < 2; ++i) {
       Rng power(42);
-      errors[idx++] = linalg::covariance_error_relative(a, r.sketch, power,
-                                                        power_iters);
+      errors[i] = linalg::covariance_error_relative(a, merged[i], power,
+                                                    power_iters);
     }
     table.add_row({Table::num(static_cast<long>(cores)),
                    Table::num(errors[0]), Table::num(errors[1]),

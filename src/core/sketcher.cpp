@@ -35,7 +35,7 @@ struct BackendEntry {
   const char* description;
 };
 
-/// Canonical registry, factory order. Aliases resolve below.
+/// Canonical registry, factory order.
 constexpr BackendEntry kBackends[] = {
     {"arams", "priority sampling + (rank-adaptive) FD — the paper's Alg. 3"},
     {"fd", "fixed-rank Frequent Directions, fast 2l-buffer variant"},
@@ -47,16 +47,12 @@ constexpr BackendEntry kBackends[] = {
      "single-pass randomized range-finder / Nystrom sketch of A^T A"},
 };
 
-/// Resolves aliases (the pre-redesign RowSketcher factory names) to
-/// canonical names; returns "" when unknown.
-std::string canonical_name(const std::string& name) {
-  if (name == "gaussian-projection") return "gaussian";
-  if (name == "count-sketch") return "countsketch";
-  if (name == "norm-sampling") return "normsample";
+/// The registry entry named `name`; nullptr when unknown.
+const BackendEntry* find_backend(const std::string& name) {
   for (const auto& entry : kBackends) {
-    if (name == entry.name) return entry.name;
+    if (name == entry.name) return &entry;
   }
-  return "";
+  return nullptr;
 }
 
 /// The sharded-wrapper spelling: "sharded:<inner>" wraps any plain backend
@@ -228,7 +224,7 @@ std::vector<std::string> SketcherConfig::validate() const {
                        backend + "'");
       return errors;
     }
-    if (canonical_name(inner).empty()) {
+    if (find_backend(inner) == nullptr) {
       errors.push_back("sharded: unknown inner backend '" + inner +
                        "' (registered: " + joined_backend_names() + ")");
       return errors;
@@ -241,13 +237,12 @@ std::vector<std::string> SketcherConfig::validate() const {
     }
     return errors;
   }
-  const std::string canonical = canonical_name(backend);
-  if (canonical.empty()) {
+  if (find_backend(backend) == nullptr) {
     errors.push_back("unknown sketcher backend '" + backend +
                      "' (registered: " + joined_backend_names() + ")");
     return errors;
   }
-  if (canonical == "arams") {
+  if (backend == "arams") {
     for (const auto& err : arams.validate()) {
       errors.push_back("arams: " + err);
     }
@@ -256,7 +251,7 @@ std::vector<std::string> SketcherConfig::validate() const {
   if (ell < 1) {
     errors.push_back("ell must be >= 1");
   }
-  if (canonical == "rangefinder") {
+  if (backend == "rangefinder") {
     if (rf_oversample < 1) {
       errors.push_back("rangefinder oversample must be >= 1");
     }
@@ -270,9 +265,9 @@ std::vector<std::string> SketcherConfig::validate() const {
 bool sketcher_registered(const std::string& name) {
   if (is_sharded_name(name)) {
     const std::string inner = sharded_inner_name(name);
-    return !is_sharded_name(inner) && !canonical_name(inner).empty();
+    return !is_sharded_name(inner) && find_backend(inner) != nullptr;
   }
-  return !canonical_name(name).empty();
+  return find_backend(name) != nullptr;
 }
 
 std::vector<std::string> registered_sketchers() {
@@ -288,15 +283,12 @@ std::string sketcher_description(const std::string& name) {
   if (is_sharded_name(name)) {
     const std::string inner = sharded_inner_name(name);
     ARAMS_CHECK(sketcher_registered(name), "unknown sketcher: " + name);
-    return "concurrent sharded ingest over '" + canonical_name(inner) +
+    return "concurrent sharded ingest over '" + inner +
            "', pool tree-merged at sketch() (--shards=N)";
   }
-  const std::string canonical = canonical_name(name);
-  ARAMS_CHECK(!canonical.empty(), "unknown sketcher: " + name);
-  for (const auto& entry : kBackends) {
-    if (canonical == entry.name) return entry.description;
-  }
-  return "";
+  const BackendEntry* entry = find_backend(name);
+  ARAMS_CHECK(entry != nullptr, "unknown sketcher: " + name);
+  return entry->description;
 }
 
 std::unique_ptr<Sketcher> make_sketcher(const SketcherConfig& config) {
@@ -316,26 +308,26 @@ std::unique_ptr<Sketcher> make_sketcher(const SketcherConfig& config) {
     return std::make_unique<ShardedSketcher>(inner, config.shards,
                                              &parallel::shared_pool());
   }
-  const std::string canonical = canonical_name(config.backend);
-  if (canonical == "arams") {
+  const std::string& backend = config.backend;
+  if (backend == "arams") {
     return std::make_unique<AramsSketcher>(config.arams);
   }
-  if (canonical == "fd") {
+  if (backend == "fd") {
     return std::make_unique<FdBackend>(config.ell);
   }
-  if (canonical == "isvd") {
+  if (backend == "isvd") {
     return std::make_unique<TruncatedSvdSketch>(config.ell);
   }
-  if (canonical == "gaussian") {
+  if (backend == "gaussian") {
     return std::make_unique<GaussianProjectionSketch>(config.ell, config.seed);
   }
-  if (canonical == "countsketch") {
+  if (backend == "countsketch") {
     return std::make_unique<CountSketch>(config.ell, config.seed);
   }
-  if (canonical == "normsample") {
+  if (backend == "normsample") {
     return std::make_unique<NormSamplingSketch>(config.ell, config.seed);
   }
-  if (canonical == "rangefinder") {
+  if (backend == "rangefinder") {
     return std::make_unique<RangeFinderSketch>(
         config.ell, config.seed, config.rf_oversample, config.rf_reorth_every);
   }

@@ -1,7 +1,7 @@
 #pragma once
-// Fixed-size worker pool. The sketching shards are coarse-grained (one task
-// per virtual core), so a simple mutex-guarded queue is plenty; no
-// work-stealing needed.
+// Fixed-size worker pool. The sketching tasks are coarse-grained (one per
+// shard, merge group or GEMM row band), so a simple mutex-guarded queue is
+// plenty; no work-stealing needed.
 //
 // Telemetry: every pool reports "pool.queue_depth" (gauge), per-task
 // "pool.task_wait_seconds" / "pool.task_run_seconds" latency histograms,

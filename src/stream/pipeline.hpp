@@ -2,7 +2,7 @@
 // MonitoringPipeline — the Fig. 4 schematic as one public API.
 //
 // Stage 1  preprocess   threshold / center / normalize each frame
-// Stage 2  sketch       ARAMS across virtual cores, tree-merged
+// Stage 2  sketch       ARAMS per row range, tree-merged
 // Stage 3  project      PCA latent projection from the global sketch
 // Stage 4  visualize    UMAP to 2-D
 // Stage 5  analyze      OPTICS clustering + FastABOD outlier scores
@@ -38,9 +38,9 @@ struct PipelineConfig {
   /// Concurrent in-process ingest shards for the factory sketcher path
   /// (core::ShardedSketcher on the shared pool, pool-executed tree merge
   /// at sketch time). 1 (default) keeps the classic single-instance /
-  /// virtual-core behavior bitwise unchanged; > 1 routes stage 2 through
-  /// "sharded:<sketcher>". Orthogonal to `num_cores`, which drives the
-  /// legacy arams-only range-partitioned shard path.
+  /// range-partitioned behavior bitwise unchanged; > 1 routes stage 2
+  /// through "sharded:<sketcher>". Orthogonal to `num_cores`, which drives
+  /// the arams-only range-partitioned shard path.
   std::size_t shards = 1;
   /// Ingest lane precision. kF64 (default) is the bitwise-unchanged
   /// classic path. kF32 narrows frames at the door, preprocesses at fp32,
@@ -48,13 +48,14 @@ struct PipelineConfig {
   /// mixed-precision for arams/fd/gaussian/countsketch, widening shim for
   /// the rest) — halving ingest memory traffic while every accumulation
   /// stays fp64. The fp32 lane runs one streaming sketcher instance
-  /// (`num_cores` is ignored; the legacy arams tree-merge is an fp64-batch
-  /// construct), but `shards` still applies: the sharded wrapper gathers
-  /// and fans out fp32 rows natively.
+  /// (`num_cores` is ignored; the arams range-shard tree merge is an
+  /// fp64-batch construct), but `shards` still applies: the sharded
+  /// wrapper gathers and fans out fp32 rows natively.
   enum class IngestPrecision { kF64, kF32 };
   IngestPrecision ingest_precision = IngestPrecision::kF64;
-  std::size_t num_cores = 4;         ///< virtual cores for sketching
-  bool use_threads = false;          ///< run shard sketches on a pool
+  /// Contiguous row ranges the default "arams" fp64 path sketches one
+  /// after another (seed + range index), then tree-merges on the pool.
+  std::size_t num_cores = 4;
   std::size_t pca_components = 15;   ///< latent dimension fed to UMAP
   embed::UmapConfig umap;
   /// Which clusterer labels the embedding. OPTICS is the paper's choice;
@@ -98,29 +99,6 @@ struct PipelineResult {
   /// Per-stage timings ("preprocess", "sketch", "project", "embed",
   /// "cluster", "merge") plus the sketch/merge operation counters.
   obs::StageReport report;
-
-  // Legacy accessors (kept for one release; prefer `report`).
-  [[nodiscard]] core::SketchStats sketch_stats() const {
-    return core::sketch_stats_from_report(report);
-  }
-  [[nodiscard]] core::MergeStats merge_stats() const {
-    return core::merge_stats_from_report(report);
-  }
-  [[nodiscard]] double preprocess_seconds() const {
-    return report.seconds("preprocess");
-  }
-  [[nodiscard]] double sketch_seconds() const {
-    return report.seconds("sketch");
-  }
-  [[nodiscard]] double project_seconds() const {
-    return report.seconds("project");
-  }
-  [[nodiscard]] double embed_seconds() const {
-    return report.seconds("embed");
-  }
-  [[nodiscard]] double cluster_seconds() const {
-    return report.seconds("cluster");
-  }
 };
 
 /// Batch analysis facade over the whole pipeline. All public entry points

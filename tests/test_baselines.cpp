@@ -36,12 +36,6 @@ TEST(Baselines, FactoryKnowsEveryName) {
   EXPECT_THROW(make_sketcher("typo", 8, 1), CheckError);
 }
 
-TEST(Baselines, LegacyAliasesResolveToCanonicalNames) {
-  EXPECT_EQ(make_sketcher("gaussian-projection", 8, 1)->name(), "gaussian");
-  EXPECT_EQ(make_sketcher("count-sketch", 8, 1)->name(), "countsketch");
-  EXPECT_EQ(make_sketcher("norm-sampling", 8, 1)->name(), "normsample");
-}
-
 class BaselineKinds : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BaselineKinds, SketchHasBoundedRowsAndRightWidth) {

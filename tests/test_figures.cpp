@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "cluster/kmeans.hpp"
 #include "cluster/metrics.hpp"
 #include "core/arams_sketch.hpp"
+#include "core/fd.hpp"
+#include "core/merge.hpp"
 #include "embed/pca.hpp"
 #include "embed/umap.hpp"
 #include "image/preprocess.hpp"
@@ -18,10 +21,8 @@
 #include "embed/metrics.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
-#include "parallel/virtual_cores.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/source.hpp"
-#include "util/stopwatch.hpp"
 
 namespace arams {
 namespace {
@@ -86,6 +87,21 @@ TEST(Fig1Shape, RankAdaptiveMeetsItsErrorContract) {
   }
 }
 
+/// One FD sketch per contiguous row range: P cores each sketching their
+/// own shard, as in bench/fig2_scaling and bench/fig3_parallel_error.
+std::vector<Matrix> range_sketches(const Matrix& a, std::size_t shards,
+                                   std::size_t ell) {
+  std::vector<Matrix> sketches(shards);
+  for (std::size_t c = 0; c < shards; ++c) {
+    core::FrequentDirections fd(core::FdConfig{ell, /*fast=*/true});
+    fd.append_batch(a.slice_rows(c * a.rows() / shards,
+                                 (c + 1) * a.rows() / shards));
+    fd.compress();
+    sketches[c] = fd.sketch();
+  }
+  return sketches;
+}
+
 TEST(Fig2Shape, TreeMakespanBeatsSerialAtScale) {
   data::SyntheticConfig dc;
   dc.n = 2048;
@@ -95,21 +111,15 @@ TEST(Fig2Shape, TreeMakespanBeatsSerialAtScale) {
   Rng rng(4);
   const Matrix a = data::make_low_rank(dc, rng);
 
-  const auto run = [&](parallel::MergeStrategy strategy) {
-    parallel::ScalingConfig config;
-    config.num_cores = 16;
-    config.ell = 16;
-    config.strategy = strategy;
-    return parallel::run_sharded_sketch(config, [&](std::size_t core) {
-      return a.slice_rows(core * a.rows() / 16,
-                          (core + 1) * a.rows() / 16);
-    });
-  };
-  const auto tree = run(parallel::MergeStrategy::kTree);
-  const auto serial = run(parallel::MergeStrategy::kSerial);
-  EXPECT_LT(tree.critical_path_svds, serial.critical_path_svds);
-  EXPECT_LT(tree.merge_stats.critical_path_seconds,
-            serial.merge_stats.critical_path_seconds);
+  // The makespan in shrink rounds: ⌈log₂ 16⌉ for the tree, P − 1 serial.
+  const std::vector<Matrix> sketches = range_sketches(a, 16, 16);
+  core::MergeStats tree;
+  core::MergeStats serial;
+  core::tree_merge(sketches, 16, 2, &tree);
+  core::serial_merge(sketches, 16, &serial);
+  EXPECT_EQ(tree.critical_path_ops, 4);
+  EXPECT_EQ(serial.critical_path_ops, 15);
+  EXPECT_EQ(tree.merge_ops, serial.merge_ops);
 }
 
 TEST(Fig3Shape, TreeErrorTracksSerialError) {
@@ -122,19 +132,13 @@ TEST(Fig3Shape, TreeErrorTracksSerialError) {
   Rng rng(5);
   const Matrix a = data::make_low_rank(dc, rng);
 
-  const auto run = [&](parallel::MergeStrategy strategy) {
-    parallel::ScalingConfig config;
-    config.num_cores = 16;
-    config.ell = 16;
-    config.strategy = strategy;
-    const auto r = parallel::run_sharded_sketch(config, [&](std::size_t c) {
-      return a.slice_rows(c * a.rows() / 16, (c + 1) * a.rows() / 16);
-    });
+  const std::vector<Matrix> sketches = range_sketches(a, 16, 16);
+  const auto error = [&](const Matrix& merged) {
     Rng power(6);
-    return linalg::covariance_error_relative(a, r.sketch, power, 40);
+    return linalg::covariance_error_relative(a, merged, power, 40);
   };
-  const double tree = run(parallel::MergeStrategy::kTree);
-  const double serial = run(parallel::MergeStrategy::kSerial);
+  const double tree = error(core::tree_merge(sketches, 16));
+  const double serial = error(core::serial_merge(sketches, 16));
   EXPECT_LT(tree, 1.5 * serial + 1e-9);
   EXPECT_LT(serial, 1.5 * tree + 1e-9);
 }
@@ -193,9 +197,9 @@ TEST(Fig6Shape, DiffractionClassesSeparateUnsupervised) {
   EXPECT_GT(cluster::adjusted_rand_index(result.labels, truth), 0.4);
 }
 
-TEST(RuntimeShape, PipelineOutrunsTheDetectorRate) {
-  // The streaming stages must beat 120 Hz per core by a wide margin even
-  // at this scaled frame size.
+TEST(RuntimeShape, PipelineReportsEveryStage) {
+  // The §VI-B rate itself is measured by the end-to-end bench
+  // (frames_per_s); here only the per-stage accounting it reads is pinned.
   data::BeamProfileConfig beam;
   beam.height = 32;
   beam.width = 32;
@@ -212,10 +216,10 @@ TEST(RuntimeShape, PipelineOutrunsTheDetectorRate) {
   config.umap.n_epochs = 80;
   const auto result =
       stream::MonitoringPipeline(config).analyze(images);
-  const double streaming_seconds = result.preprocess_seconds() +
-                                   result.sketch_seconds() +
-                                   result.project_seconds();
-  EXPECT_GT(200.0 / streaming_seconds, 120.0);
+  for (const char* stage :
+       {"preprocess", "sketch", "project", "embed", "cluster"}) {
+    EXPECT_TRUE(result.report.has_stage(stage)) << stage;
+  }
 }
 
 TEST(TwoStageShape, NonlinearStageBeatsPcaOnly) {

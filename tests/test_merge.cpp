@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/fd.hpp"
@@ -42,11 +43,26 @@ std::vector<Matrix> sketch_shards(const std::vector<Matrix>& shards,
   return out;
 }
 
+/// The tree reduction spelled out with the public merge_group: level by
+/// level, disjoint groups of `arity` consecutive sketches in order.
+Matrix reference_tree(std::vector<Matrix> level, std::size_t ell,
+                      std::size_t arity) {
+  while (level.size() > 1) {
+    std::vector<Matrix> next;
+    for (std::size_t g = 0; g < level.size(); g += arity) {
+      const std::size_t end = std::min(g + arity, level.size());
+      next.push_back(merge_group(
+          std::vector<Matrix>(level.begin() + g, level.begin() + end), ell));
+    }
+    level = std::move(next);
+  }
+  return std::move(level.front());
+}
+
 TEST(Merge, EmptyInputThrows) {
   EXPECT_THROW(merge_group({}, 4), CheckError);
   EXPECT_THROW(serial_merge({}, 4), CheckError);
   EXPECT_THROW(tree_merge({}, 4), CheckError);
-  EXPECT_THROW(parallel_tree_merge({}, 4), CheckError);
 }
 
 TEST(Merge, SingleSketchPassesThrough) {
@@ -186,28 +202,26 @@ TEST(Merge, OddShardCountHandled) {
 }
 
 TEST(Merge, ParallelTreeIsBitwiseTreeAtAnyPoolSize) {
-  // parallel_tree_merge only reschedules tree_merge's groups; the reduction
-  // itself — group membership, stack order, shrink math — is fixed, so the
-  // result is bitwise identical inline, on one worker, or on many.
+  // A pool only reschedules the tree's groups; the reduction itself — group
+  // membership, stack order, shrink math — is fixed, so the result is
+  // bitwise the level-by-level merge_group reduction inline, on one
+  // worker, or on many, at any arity.
   Rng rng(11);
   std::vector<Matrix> sketches;
   for (int i = 0; i < 7; ++i) {
     sketches.push_back(random_matrix(4, 8, rng));
   }
-  auto copy = sketches;
-  const Matrix expected = tree_merge(std::move(copy), 4);
-
-  copy = sketches;
-  const Matrix inline_run = parallel_tree_merge(std::move(copy), 4);
-  EXPECT_EQ(Matrix::max_abs_diff(inline_run, expected), 0.0);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    parallel::ThreadPool pool(threads);
-    copy = sketches;
-    const Matrix pooled =
-        parallel_tree_merge(std::move(copy), 4, 2, nullptr, &pool);
-    EXPECT_EQ(Matrix::max_abs_diff(pooled, expected), 0.0)
-        << "threads=" << threads;
+  for (const std::size_t arity : {std::size_t{2}, std::size_t{3}}) {
+    const Matrix expected = reference_tree(sketches, 4, arity);
+    const Matrix inline_run = tree_merge(sketches, 4, arity);
+    EXPECT_EQ(Matrix::max_abs_diff(inline_run, expected), 0.0)
+        << "arity=" << arity;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      parallel::ThreadPool pool(threads);
+      const Matrix pooled = tree_merge(sketches, 4, arity, nullptr, &pool);
+      EXPECT_EQ(Matrix::max_abs_diff(pooled, expected), 0.0)
+          << "arity=" << arity << " threads=" << threads;
+    }
   }
 }
 
@@ -217,55 +231,41 @@ TEST(Merge, ParallelTreeKeepsTreeAccountingAndMeasuresWall) {
   for (int i = 0; i < 16; ++i) {
     sketches.push_back(random_matrix(4, 8, rng));
   }
-  auto copy = sketches;
-  MergeStats tree_stats;
-  tree_merge(std::move(copy), 4, 2, &tree_stats);
-
-  copy = sketches;
-  MergeStats stats;
-  parallel_tree_merge(std::move(copy), 4, 2, &stats);
-  EXPECT_EQ(stats.merge_ops, tree_stats.merge_ops);
-  EXPECT_EQ(stats.levels, tree_stats.levels);
-  EXPECT_EQ(stats.critical_path_ops, tree_stats.critical_path_ops);
-  EXPECT_GT(stats.critical_path_seconds_measured, 0.0);
-  EXPECT_GT(stats.critical_path_seconds_modeled, 0.0);
+  MergeStats inline_stats;
+  tree_merge(sketches, 4, 2, &inline_stats);
+  EXPECT_GT(inline_stats.critical_path_seconds_measured, 0.0);
+  EXPECT_GT(inline_stats.critical_path_seconds_modeled, 0.0);
   // Inline execution dispatches nothing.
-  EXPECT_EQ(stats.parallel_groups, 0);
+  EXPECT_EQ(inline_stats.parallel_groups, 0);
 
   // On a multi-worker pool every level with >1 group is dispatched:
   // 16 → 8 + 4 + 2 dispatched groups, the final lone group runs inline.
   parallel::ThreadPool pool(4);
-  copy = sketches;
   MergeStats pooled;
-  parallel_tree_merge(std::move(copy), 4, 2, &pooled, &pool);
+  tree_merge(sketches, 4, 2, &pooled, &pool);
+  EXPECT_EQ(pooled.merge_ops, inline_stats.merge_ops);
+  EXPECT_EQ(pooled.levels, inline_stats.levels);
+  EXPECT_EQ(pooled.critical_path_ops, inline_stats.critical_path_ops);
   EXPECT_EQ(pooled.parallel_groups, 14);
   EXPECT_GT(pooled.critical_path_seconds_measured, 0.0);
 }
 
-TEST(Merge, LegacyCriticalPathFieldIsTheModeledMakespan) {
-  // Pre-existing consumers (virtual_cores, the figure tests) read
-  // critical_path_seconds as the slowest-group-per-level model; the
-  // measured wall lives in its own field for every strategy.
+TEST(Merge, EveryStrategyReportsModeledAndMeasuredWall) {
   Rng rng(13);
+  parallel::ThreadPool pool(2);
   for (const int strategy : {0, 1, 2}) {
     std::vector<Matrix> sketches;
     for (int i = 0; i < 8; ++i) {
       sketches.push_back(random_matrix(4, 8, rng));
     }
     MergeStats stats;
-    switch (strategy) {
-      case 0:
-        serial_merge(std::move(sketches), 4, &stats);
-        break;
-      case 1:
-        tree_merge(std::move(sketches), 4, 2, &stats);
-        break;
-      default:
-        parallel_tree_merge(std::move(sketches), 4, 2, &stats);
-        break;
+    if (strategy == 0) {
+      serial_merge(std::move(sketches), 4, &stats);
+    } else {
+      tree_merge(std::move(sketches), 4, 2, &stats,
+                 strategy == 2 ? &pool : nullptr);
     }
-    EXPECT_EQ(stats.critical_path_seconds,
-              stats.critical_path_seconds_modeled)
+    EXPECT_GT(stats.critical_path_seconds_modeled, 0.0)
         << "strategy " << strategy;
     EXPECT_GT(stats.critical_path_seconds_measured, 0.0)
         << "strategy " << strategy;
@@ -280,7 +280,7 @@ TEST(Merge, StatsRoundTripThroughStageReport) {
   }
   parallel::ThreadPool pool(2);
   MergeStats stats;
-  parallel_tree_merge(std::move(sketches), 4, 2, &stats, &pool);
+  tree_merge(std::move(sketches), 4, 2, &stats, &pool);
 
   obs::StageReport report;
   append_to_report(stats, report);
@@ -289,7 +289,6 @@ TEST(Merge, StatsRoundTripThroughStageReport) {
   EXPECT_EQ(back.levels, stats.levels);
   EXPECT_EQ(back.critical_path_ops, stats.critical_path_ops);
   EXPECT_EQ(back.parallel_groups, stats.parallel_groups);
-  EXPECT_EQ(back.critical_path_seconds, stats.critical_path_seconds);
   EXPECT_EQ(back.critical_path_seconds_modeled,
             stats.critical_path_seconds_modeled);
   EXPECT_EQ(back.critical_path_seconds_measured,

@@ -1,23 +1,16 @@
-// Thread pool and the virtual-core scaling driver.
+// Thread pool: task execution, parallel_for, exceptions and nesting.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
+#include <future>
 #include <stdexcept>
+#include <vector>
 
-#include "data/synthetic.hpp"
-#include "linalg/blas.hpp"
-#include "linalg/norms.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/virtual_cores.hpp"
-#include "rng/rng.hpp"
-#include "util/check.hpp"
 
 namespace arams::parallel {
 namespace {
-
-using linalg::Matrix;
 
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(2);
@@ -78,161 +71,6 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
     pool.parallel_for(8, [&counter](std::size_t) { ++counter; });
   });
   EXPECT_EQ(counter.load(), 32);
-}
-
-Matrix shard_data(std::size_t rows, std::size_t d, std::uint64_t seed) {
-  Matrix m(rows, d);
-  Rng rng(seed);
-  for (std::size_t i = 0; i < rows; ++i) {
-    rng.fill_normal(m.row(i));
-  }
-  return m;
-}
-
-ScalingConfig base_scaling(std::size_t cores, MergeStrategy strategy) {
-  ScalingConfig config;
-  config.num_cores = cores;
-  config.ell = 8;
-  config.strategy = strategy;
-  return config;
-}
-
-TEST(VirtualCores, ZeroCoresThrows) {
-  const ScalingConfig config = base_scaling(0, MergeStrategy::kTree);
-  EXPECT_THROW(
-      run_sharded_sketch(config, [](std::size_t) { return Matrix(4, 4); }),
-      CheckError);
-}
-
-TEST(VirtualCores, SingleCoreSkipsMerge) {
-  const ScalingConfig config = base_scaling(1, MergeStrategy::kTree);
-  const ScalingResult r = run_sharded_sketch(
-      config, [](std::size_t) { return shard_data(50, 10, 1); });
-  EXPECT_EQ(r.merge_stats.merge_ops, 0);
-  EXPECT_EQ(r.critical_path_svds, 0);
-  EXPECT_LE(r.sketch.rows(), 8u);
-}
-
-TEST(VirtualCores, ShardProviderCalledOncePerCore) {
-  std::atomic<int> calls{0};
-  const ScalingConfig config = base_scaling(4, MergeStrategy::kTree);
-  run_sharded_sketch(config, [&calls](std::size_t core) {
-    ++calls;
-    return shard_data(30, 8, core);
-  });
-  EXPECT_EQ(calls.load(), 4);
-}
-
-class StrategyCores
-    : public ::testing::TestWithParam<std::tuple<MergeStrategy, int>> {};
-
-TEST_P(StrategyCores, SketchSatisfiesGlobalGuarantee) {
-  const auto [strategy, cores] = GetParam();
-  const ScalingConfig config =
-      base_scaling(static_cast<std::size_t>(cores), strategy);
-
-  Matrix full;
-  std::vector<Matrix> shards;
-  for (int c = 0; c < cores; ++c) {
-    Matrix s = shard_data(40, 12, static_cast<std::uint64_t>(c) + 100);
-    full = Matrix::vstack(full, s);
-    shards.push_back(std::move(s));
-  }
-  const ScalingResult r = run_sharded_sketch(
-      config, [&shards](std::size_t core) { return shards[core]; });
-
-  Rng power(3);
-  const double err = linalg::covariance_error(full, r.sketch, power, 150);
-  const double bound =
-      linalg::frobenius_norm_squared(full) / static_cast<double>(config.ell);
-  EXPECT_LE(err, 2.0 * bound);
-  EXPECT_GT(r.makespan_seconds, 0.0);
-  EXPECT_GE(r.total_work_seconds, r.local_phase_seconds);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, StrategyCores,
-    ::testing::Combine(::testing::Values(MergeStrategy::kTree,
-                                         MergeStrategy::kSerial),
-                       ::testing::Values(1, 2, 4, 8)));
-
-TEST(VirtualCores, TreeBeatsSerialOnCriticalPath) {
-  constexpr std::size_t kCores = 16;
-  const auto provider = [](std::size_t core) {
-    return shard_data(30, 10, core + 7);
-  };
-  const ScalingResult tree = run_sharded_sketch(
-      base_scaling(kCores, MergeStrategy::kTree), provider);
-  const ScalingResult serial = run_sharded_sketch(
-      base_scaling(kCores, MergeStrategy::kSerial), provider);
-  EXPECT_EQ(tree.critical_path_svds, 4);    // log2(16)
-  EXPECT_EQ(serial.critical_path_svds, 15); // P − 1
-  // Same total merge work.
-  EXPECT_EQ(tree.merge_stats.merge_ops, serial.merge_stats.merge_ops);
-}
-
-TEST(VirtualCores, ThreadedRunMatchesSequentialSketchQuality) {
-  constexpr std::size_t kCores = 4;
-  std::vector<Matrix> shards;
-  Matrix full;
-  for (std::size_t c = 0; c < kCores; ++c) {
-    Matrix s = shard_data(40, 10, c + 55);
-    full = Matrix::vstack(full, s);
-    shards.push_back(std::move(s));
-  }
-  ScalingConfig config = base_scaling(kCores, MergeStrategy::kTree);
-  config.use_threads = true;
-  const ScalingResult r = run_sharded_sketch(
-      config, [&shards](std::size_t core) { return shards[core]; });
-  Rng power(5);
-  const double err = linalg::covariance_error(full, r.sketch, power, 150);
-  EXPECT_LE(err, 2.0 * linalg::frobenius_norm_squared(full) / 8.0);
-}
-
-TEST(VirtualCores, TreePoolExecutesTheMergeForReal) {
-  // kTreePool runs the reduction on the shared pool. Its sketch must be
-  // bitwise the simulated tree's (the reduction structure is fixed;
-  // scheduling decides only when a group runs), its merge phase is the
-  // measured wall (no comm model), and the measured makespan is also
-  // surfaced for the modeled strategies.
-  constexpr std::size_t kCores = 8;
-  std::vector<Matrix> shards;
-  for (std::size_t c = 0; c < kCores; ++c) {
-    shards.push_back(shard_data(30, 10, c + 200));
-  }
-  const auto provider = [&shards](std::size_t core) {
-    return shards[core];
-  };
-  const ScalingResult tree = run_sharded_sketch(
-      base_scaling(kCores, MergeStrategy::kTree), provider);
-  const ScalingResult pooled = run_sharded_sketch(
-      base_scaling(kCores, MergeStrategy::kTreePool), provider);
-
-  EXPECT_EQ(Matrix::max_abs_diff(pooled.sketch, tree.sketch), 0.0);
-  EXPECT_EQ(pooled.merge_stats.merge_ops, tree.merge_stats.merge_ops);
-  EXPECT_EQ(pooled.critical_path_svds, tree.critical_path_svds);
-  EXPECT_GT(pooled.merge_phase_measured_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(pooled.merge_phase_seconds,
-                   pooled.merge_stats.critical_path_seconds_measured);
-  // The modeled strategies report the measured wall alongside the model.
-  EXPECT_GT(tree.merge_phase_measured_seconds, 0.0);
-  EXPECT_EQ(tree.merge_phase_measured_seconds,
-            tree.merge_stats.critical_path_seconds_measured);
-}
-
-TEST(CommModel, CostIsLatencyPlusTransfer) {
-  CommModel model;
-  model.latency_seconds = 1e-3;
-  model.bytes_per_second = 1e6;
-  EXPECT_DOUBLE_EQ(model.cost(2e6), 1e-3 + 2.0);
-}
-
-TEST(VirtualCores, MakespanDecomposes) {
-  const ScalingConfig config = base_scaling(8, MergeStrategy::kTree);
-  const ScalingResult r = run_sharded_sketch(
-      config, [](std::size_t core) { return shard_data(30, 10, core); });
-  EXPECT_NEAR(r.makespan_seconds,
-              r.local_phase_seconds + r.merge_phase_seconds, 1e-12);
 }
 
 }  // namespace

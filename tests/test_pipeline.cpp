@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "cluster/metrics.hpp"
@@ -75,8 +76,8 @@ TEST(Pipeline, BeamProfileEndToEndShapes) {
   EXPECT_EQ(result.labels.size(), 120u);
   EXPECT_EQ(result.outlier_scores.size(), 120u);
   EXPECT_GT(result.sketch.rows(), 0u);
-  EXPECT_GT(result.sketch_seconds(), 0.0);
-  EXPECT_GT(result.embed_seconds(), 0.0);
+  EXPECT_GT(result.report.seconds("sketch"), 0.0);
+  EXPECT_GT(result.report.seconds("embed"), 0.0);
 
   // Event entry point carries shot ids through to the result rows.
   ASSERT_EQ(result.shot_ids.size(), 120u);
@@ -124,7 +125,7 @@ TEST(Pipeline, MatrixEntryPointSkipsPreprocessing) {
   config.umap.n_neighbors = 8;
   const MonitoringPipeline pipeline(config);
   const PipelineResult result = pipeline.analyze_matrix(rows);
-  EXPECT_EQ(result.preprocess_seconds(), 0.0);
+  EXPECT_EQ(result.report.seconds("preprocess"), 0.0);
   EXPECT_EQ(result.embedding.rows(), 60u);
 }
 
@@ -150,7 +151,7 @@ TEST(Pipeline, MoreCoresSameQuality) {
   EXPECT_GT(t1, 0.75);
   EXPECT_GT(t4, 0.75);
   // The 4-core run actually merged sketches.
-  EXPECT_GT(r4.merge_stats().merge_ops, 0);
+  EXPECT_GT(r4.report.counter("merge_ops"), 0);
 }
 
 TEST(Pipeline, AbodDisabledWhenKZero) {
@@ -212,19 +213,54 @@ TEST(Pipeline, KmeansBackendRecoversClassesAtKnownK) {
 }
 
 TEST(Pipeline, ThreadedShardingMatchesShapes) {
+  // num_cores range shards, tree-merged on the shared pool.
   linalg::Matrix rows(80, 20);
   Rng rng(8);
   for (std::size_t i = 0; i < 80; ++i) {
     rng.fill_normal(rows.row(i));
   }
   PipelineConfig config = fast_pipeline();
-  config.use_threads = true;
   config.num_cores = 4;
   config.umap.n_neighbors = 8;
   const PipelineResult result =
       MonitoringPipeline(config).analyze_matrix(rows);
   EXPECT_EQ(result.embedding.rows(), 80u);
-  EXPECT_GT(result.merge_stats().merge_ops, 0);
+  EXPECT_GT(result.report.counter("merge_ops"), 0);
+}
+
+TEST(Pipeline, RangeShardsAreBitwiseTreeMergedSketches) {
+  // The default fp64 "arams" path: num_cores contiguous row ranges, each
+  // sketched by its own Arams (seed + range index), tree-merged on the
+  // shared pool. Pin its bits against the same reduction spelled out here.
+  linalg::Matrix rows(160, 40);
+  Rng rng(8);
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    rng.fill_normal(rows.row(i));
+  }
+  PipelineConfig config = fast_pipeline();
+  config.num_cores = 4;
+  config.umap.n_neighbors = 8;
+  const PipelineResult result =
+      MonitoringPipeline(config).analyze_matrix(rows);
+
+  std::vector<linalg::Matrix> sketches;
+  std::size_t final_ell = config.sketch.ell;
+  for (std::size_t c = 0; c < 4; ++c) {
+    core::AramsConfig shard_config = config.sketch;
+    shard_config.seed = config.sketch.seed + c;
+    core::Arams sketcher(shard_config);
+    core::AramsResult shard =
+        sketcher.sketch_matrix(rows.slice_rows(c * 40, (c + 1) * 40));
+    final_ell = std::max(final_ell, shard.final_ell);
+    sketches.push_back(std::move(shard.sketch));
+  }
+  const linalg::Matrix expected =
+      core::tree_merge(std::move(sketches), final_ell);
+  EXPECT_EQ(result.final_ell, final_ell);
+  ASSERT_EQ(result.sketch.rows(), expected.rows());
+  EXPECT_EQ(linalg::Matrix::max_abs_diff(result.sketch, expected), 0.0);
+  EXPECT_EQ(result.report.counter("merge_ops"), 3);
+  EXPECT_EQ(result.embedding.rows(), 160u);
 }
 
 TEST(Pipeline, F32FramesRunEndToEnd) {
@@ -246,7 +282,7 @@ TEST(Pipeline, F32FramesRunEndToEnd) {
   EXPECT_EQ(result.embedding.rows(), 100u);
   EXPECT_EQ(result.labels.size(), 100u);
   EXPECT_GT(result.sketch.rows(), 0u);
-  EXPECT_GT(result.preprocess_seconds(), 0.0);
+  EXPECT_GT(result.report.seconds("preprocess"), 0.0);
   // The lane's audit trail: every row went through the fp32 seam.
   EXPECT_EQ(result.report.counter("rows_ingested_f32"), 100);
   EXPECT_THROW(pipeline.analyze(std::vector<image::ImageF32>{}), CheckError);
@@ -302,7 +338,7 @@ TEST(Pipeline, F32MatrixEntryPointSkipsPreprocessing) {
   const MonitoringPipeline pipeline(config);
   const PipelineResult result =
       pipeline.analyze_matrix(linalg::MatrixViewF(rows));
-  EXPECT_EQ(result.preprocess_seconds(), 0.0);
+  EXPECT_EQ(result.report.seconds("preprocess"), 0.0);
   EXPECT_EQ(result.embedding.rows(), 60u);
   EXPECT_EQ(result.report.counter("rows_ingested_f32"), 60);
 }

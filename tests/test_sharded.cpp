@@ -371,8 +371,6 @@ TEST(Sharded, ReportCarriesShardAndMergeKeys) {
   EXPECT_EQ(stats.levels, 2);
   EXPECT_GT(stats.critical_path_seconds_measured, 0.0);
   EXPECT_GT(stats.critical_path_seconds_modeled, 0.0);
-  // Legacy accessor semantics: the plain field *is* the modeled makespan.
-  EXPECT_EQ(stats.critical_path_seconds, stats.critical_path_seconds_modeled);
   // Inline execution never dispatches a merge group to a pool.
   EXPECT_EQ(stats.parallel_groups, 0);
 

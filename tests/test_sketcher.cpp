@@ -129,13 +129,6 @@ TEST(SketcherFactory, RoundTripsEveryRegisteredName) {
   EXPECT_THROW(sketcher_description("typo"), CheckError);
 }
 
-TEST(SketcherFactory, AliasesBuildCanonicalBackends) {
-  EXPECT_TRUE(sketcher_registered("gaussian-projection"));
-  EXPECT_EQ(make_sketcher("gaussian-projection", 8, 3)->name(), "gaussian");
-  EXPECT_EQ(make_sketcher("count-sketch", 8, 3)->name(), "countsketch");
-  EXPECT_EQ(make_sketcher("norm-sampling", 8, 3)->name(), "normsample");
-}
-
 TEST(SketcherFactory, UnknownBackendErrorListsRegistry) {
   SketcherConfig config;
   config.backend = "nope";

@@ -2,8 +2,8 @@
 # Merge-scaling gate over the measured fig2_scaling harness, in two halves:
 #
 #   check_merge_scaling.sh            deterministic (tier-1 `merge_scaling`)
-#       * parallel_tree_merge on the shared pool is bitwise identical to
-#         the serially executed tree_merge at every shard count, and
+#       * tree_merge on the shared pool is bitwise identical to the inline
+#         tree_merge at every shard count, and
 #       * with a pool of >= 2 threads, merges at P >= 4 shards dispatch at
 #         least one group to the pool (parallel_groups > 0).
 #       Neither assertion reads a clock, so CPU contention from parallel
