@@ -123,7 +123,12 @@ void BM_OpticsCoreDist(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n * n));
 }
-BENCHMARK(BM_OpticsCoreDist)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
+// 4608 is the diffraction_snapshot reservoir size.
+BENCHMARK(BM_OpticsCoreDist)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(4608)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_OpticsCoreDistNaive(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -141,6 +146,7 @@ void BM_OpticsCoreDistNaive(benchmark::State& state) {
 BENCHMARK(BM_OpticsCoreDistNaive)
     ->Arg(1024)
     ->Arg(2048)
+    ->Arg(4608)
     ->Unit(benchmark::kMillisecond);
 
 embed::UmapConfig umap_bench_config(embed::UmapConfig::Optimizer opt) {

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <limits>
+#include <utility>
+#include <vector>
 
+#include "embed/knn.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
@@ -34,78 +37,65 @@ OpticsResult optics(embed::NeighborSearcher& index, const OpticsConfig& config,
   result.order.reserve(n);
   result.reachability.assign(n, kInf);
   result.core_distance.assign(n, kInf);
+  std::vector<double>& reach = result.reachability;
 
-  std::vector<bool> processed(n, false);
-  std::vector<double> dists(n);
+  std::vector<unsigned char> processed(n, 0);
   std::vector<double> dsq(n);
-  std::vector<std::size_t> neighbors;
+  // The point itself counts toward min_pts, as in the original paper, so
+  // the core distance is the k-th nearest other point.
+  const std::size_t k = config.min_pts - 1;
+  std::vector<std::pair<double, std::size_t>> best;
 
-  const auto nd = ws.vec(linalg::wslot::kDistXNorms, n);  // selection scratch
+  // Visit order of Ankerst et al.: expand the unprocessed point with the
+  // lexicographically smallest (reachability, index) — exactly the entry a
+  // lazy-deletion min-heap of (reachability, index) pops next — and when no
+  // reachability is finite, restart at the smallest unprocessed index.
+  std::size_t p = 0;
+  for (std::size_t visit = 0; visit < n; ++visit) {
+    processed[p] = 1;
+    result.order.push_back(p);
 
-  const auto range_query = [&](std::size_t p) {
     Stopwatch timer;
     index.sq_dists_to(points.row(p), ws, dsq, opts);
-    neighbors.clear();
-    for (std::size_t q = 0; q < n; ++q) {
-      if (q == p) continue;
-      dists[q] = std::sqrt(dsq[q]);
-      if (dists[q] <= config.max_eps) {
-        neighbors.push_back(q);
-      }
-    }
-    // Core distance = distance to the (min_pts−1)-th neighbour (the point
-    // itself counts toward min_pts, as in the original paper).
-    if (neighbors.size() + 1 >= config.min_pts) {
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        nd[i] = dists[neighbors[i]];
-      }
-      const std::size_t kth = config.min_pts - 2;  // 0-based among neighbours
-      std::nth_element(nd.begin(),
-                       nd.begin() + static_cast<std::ptrdiff_t>(kth),
-                       nd.begin() + static_cast<std::ptrdiff_t>(
-                                        neighbors.size()));
-      result.core_distance[p] = nd[kth];
-    } else {
-      result.core_distance[p] = kInf;
-    }
+    // k-th smallest d² over q ≠ p; a NaN d² counts as +inf, so the k-th is
+    // +inf when fewer than k are finite. sqrt is correctly rounded and
+    // monotone, so its square root is the k-th smallest distance, bit for
+    // bit.
+    embed::select_k(n, p, k, best, [&](std::size_t q) {
+      return std::isnan(dsq[q]) ? kInf : dsq[q];
+    });
+    const double kth = std::sqrt(best[k - 1].first);
+    const double core = kth <= config.max_eps ? kth : kInf;
+    result.core_distance[p] = core;
     range_time.add(timer.seconds());
-  };
 
-  // Lazy-deletion min-heap keyed by candidate reachability.
-  using Seed = std::pair<double, std::size_t>;
-  std::priority_queue<Seed, std::vector<Seed>, std::greater<>> seeds;
-
-  const auto update_seeds = [&](std::size_t p) {
-    const double core = result.core_distance[p];
-    if (std::isinf(core)) return;  // not a core point: expands nothing
-    for (const std::size_t q : neighbors) {
+    // One fused pass over the unprocessed points: lower reachabilities
+    // through p (only possible where core < reach[q], so only there is a
+    // square root taken) and pick the next point to visit.
+    std::size_t next = n;
+    double next_reach = kInf;
+    for (std::size_t q = 0; q < n; ++q) {
       if (processed[q]) continue;
-      const double reach = std::max(core, dists[q]);
-      if (reach < result.reachability[q]) {
-        result.reachability[q] = reach;
-        seeds.emplace(reach, q);
+      double r = reach[q];
+      if (core < r) {
+        const double dist = std::sqrt(dsq[q]);
+        if (dist <= config.max_eps) {
+          r = std::min(r, std::max(core, dist));
+          reach[q] = r;
+        }
+      }
+      if (r < next_reach) {
+        next_reach = r;
+        next = q;
       }
     }
-  };
-
-  for (std::size_t start = 0; start < n; ++start) {
-    if (processed[start]) continue;
-    processed[start] = true;
-    range_query(start);
-    result.order.push_back(start);
-    update_seeds(start);
-
-    while (!seeds.empty()) {
-      const auto [r, q] = seeds.top();
-      seeds.pop();
-      if (processed[q] || r > result.reachability[q]) continue;  // stale
-      processed[q] = true;
-      range_query(q);
-      result.order.push_back(q);
-      update_seeds(q);
+    if (next == n) {
+      next = static_cast<std::size_t>(
+          std::find(processed.begin(), processed.end(), 0) -
+          processed.begin());
     }
+    p = next;
   }
-  ARAMS_CHECK(result.order.size() == n, "OPTICS ordering incomplete");
   core_dist_seconds.observe(range_time.total_seconds());
   return result;
 }

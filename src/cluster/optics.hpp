@@ -31,17 +31,26 @@ struct OpticsResult {
 
 /// Runs OPTICS with brute-force range queries (O(n²) — the embeddings this
 /// pipeline clusters are 2-D and a few thousand points). Each visited
-/// point's full distance row comes from the shared engine as one 1×n block
-/// (embed/distance.hpp), with all point norms hoisted out of the traversal;
-/// range-query wall time per call accumulates into the
-/// "cluster.core_dist_seconds" histogram. The traversal itself is
-/// inherently sequential, so the ordering is identical for any pool size.
+/// point's full d² row comes from the shared engine as one 1×n block
+/// (embed/distance.hpp), with all point norms hoisted out of the traversal.
+/// The core distance is the square root of the (min_pts−1)-th smallest
+/// finite d² to another point, picked by embed::select_k. One fused pass
+/// over the unprocessed points then lowers their reachabilities through the
+/// visited point and picks the next point to visit: the smallest
+/// (reachability, index), or the smallest unprocessed index when no
+/// reachability is finite. There is no seed heap.
+/// sqrt is correctly rounded and monotone, and that lexicographic argmin is
+/// exactly the entry a lazy-deletion heap of (reachability, index) pops, so
+/// order, reachability and core distance equal the heap formulation of
+/// Ankerst et al. bit for bit. Range-query wall time per call (the d² row
+/// plus the core selection) accumulates into the
+/// "cluster.core_dist_seconds" histogram. The traversal is sequential, so
+/// the ordering is identical for any pool size.
 OpticsResult optics(const linalg::Matrix& points, const OpticsConfig& config);
 
-/// Workspace-backed variant: the distance row, point norms and core-dist
-/// selection scratch all come from `ws` (allocation-free at steady state on
-/// the serial path). `opts.use_gemm = false` reproduces the historical
-/// per-pair scalar arithmetic bit for bit.
+/// Workspace-backed variant: the range-query block and point norms come
+/// from `ws`. `opts.use_gemm = false` reproduces the historical per-pair
+/// scalar arithmetic bit for bit.
 OpticsResult optics(const linalg::Matrix& points, const OpticsConfig& config,
                     linalg::Workspace& ws,
                     const embed::DistanceOptions& opts = {});

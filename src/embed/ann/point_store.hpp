@@ -1,9 +1,9 @@
 #pragma once
 // Internal base for the NeighborSearcher backends: owns the indexed point
 // copy, the hoisted squared row norms the prenormed engine consumes, the
-// stats/telemetry plumbing, and the shared k-selection + validation
-// helpers. Backends (exact.cpp / rpforest.cpp) derive from this and only
-// implement the candidate-generation strategy.
+// stats/telemetry plumbing, and the shared validation helpers. Backends
+// (exact.cpp / rpforest.cpp) derive from this and only implement the
+// candidate-generation strategy; both select with embed::select_k.
 
 #include <cstddef>
 #include <span>
@@ -11,35 +11,11 @@
 
 #include "embed/ann/searcher.hpp"
 #include "embed/distance.hpp"
+#include "embed/knn.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/workspace.hpp"
 
 namespace arams::embed::ann {
-
-/// Bounded insertion scan selecting the k lexicographically-smallest
-/// (value, index) pairs of `value(j)`, j in [0, n), skipping `self`
-/// (pass n or larger to disable self-exclusion). `best` is caller scratch
-/// resized to k; identical tie behaviour to knn.cpp's select_row / the
-/// historical partial_sort path.
-template <typename ValueFn>
-void select_k(std::size_t n, std::size_t self, std::size_t k,
-              std::vector<std::pair<double, std::size_t>>& best,
-              ValueFn value) {
-  best.resize(k);
-  std::size_t filled = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == self) continue;
-    const double d = value(j);
-    if (filled == k && d >= best[k - 1].first) continue;
-    std::size_t pos = filled < k ? filled : k - 1;
-    while (pos > 0 && best[pos - 1].first > d) {
-      best[pos] = best[pos - 1];
-      --pos;
-    }
-    best[pos] = {d, j};
-    if (filled < k) ++filled;
-  }
-}
 
 class PointStoreSearcher : public NeighborSearcher {
  public:
@@ -63,11 +39,19 @@ class PointStoreSearcher : public NeighborSearcher {
 
  protected:
   /// Copies `points` into the store and hoists the squared row norms.
+  /// Throws CheckError on a non-finite coordinate (check_finite).
   void store_points(const linalg::Matrix& points);
 
   /// Appends rows (grow-only reshape: existing rows stay in place) and
-  /// extends the norm cache.
+  /// extends the norm cache. Throws CheckError, leaving the index as it
+  /// was, on a non-finite coordinate.
   void append_rows(linalg::MatrixView rows);
+
+  /// Throws CheckError naming `what` and the row and column of the first
+  /// NaN or ±inf in `rows`. Every entry point that takes points calls it:
+  /// the distance fix-up max(0, ‖x‖² + ‖y‖² − 2g) turns a NaN into 0, so a
+  /// non-finite row would otherwise sit at distance 0 from every point.
+  static void check_finite(linalg::MatrixView rows, const char* what);
 
   /// Throws CheckError unless 1 <= k <= size() (external queries) or
   /// 1 <= k < size() (`self_excluded`, the graph path), with the values in

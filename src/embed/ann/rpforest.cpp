@@ -124,6 +124,7 @@ class RpForestSearcher final : public PointStoreSearcher {
                     std::to_string(queries.cols()) + ", index has " +
                     std::to_string(dim()) + ")");
     check_k(k, /*self_excluded=*/false);
+    check_finite(queries, "NeighborSearcher::query_batch");
     Stopwatch timer;
     const std::size_t m = queries.rows();
     out.n = m;

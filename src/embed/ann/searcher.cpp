@@ -39,9 +39,25 @@ namespace ann {
 PointStoreSearcher::PointStoreSearcher(AnnConfig config)
     : config_(std::move(config)) {}
 
+void PointStoreSearcher::check_finite(linalg::MatrixView rows,
+                                      const char* what) {
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    const std::span<const double> row = rows.row(i);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      if (!std::isfinite(row[j])) {
+        ARAMS_CHECK(false, std::string(what) + ": non-finite value " +
+                               std::to_string(row[j]) + " at row " +
+                               std::to_string(i) + ", column " +
+                               std::to_string(j));
+      }
+    }
+  }
+}
+
 void PointStoreSearcher::store_points(const linalg::Matrix& points) {
   ARAMS_CHECK(points.rows() >= 1 && points.cols() >= 1,
               "NeighborSearcher::build needs a non-empty point matrix");
+  check_finite(points, "NeighborSearcher::build");
   points_ = points;
   norms_.resize(points_.rows());
   row_sq_norms(points_, norms_);
@@ -54,6 +70,7 @@ void PointStoreSearcher::append_rows(linalg::MatrixView rows) {
               "NeighborSearcher::insert dimension mismatch (got " +
                   std::to_string(rows.cols()) + " columns, index has " +
                   std::to_string(points_.cols()) + ")");
+  check_finite(rows, "NeighborSearcher::insert");
   const std::size_t old_rows = points_.rows();
   // reshape is prefix-preserving, so existing rows stay in place and only
   // the appended tail is written. `rows` must not alias this index.
@@ -138,8 +155,9 @@ void PointStoreSearcher::sq_dists_to(std::span<const double> point,
               "index (got " +
                   std::to_string(out.size()) + ", size=" + std::to_string(n) +
                   ")");
-  Stopwatch timer;
   const linalg::MatrixView q(point.data(), 1, dim());
+  check_finite(q, "NeighborSearcher::sq_dists_to");
+  Stopwatch timer;
   const std::span<double> qn = ws.vec(linalg::wslot::kAnnQNorms, 1);
   row_sq_norms(q, qn);
   linalg::Matrix& block = ws.mat(linalg::wslot::kAnnBlock, 1, n);
@@ -191,8 +209,6 @@ std::vector<std::string> AnnConfig::validate() const {
 
 namespace {
 
-using ann::select_k;
-
 /// GEMM-blocked brute force over the stored points — the PR-5 distance
 /// engine behind the searcher seam. Ground truth for every recall pin.
 class ExactSearcher final : public ann::PointStoreSearcher {
@@ -225,6 +241,7 @@ class ExactSearcher final : public ann::PointStoreSearcher {
                     std::to_string(queries.cols()) + ", index has " +
                     std::to_string(dim()) + ")");
     check_k(k, /*self_excluded=*/false);
+    check_finite(queries, "NeighborSearcher::query_batch");
     Stopwatch timer;
     const std::size_t n = size();
     const std::size_t m = queries.rows();

@@ -37,6 +37,9 @@
 //  * k is validated, not silently clamped: query_graph needs
 //    1 <= k < size(), query/query_batch need 1 <= k <= size(), with the
 //    offending values in the error message.
+//  * Points are validated too: build(), insert(), query(), query_batch()
+//    and sq_dists_to() throw CheckError naming the row and column of the
+//    first NaN or ±inf, and a refused insert() leaves the index as it was.
 
 #include <cstddef>
 #include <cstdint>

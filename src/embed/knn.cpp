@@ -76,35 +76,12 @@ std::vector<std::pair<double, std::size_t>>& selection_scratch() {
 }
 
 /// Selects the k nearest of the n candidate distances `value(j)` (squared),
-/// excluding `self`, into the graph slots of point `i`. `value` is invoked
-/// once per candidate in ascending j — callers fuse the Gram-trick norm
-/// fix-up into it so a distance block is traversed exactly once.
-///
-/// Bounded insertion scan: one pass with an O(1) reject against the current
-/// k-th distance, shift-inserting the rare survivor. Equal distances keep
-/// the lower index first and, because j ascends, a candidate tying the
-/// current worst can never improve on it — so the output is exactly the k
-/// lexicographically-smallest (distance, index) pairs in ascending order,
-/// identical to the historical build-all-pairs-and-partial_sort selection,
-/// at a fraction of its memory traffic.
+/// excluding `self`, into the graph slots of point `i` (see select_k).
 template <typename ValueFn>
 void select_row(std::size_t n, std::size_t self, std::size_t k,
                 std::size_t i, KnnGraph& g, ValueFn value) {
   auto& best = selection_scratch();
-  best.resize(k);
-  std::size_t filled = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == self) continue;
-    const double d = value(j);
-    if (filled == k && d >= best[k - 1].first) continue;
-    std::size_t pos = filled < k ? filled : k - 1;
-    while (pos > 0 && best[pos - 1].first > d) {
-      best[pos] = best[pos - 1];
-      --pos;
-    }
-    best[pos] = {d, j};
-    if (filled < k) ++filled;
-  }
+  select_k(n, self, k, best, value);
   for (std::size_t j = 0; j < k; ++j) {
     g.neighbors[i * k + j] = best[j].second;
     g.distances[i * k + j] = std::sqrt(best[j].first);

@@ -17,6 +17,7 @@
 // workspace per call.
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "embed/distance.hpp"
@@ -41,6 +42,39 @@ struct KnnGraph {
     return distances[i * k + j];
   }
 };
+
+/// Selects the k lexicographically-smallest (value, index) pairs of
+/// `value(j)`, j in [0, n), skipping `self` (pass n or larger to keep every
+/// j), into `best` (caller scratch, resized to k) in ascending order.
+/// Requires k >= 1 and at least k candidates. `value` is invoked once per
+/// candidate in ascending j, so callers fuse the Gram-trick fix-up into it.
+///
+/// Bounded insertion scan: one pass with an O(1) reject against the current
+/// k-th value, shift-inserting the rare survivor. Equal values keep the
+/// lower index first and, because j ascends, a candidate tying the current
+/// worst can never improve on it — so the output is exactly what building
+/// all pairs and partial_sort-ing them would give, at a fraction of its
+/// memory traffic. A NaN compares false against everything and would take
+/// a slot, so callers whose values can be NaN map it to +inf first.
+template <typename ValueFn>
+void select_k(std::size_t n, std::size_t self, std::size_t k,
+              std::vector<std::pair<double, std::size_t>>& best,
+              ValueFn value) {
+  best.resize(k);
+  std::size_t filled = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j == self) continue;
+    const double d = value(j);
+    if (filled == k && d >= best[k - 1].first) continue;
+    std::size_t pos = filled < k ? filled : k - 1;
+    while (pos > 0 && best[pos - 1].first > d) {
+      best[pos] = best[pos - 1];
+      --pos;
+    }
+    best[pos] = {d, j};
+    if (filled < k) ++filled;
+  }
+}
 
 /// Exact kNN by blocked brute force. Excludes self-neighbours. Requires
 /// k < n.

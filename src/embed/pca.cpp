@@ -1,5 +1,7 @@
 #include "embed/pca.hpp"
 
+#include <algorithm>
+
 #include "linalg/blas.hpp"
 #include "linalg/svd.hpp"
 #include "linalg/workspace.hpp"
@@ -48,6 +50,36 @@ void PcaProjector::init(const Matrix& sketch, std::size_t k,
 Matrix PcaProjector::project(const Matrix& x) const {
   ARAMS_CHECK(x.cols() == basis_.cols(), "data dimension mismatch");
   return linalg::matmul_nt(x, basis_);
+}
+
+namespace {
+
+// Rows per block of project_rows. A multiple of the GEMM's 4-row register
+// tile, so every row takes the micro-kernel path it takes in one
+// whole-matrix product, and each block's result is bitwise its rows. 64
+// rows of 4096 pixels are 2 MiB, so a block is still in cache when the
+// product reads it back.
+constexpr std::size_t kProjectBlockRows = 64;
+
+}  // namespace
+
+Matrix PcaProjector::project_rows(
+    std::size_t n,
+    const std::function<std::span<const double>(std::size_t)>& row,
+    Matrix& block) const {
+  Matrix out(n, components());
+  Matrix part;
+  for (std::size_t start = 0; start < n; start += kProjectBlockRows) {
+    const std::size_t rows = std::min(kProjectBlockRows, n - start);
+    block.reshape(rows, dim());
+    for (std::size_t r = 0; r < rows; ++r) {
+      block.set_row(r, row(start + r));
+    }
+    linalg::matmul_nt(block, basis_, part);
+    std::copy(part.data(), part.data() + part.size(),
+              out.data() + start * out.cols());
+  }
+  return out;
 }
 
 Matrix PcaProjector::reconstruct(const Matrix& z) const {

@@ -6,6 +6,8 @@
 // FD error bound, so projecting the original rows onto them produces the
 // low-dimensional latent space UMAP consumes (stage 2 of Fig. 4).
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -33,6 +35,16 @@ class PcaProjector {
 
   /// Projects rows of x (n×d) into the latent space (n×components()).
   [[nodiscard]] linalg::Matrix project(const linalg::Matrix& x) const;
+
+  /// project() of the n×dim() matrix whose i-th row is row(i), without
+  /// building that matrix: the rows are gathered a block at a time into
+  /// `block` (the caller's, so repeated projections reuse it) and
+  /// projected block by block. Bitwise equal to project() of the whole
+  /// matrix.
+  [[nodiscard]] linalg::Matrix project_rows(
+      std::size_t n,
+      const std::function<std::span<const double>(std::size_t)>& row,
+      linalg::Matrix& block) const;
 
   /// Reconstructs latent rows back into data space (n×k → n×d).
   [[nodiscard]] linalg::Matrix reconstruct(const linalg::Matrix& z) const;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <string>
 
 #include "embed/pca.hpp"
 #include "linalg/blas.hpp"
@@ -79,39 +79,83 @@ FuzzyGraph fuzzy_simplicial_set(const KnnGraph& graph,
                                 const SmoothKnn& smooth) {
   const std::size_t n = graph.n;
   const std::size_t k = graph.k;
-  // Directed membership strengths, then w = a + b − ab.
-  std::map<std::pair<std::size_t, std::size_t>, double> directed;
+  // Directed membership strengths, sorted by (i, j): row i's targets sit
+  // ascending in directed[row_start[i], row_start[i + 1]).
+  struct Directed {
+    std::size_t j;
+    double w;
+  };
+  std::vector<Directed> directed;
+  directed.reserve(n * k);
+  std::vector<std::size_t> row_start(n + 1, 0);
+  std::vector<std::pair<std::size_t, std::size_t>> row(k);  // (target, slot)
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t t = graph.neighbor(i, j);
-      const double d = graph.distance(i, j) - smooth.rho[i];
+    for (std::size_t slot = 0; slot < k; ++slot) {
+      const std::size_t t = graph.neighbor(i, slot);
+      ARAMS_CHECK(t < n, "kNN graph neighbour " + std::to_string(t) +
+                             " out of range for " + std::to_string(n) +
+                             " points");
+      row[slot] = {t, slot};
+    }
+    std::sort(row.begin(), row.end());
+    row_start[i] = directed.size();
+    for (std::size_t r = 0; r < k; ++r) {
+      // A target listed twice keeps the weight of its last listing.
+      if (r + 1 < k && row[r + 1].first == row[r].first) continue;
+      const auto [t, slot] = row[r];
+      const double d = graph.distance(i, slot) - smooth.rho[i];
       const double w = (d <= 0.0) ? 1.0 : std::exp(-d / smooth.sigma[i]);
-      directed[{i, t}] = w;
+      directed.push_back({t, w});
     }
   }
+  row_start[n] = directed.size();
+  const auto weight = [&](std::size_t i, std::size_t j) {
+    const auto first = directed.begin() +
+                       static_cast<std::ptrdiff_t>(row_start[i]);
+    const auto last = directed.begin() +
+                      static_cast<std::ptrdiff_t>(row_start[i + 1]);
+    const auto it = std::lower_bound(
+        first, last, j,
+        [](const Directed& e, std::size_t t) { return e.j < t; });
+    return (it != last && it->j == j) ? it->w : 0.0;
+  };
+
+  // w = a + b − ab per canonical (u < v) pair. Both directions of a mutual
+  // pair give the same bits (IEEE + and × commute), so after sorting the
+  // duplicates are dropped.
   FuzzyGraph out;
   out.n = n;
-  std::map<std::pair<std::size_t, std::size_t>, double> sym;
-  for (const auto& [key, w] : directed) {
-    const auto [i, j] = key;
-    const auto canon = std::minmax(i, j);
-    const auto rev_it = directed.find({j, i});
-    const double wr = (rev_it != directed.end()) ? rev_it->second : 0.0;
-    sym[{canon.first, canon.second}] = w + wr - w * wr;
-  }
-  out.edges.reserve(sym.size());
-  for (const auto& [key, w] : sym) {
-    if (w > 0.0) {
-      out.edges.push_back({key.first, key.second, w});
+  std::vector<FuzzyGraph::Edge>& edges = out.edges;
+  edges.reserve(directed.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t e = row_start[i]; e < row_start[i + 1]; ++e) {
+      const auto [j, w] = directed[e];
+      const double wr = weight(j, i);
+      const auto [u, v] = std::minmax(i, j);
+      edges.push_back({u, v, w + wr - w * wr});
     }
   }
+  const auto key_less = [](const FuzzyGraph::Edge& a,
+                           const FuzzyGraph::Edge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
+  std::sort(edges.begin(), edges.end(), key_less);
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const FuzzyGraph::Edge& a,
+                             const FuzzyGraph::Edge& b) {
+                            return a.u == b.u && a.v == b.v;
+                          }),
+              edges.end());
+  std::erase_if(edges, [](const FuzzyGraph::Edge& e) {
+    return !(e.weight > 0.0);
+  });
   return out;
 }
 
-std::pair<double, double> fit_ab(double spread, double min_dist) {
-  ARAMS_CHECK(spread > 0.0, "spread must be positive");
-  ARAMS_CHECK(min_dist >= 0.0 && min_dist < 3.0 * spread,
-              "min_dist out of range");
+namespace {
+
+/// fit_ab's two-stage grid search (arguments already validated).
+std::pair<double, double> fit_ab_grid(double spread, double min_dist) {
   // Target curve ψ(x): 1 on [0, min_dist], exp decay beyond.
   constexpr int kSamples = 300;
   std::vector<double> xs(kSamples), ys(kSamples);
@@ -155,6 +199,28 @@ std::pair<double, double> fit_ab(double spread, double min_dist) {
     }
   }
   return {best_a, best_b};
+}
+
+}  // namespace
+
+std::pair<double, double> fit_ab(double spread, double min_dist) {
+  ARAMS_CHECK(spread > 0.0, "spread must be positive");
+  ARAMS_CHECK(min_dist >= 0.0 && min_dist < 3.0 * spread,
+              "min_dist out of range");
+  // The grid search costs tens of milliseconds and every umap_embed and
+  // umap_transform asks for the same pair, so each thread keeps its last
+  // result. spread = 0 never passes the checks, so the empty entry never
+  // matches.
+  struct Entry {
+    double spread = 0.0;
+    double min_dist = 0.0;
+    std::pair<double, double> ab;
+  };
+  thread_local Entry last;
+  if (last.spread != spread || last.min_dist != min_dist) {
+    last = {spread, min_dist, fit_ab_grid(spread, min_dist)};
+  }
+  return last.ab;
 }
 
 Matrix spectral_init(const FuzzyGraph& graph, std::size_t n_components,

@@ -80,12 +80,20 @@ SmoothKnn smooth_knn_distances(const KnnGraph& graph,
                                double local_connectivity = 1.0,
                                int iterations = 64);
 
-/// Directed memberships + probabilistic t-conorm symmetrization.
+/// Directed memberships + probabilistic t-conorm symmetrization. The
+/// directed (i, j, w) strengths are kept sorted by (i, j) in one flat array
+/// (a neighbour listed twice in a row keeps its last weight), reverse
+/// weights are found by binary search within row j, and the canonical
+/// pairs are deduplicated after one sort. Edges come out in ascending
+/// (u, v) order. Throws CheckError on a neighbour index >= graph.n.
 FuzzyGraph fuzzy_simplicial_set(const KnnGraph& graph,
                                 const SmoothKnn& smooth);
 
 /// Fits (a, b) of the low-dimensional curve 1/(1 + a·x^{2b}) to the target
-/// shape exp(−(x−min_dist)/spread) by two-stage grid search.
+/// shape exp(−(x−min_dist)/spread) by two-stage grid search. The result
+/// depends only on the two arguments, so each thread caches its last
+/// (spread, min_dist) → (a, b); a repeated call returns the same bits
+/// without searching again.
 std::pair<double, double> fit_ab(double spread, double min_dist);
 
 /// Spectral layout: the n_components eigenvectors of the symmetrically

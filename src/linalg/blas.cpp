@@ -76,7 +76,10 @@ namespace {
 // Blocking parameters. KC×NC is the packed B panel (≤ 1 MiB, resident in
 // L2 while every row band streams over it); MR is the register block: the
 // micro-kernel keeps MR C-rows live and reads each packed B element once
-// per MR rows instead of once per row, cutting B traffic MR-fold.
+// per MR rows instead of once per row, cutting B traffic MR-fold. A row's
+// result depends only on its MR-aligned tile, so row blocks that start at
+// multiples of MR reproduce the whole product bitwise
+// (PcaProjector::project_rows relies on this).
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 512;
 constexpr std::size_t kMr = 4;

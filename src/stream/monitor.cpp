@@ -81,11 +81,6 @@ StreamingMonitor::StreamingMonitor(const MonitorConfig& config)
               "health_check_every must be >= 1");
   const bool f32 = config.pipeline.ingest_precision ==
                    PipelineConfig::IngestPrecision::kF32;
-  if (f32) {
-    batch_rows_f32_.reserve(config.batch_size);
-  } else {
-    batch_rows_.reserve(config.batch_size);
-  }
   static obs::Gauge& precision_gauge =
       obs::metrics().gauge("ingest.precision");
   precision_gauge.set(f32 ? 32.0 : 64.0);
@@ -157,26 +152,28 @@ bool StreamingMonitor::ingest(const ShotEvent& event) {
         image::narrow(event.frame), config_.pipeline.preprocess);
     if (dim_ == 0) {
       dim_ = processed.pixel_count();
+      batch_f32_.reshape(config_.batch_size, dim_);
     }
     ARAMS_CHECK(processed.pixel_count() == dim_,
                 "frame shape changed mid-stream");
-    std::vector<float> row32(dim_);
-    processed.to_row(std::span<float>(row32));
+    const std::span<float> row32 = batch_f32_.row(batch_fill_++);
+    processed.to_row(row32);
     row.resize(dim_);
     for (std::size_t i = 0; i < dim_; ++i) {
       row[i] = static_cast<double>(row32[i]);
     }
-    batch_rows_f32_.push_back(std::move(row32));
   } else {
     const image::ImageF processed =
         image::preprocess(event.frame, config_.pipeline.preprocess);
     if (dim_ == 0) {
       dim_ = processed.pixel_count();
+      batch_.reshape(config_.batch_size, dim_);
     }
     ARAMS_CHECK(processed.pixel_count() == dim_,
                 "frame shape changed mid-stream");
     row.resize(dim_);
     processed.to_row(row);
+    batch_.set_row(batch_fill_++, row);
   }
 
   obs::flight_recorder().record(obs::FlightCode::kFrameIngested,
@@ -186,14 +183,9 @@ bool StreamingMonitor::ingest(const ShotEvent& event) {
   if (reservoir_.size() > config_.reservoir_size) {
     reservoir_.pop_front();
   }
-  if (config_.pipeline.ingest_precision !=
-      PipelineConfig::IngestPrecision::kF32) {
-    batch_rows_.push_back(reservoir_.back().second);
-  }
 
   bool updated = false;
-  if (std::max(batch_rows_.size(), batch_rows_f32_.size()) >=
-      config_.batch_size) {
+  if (batch_fill_ >= config_.batch_size) {
     update_sketch();
     updated = true;
   }
@@ -204,7 +196,7 @@ bool StreamingMonitor::ingest(const ShotEvent& event) {
 }
 
 void StreamingMonitor::flush() {
-  if (!batch_rows_.empty() || !batch_rows_f32_.empty()) {
+  if (batch_fill_ > 0) {
     Stopwatch timer;
     update_sketch();
     meter_.record(0, timer.seconds());
@@ -214,25 +206,18 @@ void StreamingMonitor::flush() {
 void StreamingMonitor::update_sketch() {
   const obs::ScopedSpan span("monitor.update_sketch");
   Stopwatch timer;
-  std::size_t batch_count = 0;
-  if (!batch_rows_f32_.empty()) {
+  const std::size_t batch_count = batch_fill_;
+  batch_fill_ = 0;
+  if (config_.pipeline.ingest_precision ==
+      PipelineConfig::IngestPrecision::kF32) {
     // fp32 lane: the batch reaches the sketcher as float rows; widening
     // (if the backend needs it) happens inside the Sketcher seam.
-    linalg::MatrixF batch(batch_rows_f32_.size(), dim_);
-    for (std::size_t i = 0; i < batch_rows_f32_.size(); ++i) {
-      batch.set_row(i, batch_rows_f32_[i]);
-    }
-    batch_count = batch.rows();
-    batch_rows_f32_.clear();
-    sketcher_->push_batch(linalg::MatrixViewF(batch));
+    sketcher_->push_batch(
+        linalg::MatrixViewF(batch_f32_.data(), batch_count, dim_));
+  } else if (batch_count == batch_.rows()) {
+    sketcher_->push_batch(batch_);
   } else {
-    Matrix batch(batch_rows_.size(), dim_);
-    for (std::size_t i = 0; i < batch_rows_.size(); ++i) {
-      batch.set_row(i, batch_rows_[i]);
-    }
-    batch_count = batch.rows();
-    batch_rows_.clear();
-    sketcher_->push_batch(batch);
+    sketcher_->push_batch(batch_.slice_rows(0, batch_count));  // flush
   }
   ++batches_;
   const double seconds = timer.seconds();
@@ -287,26 +272,30 @@ void StreamingMonitor::feed_health(bool with_numerics) {
   health_.observe(sample);
 }
 
+Matrix StreamingMonitor::project_reservoir(
+    const embed::PcaProjector& pca, std::vector<std::uint64_t>& shot_ids) {
+  shot_ids.reserve(reservoir_.size());
+  for (const auto& entry : reservoir_) shot_ids.push_back(entry.first);
+  return pca.project_rows(
+      reservoir_.size(),
+      [this](std::size_t i) {
+        return std::span<const double>(reservoir_[i].second);
+      },
+      reservoir_block_);
+}
+
 SnapshotResult StreamingMonitor::snapshot() {
   ARAMS_CHECK(!reservoir_.empty(), "snapshot before any frames arrived");
   const obs::ScopedSpan span("monitor.snapshot");
   Stopwatch timer;
   SnapshotResult out;
 
-  Matrix rows(reservoir_.size(), dim_);
-  out.shot_ids.reserve(reservoir_.size());
-  std::size_t r = 0;
-  for (const auto& [shot, row] : reservoir_) {
-    rows.set_row(r++, row);
-    out.shot_ids.push_back(shot);
-  }
-
   const Matrix sketch = sketcher_->sketch();
   ARAMS_CHECK(sketch.rows() > 0, "sketch is empty — ingest more frames");
 
   const embed::PcaProjector pca(sketch, config_.pipeline.pca_components,
                                 snapshot_ws_);
-  out.latent = pca.project(rows);
+  out.latent = project_reservoir(pca, out.shot_ids);
 
   embed::UmapConfig umap_config = config_.pipeline.umap;
   umap_config.n_neighbors =
@@ -316,7 +305,7 @@ SnapshotResult StreamingMonitor::snapshot() {
   cluster_snapshot(out);
   out.report.set_seconds("snapshot", timer.seconds());
   obs::flight_recorder().record(obs::FlightCode::kSnapshot, 0,
-                                static_cast<std::uint32_t>(rows.rows()),
+                                static_cast<std::uint32_t>(out.latent.rows()),
                                 out.report.seconds("snapshot"));
 
   // Keep this snapshot as the reference for incremental refreshes, and
@@ -358,17 +347,10 @@ SnapshotResult StreamingMonitor::snapshot_incremental() {
   SnapshotResult out;
 
   // Project the whole reservoir through the *current* sketch.
-  Matrix rows(reservoir_.size(), dim_);
-  out.shot_ids.reserve(reservoir_.size());
-  std::size_t r = 0;
-  for (const auto& [shot, row] : reservoir_) {
-    rows.set_row(r++, row);
-    out.shot_ids.push_back(shot);
-  }
   const Matrix sketch = sketcher_->sketch();
   const embed::PcaProjector pca(sketch, config_.pipeline.pca_components,
                                 snapshot_ws_);
-  out.latent = pca.project(rows);
+  out.latent = project_reservoir(pca, out.shot_ids);
   ARAMS_CHECK(out.latent.cols() == reference_latent_.cols(),
               "latent dimension changed — take a full snapshot");
 
@@ -429,7 +411,7 @@ SnapshotResult StreamingMonitor::snapshot_incremental() {
   cluster_snapshot(out);
   out.report.set_seconds("snapshot", timer.seconds());
   obs::flight_recorder().record(obs::FlightCode::kSnapshot, 0,
-                                static_cast<std::uint32_t>(rows.rows()),
+                                static_cast<std::uint32_t>(out.latent.rows()),
                                 out.report.seconds("snapshot"));
   return out;
 }

@@ -19,6 +19,10 @@
 #include "stream/pipeline.hpp"
 #include "stream/source.hpp"
 
+namespace arams::embed {
+class PcaProjector;
+}  // namespace arams::embed
+
 namespace arams::stream {
 
 /// Rolling throughput measurement: lifetime totals plus a trailing window
@@ -148,6 +152,11 @@ class StreamingMonitor {
 
  private:
   void update_sketch();
+  /// The reservoir, oldest first, projected through `pca` block by block
+  /// (PcaProjector::project_rows); appends the matching shot ids to
+  /// `shot_ids`.
+  linalg::Matrix project_reservoir(const embed::PcaProjector& pca,
+                                   std::vector<std::uint64_t>& shot_ids);
   /// Non-const: OPTICS draws its distance rows from snapshot_ws_.
   void cluster_snapshot(SnapshotResult& out);
   /// Feeds one HealthSample; `with_numerics` additionally runs the
@@ -166,11 +175,16 @@ class StreamingMonitor {
   std::size_t last_ell_ = 0;       ///< for rank-change flight events
   bool queue_saturated_ = false;   ///< edge trigger for saturation events
   double queue_saturation_ = std::numeric_limits<double>::quiet_NaN();
-  std::vector<std::vector<double>> batch_rows_;
-  /// fp32 ingest lane's pending batch (used instead of batch_rows_ when
-  /// pipeline.ingest_precision is kF32). The reservoir and error tracker
-  /// stay fp64 either way — they feed the fp64 snapshot tail.
-  std::vector<std::vector<float>> batch_rows_f32_;
+  /// The pending batch, written in place as frames arrive: the first
+  /// batch_fill_ rows of batch_ (fp64 lane) or of batch_f32_ (fp32 lane,
+  /// pipeline.ingest_precision kF32; the reservoir and error tracker stay
+  /// fp64 either way — they feed the fp64 snapshot tail). Shaped to
+  /// batch_size rows by the first frame and kept across updates: a
+  /// 256×16384 fp64 batch is 32 MiB, and allocating it per update makes
+  /// ingest pay fresh page faults whenever the allocator maps it anew.
+  linalg::Matrix batch_;
+  linalg::MatrixF batch_f32_;
+  std::size_t batch_fill_ = 0;
   std::deque<std::pair<std::uint64_t, std::vector<double>>> reservoir_;
   std::size_t dim_ = 0;
   /// Scratch for the whole snapshot path — the PCA rebuild (Gram,
@@ -179,6 +193,12 @@ class StreamingMonitor {
   /// disjoint slot ranges. Persists across snapshots so refreshes stop
   /// allocating.
   linalg::Workspace snapshot_ws_;
+  /// One block of reservoir rows on their way through the snapshot's PCA
+  /// projection, kept across snapshots. Copying the whole reservoir into a
+  /// fresh matrix instead cost a reservoir-sized allocation per refresh
+  /// (151 MB for 4608 frames of 64×64) and 37k first-touch page faults,
+  /// 80–110 ms on a 4-vCPU VM and varying with the host.
+  linalg::Matrix reservoir_block_;
 
   /// Reference from the last full snapshot (for incremental mode). Grows:
   /// each incremental refresh appends its freshly placed shots, so later

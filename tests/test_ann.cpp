@@ -11,6 +11,7 @@
 //   * insert() grows a built index: exact stays bitwise-equal to a full
 //     rebuild, rpforest keeps its recall floor without rebuilding
 //   * `auto` dispatches by size and reproduces the chosen backend exactly
+//   * a NaN or ±inf point is refused by every entry point that takes one
 //
 // The allocation check overrides global operator new/delete in this
 // translation unit only (each gtest binary is its own process, so the
@@ -21,6 +22,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <string>
 #include <vector>
@@ -517,6 +519,71 @@ TEST(AnnInsert, DimensionMismatchThrows) {
   searcher->build(random_points(10, 4, 38), ws);
   const Matrix wrong = random_points(2, 3, 39);
   EXPECT_THROW(searcher->insert(wrong, ws), CheckError);
+}
+
+TEST(AnnValidation, NonFinitePointsThrow) {
+  // A NaN or ±inf coordinate is refused by every entry point that takes
+  // points, for every backend and both engine modes. Without the check the
+  // GEMM fix-up max(0, ‖x‖² + ‖y‖² − 2g) maps NaN to 0, so a NaN row would
+  // sit at distance 0 from every point.
+  const Matrix good = random_points(64, 3, 91);
+  AnnConfig auto_forest;
+  auto_forest.backend = "auto";
+  auto_forest.exact_threshold = 16;  // 64 points dispatch to rpforest
+  const std::vector<AnnConfig> configs = {
+      [] { AnnConfig c; c.backend = "exact"; return c; }(),
+      [] { AnnConfig c; c.backend = "rpforest"; return c; }(),
+      [] { AnnConfig c; c.backend = "auto"; return c; }(), auto_forest};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Matrix broken = good;
+    broken(5, 2) = bad;
+    for (const AnnConfig& config : configs) {
+      for (const bool use_gemm : {true, false}) {
+        const DistanceOptions opts{.use_gemm = use_gemm};
+        const std::string label = config.backend + " threshold " +
+                                  std::to_string(config.exact_threshold) +
+                                  " use_gemm " + std::to_string(use_gemm);
+        Workspace ws;
+        const auto searcher = make_searcher(config);
+        EXPECT_THROW(searcher->build(broken, ws, opts), CheckError) << label;
+        searcher->build(good, ws, opts);
+        EXPECT_THROW(searcher->insert(broken, ws, opts), CheckError) << label;
+        EXPECT_EQ(searcher->size(), good.rows()) << label;
+        KnnGraph graph;
+        EXPECT_THROW(searcher->query_batch(broken, 4, ws, graph, opts),
+                     CheckError)
+            << label;
+        std::vector<std::size_t> nbr;
+        std::vector<double> dist;
+        EXPECT_THROW(searcher->query(broken.row(5), 4, ws, nbr, dist, opts),
+                     CheckError)
+            << label;
+        std::vector<double> d2(searcher->size());
+        EXPECT_THROW(searcher->sq_dists_to(broken.row(5), ws, d2, opts),
+                     CheckError)
+            << label;
+        // A refused call leaves a usable index behind.
+        searcher->query_graph(4, ws, graph, opts);
+        EXPECT_EQ(graph.n, good.rows()) << label;
+      }
+    }
+  }
+}
+
+TEST(AnnValidation, NonFiniteMessageNamesRowAndColumn) {
+  Matrix pts = random_points(10, 4, 92);
+  pts(7, 3) = std::numeric_limits<double>::quiet_NaN();
+  const auto searcher = make_searcher("exact", 93);
+  Workspace ws;
+  try {
+    searcher->build(pts, ws);
+    FAIL() << "build accepted a NaN row";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("row 7, column 3"), std::string::npos) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------

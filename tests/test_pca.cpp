@@ -125,5 +125,33 @@ TEST(Pca, SingularValuesDescend) {
   }
 }
 
+TEST(Pca, ProjectRowsIsBitwiseProject) {
+  // project_rows projects 64-row blocks; every row must come out bitwise
+  // as in one whole-matrix product. Covers n below, at and across the
+  // block size, a partial 4-row tile at the tail, one block matrix reused
+  // across calls, a width spanning several GEMM k panels, and a whole
+  // product large enough to run on the pool while the blocks run serially.
+  Rng rng(8);
+  Matrix sketch(12, 2000);
+  for (std::size_t i = 0; i < 12; ++i) rng.fill_normal(sketch.row(i));
+  const PcaProjector pca(sketch, 10);
+  Matrix block;
+  for (const std::size_t n : {std::size_t{1030}, std::size_t{7},
+                              std::size_t{64}, std::size_t{513}}) {
+    Matrix x(n, 2000);
+    for (std::size_t i = 0; i < n; ++i) rng.fill_normal(x.row(i));
+    const Matrix whole = pca.project(x);
+    const Matrix blocked = pca.project_rows(
+        n, [&](std::size_t i) { return std::span<const double>(x.row(i)); },
+        block);
+    ASSERT_EQ(blocked.rows(), whole.rows());
+    ASSERT_EQ(blocked.cols(), whole.cols());
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      ASSERT_EQ(blocked.data()[i], whole.data()[i])
+          << "n=" << n << ", element " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace arams::embed

@@ -109,16 +109,25 @@ MonitorConfig small_monitor() {
 }
 
 TEST(Monitor, IngestTriggersUpdateAtBatchBoundary) {
-  StreamingMonitor monitor(small_monitor());
-  BeamProfileSource source(small_beam(), 33, 120.0, 7);
-  int updates = 0;
-  while (auto event = source.next()) {
-    if (monitor.ingest(*event)) ++updates;
+  // Both ingest lanes: two full batches, then flush() pushes the partial
+  // third.
+  for (const auto precision : {PipelineConfig::IngestPrecision::kF64,
+                               PipelineConfig::IngestPrecision::kF32}) {
+    MonitorConfig config = small_monitor();
+    config.pipeline.ingest_precision = precision;
+    StreamingMonitor monitor(config);
+    BeamProfileSource source(small_beam(), 33, 120.0, 7);
+    int updates = 0;
+    while (auto event = source.next()) {
+      if (monitor.ingest(*event)) ++updates;
+    }
+    EXPECT_EQ(updates, 2);  // 33 frames / 16 per batch
+    EXPECT_EQ(monitor.sketch_stats().rows_processed, 32);
+    monitor.flush();
+    EXPECT_EQ(monitor.sketch_stats().rows_processed, 33);
+    monitor.flush();  // nothing pending: no update
+    EXPECT_EQ(monitor.sketch_stats().rows_processed, 33);
   }
-  EXPECT_EQ(updates, 2);  // 33 frames / 16 per batch
-  EXPECT_EQ(monitor.sketch_stats().rows_processed, 32);
-  monitor.flush();
-  EXPECT_EQ(monitor.sketch_stats().rows_processed, 33);
 }
 
 TEST(Monitor, SnapshotBeforeDataThrows) {
@@ -232,6 +241,41 @@ TEST(Monitor, WarmIndexInsertsInsteadOfRebuilding) {
   EXPECT_EQ(monitor.reference_index()->stats().builds, 1);
   EXPECT_EQ(monitor.reference_index()->stats().inserted_rows, 0);
   EXPECT_EQ(monitor.reference_index()->size(), 128u);
+}
+
+TEST(Monitor, ReusedProjectionBlockMatchesAFreshMonitor) {
+  // Snapshots project the reservoir 64 frames at a time through one kept
+  // block. Taking them while the reservoir grows past a block, fills and
+  // evicts must leave the last full snapshot bitwise equal to a fresh
+  // monitor's over the same frames.
+  MonitorConfig config = small_monitor();
+  config.reservoir_size = 300;
+  BeamProfileSource source(small_beam(), 420, 120.0, 23);
+  const auto events = drain(source, 420);
+  StreamingMonitor warm(config);
+  for (std::size_t i = 0; i < 150; ++i) warm.ingest(events[i]);
+  (void)warm.snapshot();
+  for (std::size_t i = 150; i < 300; ++i) warm.ingest(events[i]);
+  (void)warm.snapshot_incremental();
+  for (std::size_t i = 300; i < 420; ++i) warm.ingest(events[i]);
+  (void)warm.snapshot_incremental();
+  const SnapshotResult reused = warm.snapshot();
+
+  StreamingMonitor fresh(config);
+  for (const auto& event : events) fresh.ingest(event);
+  const SnapshotResult once = fresh.snapshot();
+
+  EXPECT_EQ(reused.shot_ids, once.shot_ids);
+  EXPECT_EQ(reused.shot_ids.front(), 120u);  // 420 − 300
+  EXPECT_EQ(reused.labels, once.labels);
+  ASSERT_EQ(reused.latent.rows(), 300u);
+  ASSERT_EQ(reused.embedding.rows(), once.embedding.rows());
+  for (std::size_t i = 0; i < reused.latent.size(); ++i) {
+    EXPECT_EQ(reused.latent.data()[i], once.latent.data()[i]) << i;
+  }
+  for (std::size_t i = 0; i < reused.embedding.size(); ++i) {
+    EXPECT_EQ(reused.embedding.data()[i], once.embedding.data()[i]) << i;
+  }
 }
 
 TEST(Monitor, F32IngestLaneEndToEnd) {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <map>
+#include <thread>
 
 #include "embed/metrics.hpp"
 #include "embed/umap.hpp"
@@ -83,6 +86,152 @@ TEST(FuzzyGraph, NearestNeighborEdgeIsStrong) {
     }
     EXPECT_TRUE(found);
   }
+}
+
+/// The tree-map symmetrisation fuzzy_simplicial_set used before the
+/// sorted-vector rewrite, kept as the bitwise reference: directed weights
+/// in a map keyed (i, j) (a repeated neighbour overwrites), then one map of
+/// canonical pairs.
+FuzzyGraph map_fuzzy_simplicial_set(const KnnGraph& graph,
+                                    const SmoothKnn& smooth) {
+  const std::size_t n = graph.n;
+  const std::size_t k = graph.k;
+  std::map<std::pair<std::size_t, std::size_t>, double> directed;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t t = graph.neighbor(i, j);
+      const double d = graph.distance(i, j) - smooth.rho[i];
+      const double w = (d <= 0.0) ? 1.0 : std::exp(-d / smooth.sigma[i]);
+      directed[{i, t}] = w;
+    }
+  }
+  FuzzyGraph out;
+  out.n = n;
+  std::map<std::pair<std::size_t, std::size_t>, double> sym;
+  for (const auto& [key, w] : directed) {
+    const auto [i, j] = key;
+    const auto canon = std::minmax(i, j);
+    const auto rev_it = directed.find({j, i});
+    const double wr = (rev_it != directed.end()) ? rev_it->second : 0.0;
+    sym[{canon.first, canon.second}] = w + wr - w * wr;
+  }
+  out.edges.reserve(sym.size());
+  for (const auto& [key, w] : sym) {
+    if (w > 0.0) {
+      out.edges.push_back({key.first, key.second, w});
+    }
+  }
+  return out;
+}
+
+void expect_same_edges(const FuzzyGraph& got, const FuzzyGraph& want) {
+  EXPECT_EQ(got.n, want.n);
+  ASSERT_EQ(got.edges.size(), want.edges.size());
+  for (std::size_t e = 0; e < want.edges.size(); ++e) {
+    EXPECT_EQ(got.edges[e].u, want.edges[e].u) << "edge " << e;
+    EXPECT_EQ(got.edges[e].v, want.edges[e].v) << "edge " << e;
+    EXPECT_EQ(got.edges[e].weight, want.edges[e].weight) << "edge " << e;
+  }
+}
+
+TEST(FuzzyGraph, MatchesTreeMapReferenceBitwise) {
+  // Real kNN graphs: most pairs are asymmetric, many mutual.
+  const Matrix pts = two_gaussian_clusters(150, 4.0, 5);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{8},
+                              std::size_t{15}}) {
+    const KnnGraph g = exact_knn(pts, k);
+    const SmoothKnn smooth = smooth_knn_distances(g);
+    const FuzzyGraph want = map_fuzzy_simplicial_set(g, smooth);
+    expect_same_edges(fuzzy_simplicial_set(g, smooth), want);
+    std::size_t mutual = 0;
+    for (std::size_t i = 0; i < g.n; ++i) {
+      for (std::size_t j = 0; j < k; ++j) {
+        const std::size_t t = g.neighbor(i, j);
+        for (std::size_t l = 0; l < k; ++l) {
+          if (g.neighbor(t, l) == i) ++mutual;
+        }
+      }
+    }
+    EXPECT_GT(mutual, 0u) << "k " << k;
+    EXPECT_LT(mutual, g.n * k) << "k " << k;
+  }
+}
+
+TEST(FuzzyGraph, HandBuiltGraphMatchesTreeMapReference) {
+  // Five points, k = 3, targets listed out of order. Row 0 names point 2
+  // twice with different distances (the map keeps the later weight). 0↔1
+  // is mutual, 0→2 and 3→2 are asymmetric, 2→3 and 1→4 underflow to
+  // weight 0, and point 4 lists itself.
+  KnnGraph g;
+  g.n = 5;
+  g.k = 3;
+  g.neighbors = {2, 1, 2,  //
+                 0, 3, 4,  //
+                 4, 1, 3,  //
+                 4, 0, 2,  //
+                 4, 3, 0};
+  g.distances = {0.7, 0.2, 0.3,    //
+                 0.2, 0.9, 500.0,  //
+                 0.5, 0.6, 900.0,  //
+                 0.4, 1.1, 1.2,    //
+                 0.0, 0.8, 1.0};
+  SmoothKnn smooth;
+  smooth.rho = {0.2, 0.2, 0.5, 0.4, 0.0};
+  smooth.sigma = {0.5, 0.3, 0.25, 0.7, 0.9};
+  const FuzzyGraph got = fuzzy_simplicial_set(g, smooth);
+  expect_same_edges(got, map_fuzzy_simplicial_set(g, smooth));
+
+  const auto find = [&](std::size_t u, std::size_t v) {
+    for (const auto& e : got.edges) {
+      if (e.u == u && e.v == v) return &e;
+    }
+    return static_cast<const FuzzyGraph::Edge*>(nullptr);
+  };
+  ASSERT_NE(find(0, 2), nullptr);
+  EXPECT_EQ(find(0, 2)->weight, std::exp(-(0.3 - 0.2) / 0.5));  // last wins
+  EXPECT_EQ(find(1, 4), nullptr);  // only direction has weight 0
+  EXPECT_NE(find(2, 3), nullptr);  // 3→2 keeps the pair alive
+  EXPECT_NE(find(4, 4), nullptr);
+}
+
+TEST(FuzzyGraph, RejectsOutOfRangeNeighbour) {
+  KnnGraph g;
+  g.n = 3;
+  g.k = 1;
+  g.neighbors = {1, 2, 3};
+  g.distances = {0.5, 0.5, 0.5};
+  SmoothKnn smooth;
+  smooth.rho = {0.5, 0.5, 0.5};
+  smooth.sigma = {1.0, 1.0, 1.0};
+  EXPECT_THROW(fuzzy_simplicial_set(g, smooth), CheckError);
+}
+
+TEST(FitAb, CachedPairIsBitwiseStable) {
+  // The per-thread cache returns the bits a fresh computation gives, and a
+  // changed min_dist recomputes instead of returning the cached pair.
+  const auto fresh = [](double spread, double min_dist) {
+    std::pair<double, double> ab;
+    std::thread([&] { ab = fit_ab(spread, min_dist); }).join();
+    return ab;
+  };
+  const auto first = fit_ab(1.0, 0.1);
+  const auto again = fit_ab(1.0, 0.1);
+  EXPECT_EQ(again.first, first.first);
+  EXPECT_EQ(again.second, first.second);
+  const auto uncached = fresh(1.0, 0.1);
+  EXPECT_EQ(uncached.first, first.first);
+  EXPECT_EQ(uncached.second, first.second);
+
+  const auto other = fit_ab(1.0, 0.5);
+  EXPECT_NE(other.first, first.first);
+  const auto other_fresh = fresh(1.0, 0.5);
+  EXPECT_EQ(other.first, other_fresh.first);
+  EXPECT_EQ(other.second, other_fresh.second);
+
+  const auto back = fit_ab(1.0, 0.1);
+  EXPECT_EQ(back.first, first.first);
+  EXPECT_EQ(back.second, first.second);
+  EXPECT_THROW(fit_ab(1.0, 5.0), CheckError);  // checks run on every call
 }
 
 TEST(FitAb, MatchesReferenceValuesForDefaultMinDist) {
@@ -270,6 +419,25 @@ TEST(Umap, TooFewPointsThrows) {
   UmapConfig config = fast_config();
   config.n_neighbors = 10;
   EXPECT_THROW(umap_embed(Matrix(5, 3), config), CheckError);
+}
+
+TEST(Umap, RejectsNonFinitePoints) {
+  // A NaN or ±inf coordinate fails the kNN index build under both engine
+  // modes instead of landing at distance 0 from every point.
+  const Matrix pts = two_gaussian_clusters(20, 5.0, 11);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Matrix broken = pts;
+    broken(3, 2) = bad;
+    for (const bool use_gemm : {true, false}) {
+      linalg::Workspace ws;
+      EXPECT_THROW(umap_embed(broken, fast_config(), ws,
+                              DistanceOptions{.use_gemm = use_gemm}),
+                   CheckError)
+          << "value " << bad << " use_gemm " << use_gemm;
+    }
+  }
 }
 
 TEST(Umap, GraphMismatchThrows) {
