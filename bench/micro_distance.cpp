@@ -1,20 +1,23 @@
 // Downstream distance-engine benchmarks (google-benchmark): the pairwise
-// block primitive, exact kNN, OPTICS core distances, and UMAP epochs —
-// each engine path next to the per-pair scalar implementation it replaced,
-// so BENCH_downstream.json records the before/after directly. Shapes
-// follow the Section VI-B snapshot sizes (a few thousand latent points,
-// d = 32 after PCA).
+// block primitive, exact kNN, OPTICS, the snapshot's reservoir projection,
+// and UMAP epochs — each engine path next to the per-pair scalar
+// implementation it replaced, so BENCH_downstream.json records the
+// before/after directly. Shapes follow the Section VI-B snapshot sizes (a
+// few thousand latent points, d = 32 after PCA) and the monitor's own
+// snapshot (4608 frames of 64×64, 10 PCA components, a 2-D embedding).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "cluster/optics.hpp"
 #include "embed/distance.hpp"
 #include "embed/knn.hpp"
+#include "embed/pca.hpp"
 #include "embed/umap.hpp"
 #include "linalg/workspace.hpp"
 #include "rng/rng.hpp"
@@ -148,6 +151,88 @@ BENCHMARK(BM_OpticsCoreDistNaive)
     ->Arg(2048)
     ->Arg(4608)
     ->Unit(benchmark::kMillisecond);
+
+/// A 2-D picture like the monitor's UMAP embedding of a run: eight blobs
+/// of different sizes and spreads plus 4% scattered points.
+Matrix clustered_embedding(std::size_t n, std::uint64_t seed) {
+  Matrix pts(n, 2);
+  Rng rng(seed);
+  const std::size_t noise = n / 25;
+  for (std::size_t i = 0; i < n - noise; ++i) {
+    const std::size_t c = (i * i) % 8;  // uneven blob sizes
+    const double spread = 0.2 + 0.15 * static_cast<double>(c);
+    pts(i, 0) = 4.0 * static_cast<double>(c % 4) + spread * rng.normal();
+    pts(i, 1) = 5.0 * static_cast<double>(c / 4) + spread * rng.normal();
+  }
+  for (std::size_t i = n - noise; i < n; ++i) {
+    pts(i, 0) = rng.uniform(-4.0, 16.0);
+    pts(i, 1) = rng.uniform(-4.0, 9.0);
+  }
+  return pts;
+}
+
+/// OPTICS at the monitor's shape: clustered 2-D input and min_pts 30, what
+/// scale_min_pts gives from n = 300 on. The core pass runs on the pool.
+void BM_OpticsCoreDistClustered(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix pts = clustered_embedding(n, 21);
+  linalg::Workspace ws;
+  for (auto _ : state) {
+    const cluster::OpticsResult r =
+        cluster::optics(pts, cluster::OpticsConfig{30}, ws, {});
+    benchmark::DoNotOptimize(r.order.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n * n));
+}
+BENCHMARK(BM_OpticsCoreDistClustered)
+    ->Arg(2048)
+    ->Arg(4608)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// The same with the core pass kept on the calling thread
+/// (allow_parallel = false): the pool's share of the row above.
+void BM_OpticsCoreDistClusteredSerial(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix pts = clustered_embedding(n, 21);
+  linalg::Workspace ws;
+  for (auto _ : state) {
+    const cluster::OpticsResult r = cluster::optics(
+        pts, cluster::OpticsConfig{30}, ws, {.allow_parallel = false});
+    benchmark::DoNotOptimize(r.order.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n * n));
+}
+BENCHMARK(BM_OpticsCoreDistClusteredSerial)
+    ->Arg(2048)
+    ->Arg(4608)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// The snapshot's reservoir projection: 4608 rows of 4096 pixels, each in
+/// its own vector as in the monitor's reservoir, through 10 components.
+void BM_ProjectRows(benchmark::State& state) {
+  constexpr std::size_t kRows = 4608;
+  constexpr std::size_t kDim = 4096;
+  const embed::PcaProjector pca(random_matrix(24, kDim, 31), 10);
+  std::vector<std::vector<double>> reservoir(kRows);
+  Rng rng(32);
+  for (auto& row : reservoir) {
+    row.resize(kDim);
+    rng.fill_normal(row);
+  }
+  for (auto _ : state) {
+    const Matrix latent = pca.project_rows(kRows, [&](std::size_t i) {
+      return std::span<const double>(reservoir[i]);
+    });
+    benchmark::DoNotOptimize(latent.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRows * kDim * 8));
+}
+BENCHMARK(BM_ProjectRows)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 embed::UmapConfig umap_bench_config(embed::UmapConfig::Optimizer opt) {
   embed::UmapConfig config;

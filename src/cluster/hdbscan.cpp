@@ -7,6 +7,7 @@
 #include <numeric>
 #include <utility>
 
+#include "cluster/optics.hpp"
 #include "util/check.hpp"
 
 namespace arams::cluster {
@@ -63,20 +64,13 @@ HdbscanResult hdbscan(const Matrix& points, const HdbscanConfig& config) {
   ARAMS_CHECK(config.min_cluster_size >= 2, "min_cluster_size must be >= 2");
 
   // --- 1. core distances -------------------------------------------------
-  std::vector<double> core(n);
-  {
-    std::vector<double> dists(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        dists[j] = (i == j) ? kInf : euclidean(points, i, j);
-      }
-      std::nth_element(
-          dists.begin(),
-          dists.begin() + static_cast<std::ptrdiff_t>(config.min_samples - 1),
-          dists.end());
-      core[i] = dists[config.min_samples - 1];
-    }
-  }
+  // The pass OPTICS runs, with the per-pair scalar arithmetic of
+  // euclidean() below (sqrt is monotone and correctly rounded, so the
+  // min_samples-th smallest distance is the root of the min_samples-th
+  // smallest d²). It refuses a NaN or ±inf point, naming its row and
+  // column.
+  const std::vector<double> core =
+      core_distances(points, config.min_samples, {.use_gemm = false});
 
   // --- 2+3. MST of the mutual-reachability graph (Prim, dense) ----------
   std::vector<MstEdge> mst;

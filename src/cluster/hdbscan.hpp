@@ -37,7 +37,10 @@ struct HdbscanResult {
 };
 
 /// Runs HDBSCAN* over Euclidean points (n×d). Requires
-/// n > min_samples and min_cluster_size >= 2.
+/// n > min_samples and min_cluster_size >= 2, and throws CheckError naming
+/// the row and column of a NaN or ±inf point. The core distances come from
+/// cluster::core_distances (the pass OPTICS runs, on the shared pool) with
+/// per-pair scalar arithmetic.
 HdbscanResult hdbscan(const linalg::Matrix& points,
                       const HdbscanConfig& config);
 

@@ -11,7 +11,6 @@
 #include <limits>
 #include <vector>
 
-#include "embed/ann/searcher.hpp"
 #include "embed/distance.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/workspace.hpp"
@@ -30,38 +29,45 @@ struct OpticsResult {
 };
 
 /// Runs OPTICS with brute-force range queries (O(n²) — the embeddings this
-/// pipeline clusters are 2-D and a few thousand points). Each visited
-/// point's full d² row comes from the shared engine as one 1×n block
-/// (embed/distance.hpp), with all point norms hoisted out of the traversal.
-/// The core distance is the square root of the (min_pts−1)-th smallest
-/// finite d² to another point, picked by embed::select_k. One fused pass
-/// over the unprocessed points then lowers their reachabilities through the
-/// visited point and picks the next point to visit: the smallest
-/// (reachability, index), or the smallest unprocessed index when no
-/// reachability is finite. There is no seed heap.
-/// sqrt is correctly rounded and monotone, and that lexicographic argmin is
-/// exactly the entry a lazy-deletion heap of (reachability, index) pops, so
-/// order, reachability and core distance equal the heap formulation of
-/// Ankerst et al. bit for bit. Range-query wall time per call (the d² row
-/// plus the core selection) accumulates into the
-/// "cluster.core_dist_seconds" histogram. The traversal is sequential, so
-/// the ordering is identical for any pool size.
+/// pipeline clusters are 2-D and a few thousand points), in two phases.
+///
+/// Phase one computes every core distance up front (core_distances below):
+/// a core distance does not depend on the visit order, so the rows run in
+/// bands on the shared pool. Phase two is the sequential traversal over a
+/// compacted live set of the unvisited points: each visit lowers the live
+/// reachabilities through the visited point, forming d² only where
+/// core(p) < reach(q), and picks the next point as the lexicographically
+/// smallest (reachability, index), +inf included. That is the entry a
+/// lazy-deletion heap of (reachability, index) pops next and, when no
+/// reachability is finite, the restart at the smallest unvisited index.
+/// Every d² is formed with the arithmetic of one
+/// NeighborSearcher::sq_dists_to row, so order, reachability and core
+/// distance equal the heap formulation of Ankerst et al. over those rows
+/// bit for bit, at any pool size and with or without allow_parallel.
+/// Throws CheckError naming the row and column of a NaN or ±inf point.
+/// The wall time of phase one goes to the "cluster.core_dist_seconds"
+/// histogram.
 OpticsResult optics(const linalg::Matrix& points, const OpticsConfig& config);
 
-/// Workspace-backed variant: the range-query block and point norms come
-/// from `ws`. `opts.use_gemm = false` reproduces the historical per-pair
-/// scalar arithmetic bit for bit.
+/// Workspace-backed variant: the transposed points, norms and live-set
+/// arrays come from `ws`, so repeated calls at one size do not allocate
+/// them. `opts.use_gemm = false` reproduces the historical per-pair scalar
+/// arithmetic bit for bit; `opts.allow_parallel = false` keeps phase one
+/// on the calling thread.
 OpticsResult optics(const linalg::Matrix& points, const OpticsConfig& config,
                     linalg::Workspace& ws,
                     const embed::DistanceOptions& opts = {});
 
-/// Searcher-backed variant: range queries go through
-/// NeighborSearcher::sq_dists_to over the index's stored points (the two
-/// overloads above delegate here with a local `exact` index). An exact
-/// index reproduces the historical arithmetic bit for bit.
-OpticsResult optics(embed::NeighborSearcher& index, const OpticsConfig& config,
-                    linalg::Workspace& ws,
-                    const embed::DistanceOptions& opts = {});
+/// Core distance of every point: the square root of the k-th smallest d²
+/// from the point to another one, the self pair excluded (OPTICS takes
+/// k = min_pts − 1, HDBSCAN k = min_samples). d² has the arithmetic of
+/// one NeighborSearcher::sq_dists_to row under `opts`, and the rows run in
+/// bands on the shared pool unless `opts.allow_parallel` is false; the
+/// result is the same bits either way. Requires 1 <= k < n, and throws
+/// CheckError naming the row and column of a NaN or ±inf point.
+std::vector<double> core_distances(const linalg::Matrix& points,
+                                   std::size_t k,
+                                   const embed::DistanceOptions& opts = {});
 
 /// ε-cut extraction: walking the ordering, a point with reachability > eps
 /// starts a new cluster if it is a core point at eps, else is noise (-1).

@@ -39,19 +39,13 @@ class PointStoreSearcher : public NeighborSearcher {
 
  protected:
   /// Copies `points` into the store and hoists the squared row norms.
-  /// Throws CheckError on a non-finite coordinate (check_finite).
+  /// Throws CheckError on a non-finite coordinate (embed::check_finite).
   void store_points(const linalg::Matrix& points);
 
   /// Appends rows (grow-only reshape: existing rows stay in place) and
   /// extends the norm cache. Throws CheckError, leaving the index as it
   /// was, on a non-finite coordinate.
   void append_rows(linalg::MatrixView rows);
-
-  /// Throws CheckError naming `what` and the row and column of the first
-  /// NaN or ±inf in `rows`. Every entry point that takes points calls it:
-  /// the distance fix-up max(0, ‖x‖² + ‖y‖² − 2g) turns a NaN into 0, so a
-  /// non-finite row would otherwise sit at distance 0 from every point.
-  static void check_finite(linalg::MatrixView rows, const char* what);
 
   /// Throws CheckError unless 1 <= k <= size() (external queries) or
   /// 1 <= k < size() (`self_excluded`, the graph path), with the values in

@@ -39,21 +39,6 @@ namespace ann {
 PointStoreSearcher::PointStoreSearcher(AnnConfig config)
     : config_(std::move(config)) {}
 
-void PointStoreSearcher::check_finite(linalg::MatrixView rows,
-                                      const char* what) {
-  for (std::size_t i = 0; i < rows.rows(); ++i) {
-    const std::span<const double> row = rows.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      if (!std::isfinite(row[j])) {
-        ARAMS_CHECK(false, std::string(what) + ": non-finite value " +
-                               std::to_string(row[j]) + " at row " +
-                               std::to_string(i) + ", column " +
-                               std::to_string(j));
-      }
-    }
-  }
-}
-
 void PointStoreSearcher::store_points(const linalg::Matrix& points) {
   ARAMS_CHECK(points.rows() >= 1 && points.cols() >= 1,
               "NeighborSearcher::build needs a non-empty point matrix");

@@ -1,8 +1,7 @@
 #pragma once
 // embed::NeighborSearcher — the one seam every nearest-neighbour consumer
-// sits behind (UMAP fuzzy graphs and out-of-sample transforms, OPTICS range
-// queries, FastABOD, k-means++ seeding, the streaming monitor's snapshot
-// index).
+// sits behind (UMAP fuzzy graphs and out-of-sample transforms, FastABOD,
+// k-means++ seeding, the streaming monitor's snapshot index).
 //
 // The motivation mirrors the core::Sketcher seam: exact kNN — even GEMM-
 // blocked — is O(n²) and is the scaling cliff for million-point runs, and
@@ -125,7 +124,8 @@ class NeighborSearcher {
 
   /// Exact squared distances from one external point to every indexed
   /// point (`out.size() == size()`), through the prenormed GEMM engine —
-  /// the range-query primitive OPTICS and k-means++ seeding consume.
+  /// the range-query primitive k-means++ seeding consumes. OPTICS forms
+  /// each d² with this row's arithmetic without an index.
   virtual void sq_dists_to(std::span<const double> point,
                            linalg::Workspace& ws, std::span<double> out,
                            const DistanceOptions& opts = {}) const = 0;

@@ -1,6 +1,8 @@
 #include "embed/distance.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
@@ -20,6 +22,20 @@ double sq_dist(std::span<const double> a, std::span<const double> b) {
     s += d * d;
   }
   return s;
+}
+
+void check_finite(MatrixView rows, const char* what) {
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    const std::span<const double> row = rows.row(i);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      if (!std::isfinite(row[j])) {
+        ARAMS_CHECK(false, std::string(what) + ": non-finite value " +
+                               std::to_string(row[j]) + " at row " +
+                               std::to_string(i) + ", column " +
+                               std::to_string(j));
+      }
+    }
+  }
 }
 
 void row_sq_norms(MatrixView a, std::span<double> out) {
@@ -82,7 +98,7 @@ void pairwise_gemm(MatrixView x, MatrixView y,
       const double xn = x_sq_norms[i];
       double* row = out.data() + i * n;
       for (std::size_t j = 0; j < n; ++j) {
-        row[j] = std::max(0.0, xn + y_sq_norms[j] - 2.0 * row[j]);
+        row[j] = gram_sq_dist(xn, y_sq_norms[j], row[j]);
       }
     }
   };

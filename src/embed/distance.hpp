@@ -26,6 +26,7 @@
 //
 // Telemetry: every GEMM-backed block bumps "embed.distance_gemm_count".
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -47,6 +48,22 @@ struct DistanceOptions {
   bool allow_parallel = true;
 };
 
+/// The engine's fix-up from a Gram value g = x·y to d² = ‖x − y‖²:
+/// max(0, ‖x‖² + ‖y‖² − 2g), the clamp absorbing the tiny negatives that
+/// cancellation leaves at exact zeros. Every consumer that fuses the
+/// fix-up into its own pass calls this, so all of them form d² with the
+/// one expression `pairwise_sq_dists*` uses.
+inline double gram_sq_dist(double x_sq_norm, double y_sq_norm, double g) {
+  return std::max(0.0, x_sq_norm + y_sq_norm - 2.0 * g);
+}
+
+/// Throws CheckError naming `what` and the row and column of the first NaN
+/// or ±inf in `rows`. Every point set entering a distance consumer
+/// (searcher build/insert/query, OPTICS, HDBSCAN) goes through it: the
+/// fix-up above turns a NaN into 0, so a non-finite row would otherwise sit
+/// at distance 0 from every point.
+void check_finite(linalg::MatrixView rows, const char* what);
+
 /// out[i] = ‖a.row(i)‖². `out.size()` must equal `a.rows()`.
 void row_sq_norms(linalg::MatrixView a, std::span<double> out);
 
@@ -58,7 +75,7 @@ void pairwise_sq_dists(linalg::MatrixView x, linalg::MatrixView y,
 
 /// Same, with caller-precomputed squared row norms — the hoisted form for
 /// loops that stream many query blocks against one reference set (blocked
-/// kNN, OPTICS range queries, k-means assignment sweeps).
+/// kNN, k-means assignment sweeps).
 void pairwise_sq_dists_prenormed(linalg::MatrixView x, linalg::MatrixView y,
                                  std::span<const double> x_sq_norms,
                                  std::span<const double> y_sq_norms,
@@ -69,8 +86,7 @@ void pairwise_sq_dists_prenormed(linalg::MatrixView x, linalg::MatrixView y,
 /// same telemetry counter), with *no* norm fix-up. For consumers that fuse
 /// the ‖x‖² + ‖y‖² − 2g fix-up into their own consumption pass (the blocked
 /// kNN selection does this) so the block is traversed once instead of
-/// twice. Apply the fix-up as `max(0.0, xn + yn - 2.0 * g)` — the exact
-/// expression `pairwise_sq_dists*` uses — to keep results identical.
+/// twice. Apply the fix-up with gram_sq_dist to keep results identical.
 void pairwise_gram(linalg::MatrixView x, linalg::MatrixView y,
                    linalg::Matrix& out);
 

@@ -154,7 +154,7 @@ void exact_knn(const Matrix& points, std::size_t k, linalg::Workspace& ws,
         if (opts.use_gemm) {
           const double qn = norms[self];
           select_row(n, self, k, self, g, [&](std::size_t j) {
-            return std::max(0.0, qn + norms[j] - 2.0 * row[j]);
+            return gram_sq_dist(qn, norms[j], row[j]);
           });
         } else {
           select_row(n, self, k, self, g,
@@ -253,8 +253,7 @@ void descent_iterations(const Matrix& points, std::vector<NeighborList>& lists,
       const auto pair_dist = [&](std::size_t pa, std::size_t pb, std::size_t a,
                                  std::size_t b) {
         if (use_gram) {
-          return std::max(0.0,
-                          gram(pa, pa) + gram(pb, pb) - 2.0 * gram(pa, pb));
+          return gram_sq_dist(gram(pa, pa), gram(pb, pb), gram(pa, pb));
         }
         return sq_dist(points.row(a), points.row(b));
       };

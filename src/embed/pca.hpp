@@ -37,14 +37,13 @@ class PcaProjector {
   [[nodiscard]] linalg::Matrix project(const linalg::Matrix& x) const;
 
   /// project() of the n×dim() matrix whose i-th row is row(i), without
-  /// building that matrix: the rows are gathered a block at a time into
-  /// `block` (the caller's, so repeated projections reuse it) and
-  /// projected block by block. Bitwise equal to project() of the whole
-  /// matrix.
+  /// building or gathering that matrix: one GEMM reads the rows in place
+  /// (linalg::matmul_nt over row pointers), in row bands on the shared
+  /// pool. Bitwise equal to project() of the whole matrix at any pool
+  /// size. The rows must stay valid for the call.
   [[nodiscard]] linalg::Matrix project_rows(
       std::size_t n,
-      const std::function<std::span<const double>(std::size_t)>& row,
-      linalg::Matrix& block) const;
+      const std::function<std::span<const double>(std::size_t)>& row) const;
 
   /// Reconstructs latent rows back into data space (n×k → n×d).
   [[nodiscard]] linalg::Matrix reconstruct(const linalg::Matrix& z) const;

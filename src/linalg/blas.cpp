@@ -78,8 +78,7 @@ namespace {
 // micro-kernel keeps MR C-rows live and reads each packed B element once
 // per MR rows instead of once per row, cutting B traffic MR-fold. A row's
 // result depends only on its MR-aligned tile, so row blocks that start at
-// multiples of MR reproduce the whole product bitwise
-// (PcaProjector::project_rows relies on this).
+// multiples of MR reproduce the whole product bitwise.
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 512;
 constexpr std::size_t kMr = 4;
@@ -143,15 +142,28 @@ void pack_b_panel(const T* b, std::size_t brs, std::size_t bcs,
   }
 }
 
-/// Packs rows [i, i+mr) × cols [pc, pc+kb) of Aop into dst, mr rows of kb
-/// contiguous doubles. Aop(i, p) = a[i·ars + p·acs]. Same widening story
-/// as pack_b_panel.
+/// Where the GEMM reads Aop: Aop(i, p) = a[i·rs + p·cs], or, when `rows`
+/// is set, rows[i][p·cs] (the rows of a matrix that is never formed).
 template <typename T>
-void pack_a_panel(const T* a, std::size_t ars, std::size_t acs,
-                  std::size_t i, std::size_t pc, std::size_t mr,
-                  std::size_t kb, double* dst) {
+struct ASource {
+  const T* a;
+  std::size_t rs;
+  std::size_t cs;
+  const T* const* rows = nullptr;
+
+  [[nodiscard]] const T* row(std::size_t i) const {
+    return rows != nullptr ? rows[i] : a + i * rs;
+  }
+};
+
+/// Packs rows [i, i+mr) × cols [pc, pc+kb) of Aop into dst, mr rows of kb
+/// contiguous doubles. Same widening story as pack_b_panel.
+template <typename T>
+void pack_a_panel(const ASource<T>& a, std::size_t i, std::size_t pc,
+                  std::size_t mr, std::size_t kb, double* dst) {
+  const std::size_t acs = a.cs;
   for (std::size_t r = 0; r < mr; ++r) {
-    const T* src = a + (i + r) * ars + pc * acs;
+    const T* src = a.row(i + r) + pc * acs;
     double* out = dst + r * kb;
     if (acs == 1) {
       if constexpr (std::is_same_v<T, double>) {
@@ -184,6 +196,35 @@ constexpr std::size_t kJr = 8;
 typedef double v4df __attribute__((vector_size(32), aligned(8)));
 
 inline v4df v4_broadcast(double x) { return v4df{x, x, x, x}; }
+
+/// One C row of a kb-long k panel: c[j] = Σ_p a[p]·bp[p·ldb + j] for
+/// j < jb, summed from +0.0 in p order (stored when `first`, else added).
+/// This is the micro-kernel's generic tail row and all of matmul_nt_row.
+/// It is kept as one out-of-line body (never inlined or cloned) so both
+/// callers run the same machine code: the compiler decides how to
+/// contract the reduction (GCC 12 at x86-64-v3 sums pairs of unfused
+/// products and fuses the last product of an odd-length panel), and both
+/// get that same decision.
+#if defined(__clang__)
+[[gnu::noinline]]
+#else
+[[gnu::noipa]]
+#endif
+void row_panel(const double* a, std::size_t kb, const double* bp,
+               std::size_t ldb, std::size_t jb, double* c, bool first) {
+  for (std::size_t j = 0; j < jb; ++j) {
+    double s = 0.0;
+    const double* b = bp + j;
+    for (std::size_t p = 0; p < kb; ++p, b += ldb) {
+      s += a[p] * *b;
+    }
+    if (first) {
+      c[j] = s;
+    } else {
+      c[j] += s;
+    }
+  }
+}
 
 /// C rows [i, i+mr): mr×jb tile accumulated from a packed mr×kb A panel and
 /// a packed kb×jb B panel. The mr == kMr fast path walks jb in kJr-wide
@@ -268,26 +309,15 @@ void micro_kernel(const double* am, std::size_t kb, const double* bp,
     return;
   }
   for (std::size_t r = 0; r < mr; ++r) {
-    double* c = c0 + r * ldc;
-    const double* ar = am + r * kb;
-    for (std::size_t j = 0; j < jb; ++j) {
-      double s = 0.0;
-      const double* b = bp + j;
-      for (std::size_t p = 0; p < kb; ++p, b += jb) {
-        s += ar[p] * *b;
-      }
-      if (first) {
-        c[j] = s;
-      } else {
-        c[j] += s;
-      }
-    }
+    row_panel(am + r * kb, kb, bp, jb, jb, c0 + r * ldc, first);
   }
 }
 
-/// out = Aop · Bop where Aop(i,p) = a[i·ars + p·acs] (m×k) and
+/// out = Aop · Bop where Aop (m×k) is read through `a` (ASource) and
 /// Bop(p,j) = b[p·brs + j·bcs] (k×n). One strided entry point serves NN,
-/// TN and NT products — only the stride pairs differ. Operand element
+/// TN and NT products — only the stride pairs differ — and products over
+/// rows given by pointer. A is only ever read by pack_a_panel, so where
+/// its rows live cannot change a result. Operand element
 /// types are template parameters: fp32 operands widen at packing time, the
 /// micro-kernel and accumulation order never change.
 ///
@@ -305,9 +335,8 @@ void micro_kernel(const double* am, std::size_t kb, const double* bp,
 /// all three, so results are bitwise identical at any pool size.
 template <typename TA, typename TB>
 void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
-                  const TA* a, std::size_t ars, std::size_t acs,
-                  const TB* b, std::size_t brs, std::size_t bcs,
-                  Matrix& out) {
+                  const ASource<TA>& a, const TB* b, std::size_t brs,
+                  std::size_t bcs, Matrix& out) {
   out.reshape(m, n);
   if (m == 0 || n == 0 || k == 0) {
     out.fill(0.0);
@@ -326,7 +355,7 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
     const std::size_t i1 = std::min(t1 * kMr, m);
     for (std::size_t i = t0 * kMr; i < i1; i += kMr) {
       const std::size_t mr = std::min(kMr, i1 - i);
-      pack_a_panel(a, ars, acs, i, pc, mr, kb, abuf.data());
+      pack_a_panel(a, i, pc, mr, kb, abuf.data());
       micro_kernel(abuf.data(), kb, bp, jb, c + i * n + jc, n, mr, pc == 0);
     }
   };
@@ -376,6 +405,14 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
       });
     }
   }
+}
+
+/// Aop(i,p) = a[i·ars + p·acs].
+template <typename TA, typename TB>
+void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const TA* a,
+                  std::size_t ars, std::size_t acs, const TB* b,
+                  std::size_t brs, std::size_t bcs, Matrix& out) {
+  gemm_strided(m, n, k, ASource<TA>{a, ars, acs}, b, brs, bcs, out);
 }
 
 /// Symmetric product helper: fills the upper triangle of out (n×n) with
@@ -518,6 +555,29 @@ Matrix matmul_nt(MatrixView a, MatrixView b) {
   Matrix out;
   matmul_nt(a, b, out);
   return out;
+}
+
+void matmul_nt(std::span<const double* const> rows, MatrixView b,
+               Matrix& out) {
+  gemm_strided(rows.size(), b.rows(), b.cols(),
+               ASource<double>{nullptr, 0, 1, rows.data()}, b.data(), 1,
+               b.cols(), out);
+}
+
+void matmul_nt_row(std::span<const double> a, const double* bt,
+                   std::size_t ldb, std::span<double> out) {
+  ARAMS_CHECK(ldb >= out.size(), "matmul_nt_row stride below row length");
+  const std::size_t k = a.size();
+  if (k == 0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  // The k panels of gemm_strided, each one row_panel call as in its
+  // one-row tiles; column blocking does not change any element's sum.
+  for (std::size_t pc = 0; pc < k; pc += kKc) {
+    row_panel(a.data() + pc, std::min(kKc, k - pc), bt + pc * ldb, ldb,
+              out.size(), out.data(), pc == 0);
+  }
 }
 
 void gram_rows(MatrixView a, Matrix& out) {

@@ -84,6 +84,22 @@ void matmul_tn(MatrixView a, MatrixViewF b, Matrix& out);
 Matrix matmul_nt(MatrixView a, MatrixView b);
 void matmul_nt(MatrixView a, MatrixView b, Matrix& out);
 
+/// matmul_nt over rows given by pointer: out = A·Bᵀ, where row i of A is
+/// the b.cols() doubles at rows[i]. Bitwise equal to matmul_nt of the
+/// matrix those rows form, at any pool size, without forming it: A is read
+/// only where the GEMM packs its 4-row panels.
+void matmul_nt(std::span<const double* const> rows, MatrixView b,
+               Matrix& out);
+
+/// One row of matmul_nt with B supplied transposed: out[j] = a·B(j, :) for
+/// j < out.size(), where bt holds B's a.size() columns as rows of stride
+/// ldb >= out.size() (B(j, p) = bt[p·ldb + j]). Bitwise equal to row 0 of
+/// matmul_nt(a, B) on any compiler: the same 256-wide k panels, each
+/// summed by the one compiled loop the GEMM runs for its one-row tiles.
+/// Serial; callers that need many rows fan them out themselves.
+void matmul_nt_row(std::span<const double> a, const double* bt,
+                   std::size_t ldb, std::span<double> out);
+
 /// Gram matrix G = A * Aᵀ (m×m, symmetric). Only the upper triangle is
 /// computed (4×4 dot tiles); the lower is mirrored afterwards.
 Matrix gram_rows(MatrixView a);

@@ -64,9 +64,8 @@ inline constexpr std::size_t kDistXNorms = 6;   ///< vec slot: query ‖·‖²
 inline constexpr std::size_t kDistYNorms = 7;   ///< vec slot: reference ‖·‖²
 // Approximate-NN layer (embed/ann/). Searcher queries nest on top of the
 // distance engine (whose kernels consume the kDist* ids above) and inside
-// consumers that hold live kDist* references of their own (OPTICS keeps a
-// distance row, ABOD a neighbour Gram), so the ANN scratch claims fresh
-// ids at every arena.
+// consumers that hold live kDist* references of their own (ABOD keeps a
+// neighbour Gram), so the ANN scratch claims fresh ids at every arena.
 inline constexpr std::size_t kAnnBlock = 11;   ///< query-vs-index d²/Gram block
 inline constexpr std::size_t kAnnGather = 12;  ///< gathered candidate rows
 inline constexpr std::size_t kAnnGram = 13;    ///< leaf/candidate Gram matrix
@@ -93,6 +92,15 @@ inline constexpr std::size_t kProbeG = 19;     ///< ν×n Gaussian probes G
 inline constexpr std::size_t kProbeY = 20;     ///< Y = G·X
 inline constexpr std::size_t kProbeC = 21;     ///< C = Y·Vᵀ
 inline constexpr std::size_t kProbeYhat = 22;  ///< Ŷ = C·V
+// OPTICS (cluster/optics.cpp): the point set both passes read, then the
+// traversal's compacted live set. The snapshot arena that hands OPTICS its
+// workspace also runs the distance and ANN layers, so these ids are fresh.
+inline constexpr std::size_t kOpticsCols = 23;   ///< points transposed, d×n
+inline constexpr std::size_t kOpticsNorms = 11;  ///< vec slot: ‖·‖² per point
+inline constexpr std::size_t kOpticsReach = 12;  ///< vec slot: live reachability
+inline constexpr std::size_t kOpticsGram = 13;   ///< vec slot: visit Gram row
+inline constexpr std::size_t kOpticsBound = 14;  ///< vec slot: live d² bounds
+inline constexpr std::size_t kOpticsIndex = 2;   ///< idx slot: live point ids
 }  // namespace wslot
 
 class Workspace {

@@ -280,8 +280,7 @@ Matrix StreamingMonitor::project_reservoir(
       reservoir_.size(),
       [this](std::size_t i) {
         return std::span<const double>(reservoir_[i].second);
-      },
-      reservoir_block_);
+      });
 }
 
 SnapshotResult StreamingMonitor::snapshot() {

@@ -152,12 +152,12 @@ class StreamingMonitor {
 
  private:
   void update_sketch();
-  /// The reservoir, oldest first, projected through `pca` block by block
+  /// The reservoir, oldest first, projected through `pca` in place
   /// (PcaProjector::project_rows); appends the matching shot ids to
   /// `shot_ids`.
   linalg::Matrix project_reservoir(const embed::PcaProjector& pca,
                                    std::vector<std::uint64_t>& shot_ids);
-  /// Non-const: OPTICS draws its distance rows from snapshot_ws_.
+  /// Non-const: OPTICS draws its scratch from snapshot_ws_.
   void cluster_snapshot(SnapshotResult& out);
   /// Feeds one HealthSample; `with_numerics` additionally runs the
   /// basis-dependent checks (error estimate, orthogonality residual)
@@ -189,16 +189,10 @@ class StreamingMonitor {
   std::size_t dim_ = 0;
   /// Scratch for the whole snapshot path — the PCA rebuild (Gram,
   /// eigensolver, SVD factors) and the downstream distance engine (kNN
-  /// blocks, UMAP transform, OPTICS range queries) share one arena via
+  /// blocks, UMAP transform, OPTICS scratch) share one arena via
   /// disjoint slot ranges. Persists across snapshots so refreshes stop
   /// allocating.
   linalg::Workspace snapshot_ws_;
-  /// One block of reservoir rows on their way through the snapshot's PCA
-  /// projection, kept across snapshots. Copying the whole reservoir into a
-  /// fresh matrix instead cost a reservoir-sized allocation per refresh
-  /// (151 MB for 4608 frames of 64×64) and 37k first-touch page faults,
-  /// 80–110 ms on a 4-vCPU VM and varying with the host.
-  linalg::Matrix reservoir_block_;
 
   /// Reference from the last full snapshot (for incremental mode). Grows:
   /// each incremental refresh appends its freshly placed shots, so later

@@ -303,6 +303,61 @@ TEST(BlasParallel, BelowThresholdStaysSequential) {
   EXPECT_LE(relative_frobenius_error(c, naive_matmul(a, b)), 1e-12);
 }
 
+TEST(Blas, MatmulNtRowIsRowOfMatmulNt) {
+  // matmul_nt_row runs the GEMM's own one-row loop, so it equals a one-row
+  // matmul_nt bit for bit whatever the compiler does with that loop,
+  // including k = 3 and 17, where GCC at x86-64-v3 fuses the last product
+  // of an odd-length panel, and k past one 256-wide panel. A stride above
+  // the row length reads a prefix of each column of Bᵀ.
+  Rng rng(17);
+  for (const std::size_t k : {1u, 2u, 3u, 17u, 255u, 256u, 257u, 300u,
+                              600u}) {
+    for (const std::size_t n : {1u, 9u, 700u}) {
+      const Matrix a = random_matrix(1, k, rng);
+      const Matrix b = random_matrix(n, k, rng);
+      const Matrix want = matmul_nt(a, b);
+      const std::size_t ldb = n + 5;
+      std::vector<double> bt(k * ldb, 0.0);
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t p = 0; p < k; ++p) bt[p * ldb + j] = b(j, p);
+      }
+      std::vector<double> got(n);
+      matmul_nt_row(a.row(0), bt.data(), ldb, got);
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(got[j], want(0, j)) << "k=" << k << ", n=" << n
+                                      << ", j=" << j;
+      }
+    }
+  }
+}
+
+TEST(Blas, MatmulNtOverRowPointersIsBitwise) {
+  // Rows read in place, in any order, give the bits of the product of
+  // the matrix they form: serial, and above the pool threshold.
+  Rng rng(18);
+  for (const std::size_t m : {1u, 6u, 403u}) {
+    const Matrix a = random_matrix(m, 3000, rng);
+    const Matrix b = random_matrix(10, 3000, rng);
+    std::vector<std::vector<double>> copies(m);
+    std::vector<const double*> rows(m);
+    Matrix stacked(m, a.cols());
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t src = (i * 7) % m;
+      copies[i].assign(a.row(src).begin(), a.row(src).end());
+      rows[i] = copies[i].data();
+      stacked.set_row(i, a.row(src));
+    }
+    const Matrix want = matmul_nt(stacked, b);
+    Matrix got;
+    matmul_nt(rows, b, got);
+    ASSERT_EQ(got.rows(), m);
+    ASSERT_EQ(got.cols(), b.rows());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got.data()[i], want.data()[i]) << "m=" << m << " at " << i;
+    }
+  }
+}
+
 TEST(Blas, MatmulAssociativityProperty) {
   Rng rng(77);
   const Matrix a = random_matrix(4, 5, rng);

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <string>
 
 #include "cluster/hdbscan.hpp"
 #include "cluster/metrics.hpp"
@@ -164,6 +166,97 @@ TEST(Hdbscan, LabelsCoverExactlySelectedClusters) {
   EXPECT_EQ(r.num_clusters, 4u);
   for (int k = 0; k < 4; ++k) {
     EXPECT_GE(counts[k], 15);
+  }
+}
+
+/// HDBSCAN's core-distance loop from before it called
+/// cluster::core_distances, kept verbatim as the bitwise reference: a full
+/// row of square-rooted per-pair scalar distances per point, self at +inf,
+/// then nth_element.
+std::vector<double> reference_core_distances(const Matrix& points,
+                                             std::size_t min_samples) {
+  const auto euclidean = [&](std::size_t a, std::size_t b) {
+    double s = 0.0;
+    const auto ra = points.row(a);
+    const auto rb = points.row(b);
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      const double d = ra[i] - rb[i];
+      s += d * d;
+    }
+    return std::sqrt(s);
+  };
+  const std::size_t n = points.rows();
+  std::vector<double> core(n);
+  std::vector<double> dists(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      dists[j] = (i == j) ? std::numeric_limits<double>::infinity()
+                          : euclidean(i, j);
+    }
+    std::nth_element(
+        dists.begin(),
+        dists.begin() + static_cast<std::ptrdiff_t>(min_samples - 1),
+        dists.end());
+    core[i] = dists[min_samples - 1];
+  }
+  return core;
+}
+
+TEST(Hdbscan, CoreDistancesMatchTheRowLoopBitwise) {
+  // The pass HDBSCAN now calls, with its scalar arithmetic, against the
+  // loop it replaced: equal bits on blobs with noise, on repeated points
+  // (ties), and on 600 points, where the pass runs on the pool unless
+  // allow_parallel is off.
+  Matrix repeated = blobs({{0, 0}, {6, 0}}, {0.7, 0.3}, {20, 20}, 11);
+  for (std::size_t i = 0; i < repeated.rows(); i += 3) {
+    repeated.set_row(i, repeated.row(i / 2));
+  }
+  const std::vector<Matrix> sets = {
+      blobs({{0, 0}, {20, 0}, {0, 20}}, {0.5, 1.5, 3.0}, {30, 30, 30}, 10,
+            /*noise_points=*/12),
+      repeated,
+      blobs({{0, 0}, {12, 0}, {0, 12}, {12, 12}}, {0.6, 1.0, 1.4, 2.0},
+            {150, 150, 150, 150}, 12)};
+  for (const Matrix& pts : sets) {
+    for (const std::size_t min_samples : {1u, 2u, 5u, 16u}) {
+      const std::vector<double> want =
+          reference_core_distances(pts, min_samples);
+      for (const bool allow_parallel : {true, false}) {
+        const std::vector<double> got = core_distances(
+            pts, min_samples,
+            {.use_gemm = false, .allow_parallel = allow_parallel});
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i], want[i])
+              << "n=" << pts.rows() << ", min_samples=" << min_samples
+              << ", point " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Hdbscan, RejectsNonFinitePointsNamingRowAndColumn) {
+  // A NaN would make NaN distances, which nth_element cannot order (not a
+  // strict weak ordering); any NaN or ±inf coordinate is refused instead.
+  const Matrix pts = blobs({{0, 0}, {20, 0}}, {0.5, 0.5}, {10, 10}, 13);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (std::size_t col = 0; col < 2; ++col) {
+      Matrix broken = pts;
+      broken(7, col) = bad;
+      try {
+        (void)hdbscan(broken, HdbscanConfig{3, 5});
+        ADD_FAILURE() << "value " << bad << " in column " << col
+                      << " was accepted";
+      } catch (const CheckError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("row 7, column " + std::to_string(col)),
+                  std::string::npos)
+            << msg;
+      }
+    }
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <queue>
@@ -13,6 +15,10 @@
 
 #include "cluster/metrics.hpp"
 #include "cluster/optics.hpp"
+#include "embed/ann/searcher.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
+#include "rerun_self.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -20,6 +26,12 @@ namespace arams::cluster {
 namespace {
 
 using linalg::Matrix;
+
+// The parity sweep runs at pool size 4 in this process (the core pass
+// fans out on the shared pool, whose size is read once, before first use)
+// and at pool size 1 in a child (SweepHoldsOnAOneThreadPool). An explicit
+// ARAMS_POOL_THREADS wins.
+const int g_pool_env = ::setenv("ARAMS_POOL_THREADS", "4", 0);
 
 /// Three tight blobs at prescribed centers, plus optional far noise points.
 Matrix blobs(std::size_t per_cluster, double spread, std::uint64_t seed,
@@ -451,7 +463,80 @@ Matrix disconnected_components() {
   return pts;
 }
 
-enum class ParitySet { kBlobsWithNoise, kDuplicates, kDisconnected };
+/// Three blobs in `dim` dimensions (centers 10 apart on the first three
+/// axes, or as many as there are), noise points far off, and every
+/// seventh point repeated so equal distances occur at this width too.
+Matrix blobs_in(std::size_t dim, std::size_t per_cluster, std::uint64_t seed) {
+  const std::size_t clustered = 3 * per_cluster;
+  const std::size_t noise = 6;
+  const std::size_t copies = clustered / 7;
+  Matrix pts(clustered + noise + copies, dim);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < clustered; ++i) {
+    const std::size_t c = i / per_cluster;
+    for (std::size_t t = 0; t < dim; ++t) {
+      const double center = (t == c % dim && c > 0) ? 10.0 : 0.0;
+      pts(i, t) = center + 0.4 * rng.normal();
+    }
+  }
+  for (std::size_t i = 0; i < noise; ++i) {
+    for (std::size_t t = 0; t < dim; ++t) {
+      pts(clustered + i, t) = rng.uniform(30.0, 60.0);
+    }
+  }
+  for (std::size_t i = 0; i < copies; ++i) {
+    pts.set_row(clustered + noise + i, pts.row(7 * i));
+  }
+  return pts;
+}
+
+/// A 2-D embedding at the size the core pass fans out at (1000 points,
+/// 10⁶ pairs): five blobs of different spreads, like a UMAP picture of a
+/// run, plus a sprinkle of noise.
+Matrix large_embedding() {
+  const double centers[5][2] = {
+      {0.0, 0.0}, {8.0, 1.0}, {-3.0, 9.0}, {6.0, 10.0}, {14.0, -6.0}};
+  const double spreads[5] = {0.5, 0.8, 0.3, 1.2, 0.6};
+  Matrix pts(1000, 2);
+  Rng rng(97);
+  for (std::size_t i = 0; i < 960; ++i) {
+    const std::size_t c = i % 5;
+    pts(i, 0) = centers[c][0] + spreads[c] * rng.normal();
+    pts(i, 1) = centers[c][1] + spreads[c] * rng.normal();
+  }
+  for (std::size_t i = 960; i < 1000; ++i) {
+    pts(i, 0) = rng.uniform(-20.0, 30.0);
+    pts(i, 1) = rng.uniform(-20.0, 30.0);
+  }
+  return pts;
+}
+
+/// The original 2-D sets, then the width and size extensions: point
+/// dimensions 3, 17 and 300 (an odd k panel, and two panels of the
+/// GEMM's 256-wide k blocking), each also with a finite max_eps, the
+/// 1000-point embedding with and without one, and the blobs scaled to
+/// 1e-160 (reachabilities below 2⁻⁵⁰⁰, whose squares are subnormal) and
+/// to 1e150 (squares near the top of the range).
+enum class ParitySet {
+  kBlobsWithNoise,
+  kDuplicates,
+  kDisconnected,
+  kDim3,
+  kDim17,
+  kDim300,
+  kDim3Eps,
+  kDim17Eps,
+  kDim300Eps,
+  kLarge,
+  kLargeEps,
+  kTiny,
+  kHuge
+};
+
+Matrix scaled(Matrix pts, double factor) {
+  for (std::size_t i = 0; i < pts.size(); ++i) pts.data()[i] *= factor;
+  return pts;
+}
 
 /// (data set, min_pts with 0 meaning n, use_gemm, allow_parallel).
 using ParityParam = std::tuple<ParitySet, std::size_t, bool, bool>;
@@ -473,6 +558,47 @@ TEST_P(OpticsHeapParity, MatchesLazyHeapTraversalBitwise) {
       pts = disconnected_components();
       config.max_eps = 3.0;
       break;
+    case ParitySet::kDim3:
+    case ParitySet::kDim3Eps:
+      pts = blobs_in(3, 20, 51);
+      break;
+    case ParitySet::kDim17:
+    case ParitySet::kDim17Eps:
+      pts = blobs_in(17, 20, 52);
+      break;
+    case ParitySet::kDim300:
+    case ParitySet::kDim300Eps:
+      pts = blobs_in(300, 20, 53);
+      break;
+    case ParitySet::kLarge:
+    case ParitySet::kLargeEps:
+      pts = large_embedding();
+      break;
+    case ParitySet::kTiny:
+      pts = scaled(blobs(15, 0.4, 23, /*noise_points=*/6), 1e-160);
+      break;
+    case ParitySet::kHuge:
+      pts = scaled(blobs(15, 0.4, 23, /*noise_points=*/6), 1e150);
+      break;
+  }
+  switch (set) {
+    // Within a blob, d grows like sqrt(dim); these cut the sparse blob
+    // edges and the noise off, so some points are not core and the
+    // traversal restarts.
+    case ParitySet::kDim3Eps:
+      config.max_eps = 1.2;
+      break;
+    case ParitySet::kDim17Eps:
+      config.max_eps = 2.6;
+      break;
+    case ParitySet::kDim300Eps:
+      config.max_eps = 10.0;
+      break;
+    case ParitySet::kLargeEps:
+      config.max_eps = 0.6;
+      break;
+    default:
+      break;
   }
   config.min_pts = min_pts == 0 ? pts.rows() : min_pts;
   const embed::DistanceOptions opts{.use_gemm = use_gemm,
@@ -480,7 +606,7 @@ TEST_P(OpticsHeapParity, MatchesLazyHeapTraversalBitwise) {
   const OpticsResult want = reference_heap_optics(pts, config, opts);
   linalg::Workspace ws;
   expect_bitwise_equal(optics(pts, config, ws, opts), want);
-  if (set == ParitySet::kDisconnected && config.min_pts <= 5) {
+  if (std::isfinite(config.max_eps) && config.min_pts <= 5) {
     // The case covers what it claims: restarts, inf reachability beyond
     // the first point, and non-core points.
     const auto inf_reach = std::count_if(
@@ -496,7 +622,11 @@ TEST_P(OpticsHeapParity, MatchesLazyHeapTraversalBitwise) {
 
 std::string parity_name(const ::testing::TestParamInfo<ParityParam>& info) {
   const auto [set, min_pts, use_gemm, allow_parallel] = info.param;
-  const char* names[] = {"Blobs", "Duplicates", "Disconnected"};
+  const char* names[] = {"Blobs",   "Duplicates", "Disconnected",
+                         "Dim3",    "Dim17",      "Dim300",
+                         "Dim3Eps", "Dim17Eps",   "Dim300Eps",
+                         "Large",   "LargeEps",   "Tiny",
+                         "Huge"};
   return std::string(names[static_cast<int>(set)]) + "_MinPts" +
          (min_pts == 0 ? std::string("N") : std::to_string(min_pts)) +
          (use_gemm ? "_Gemm" : "_Scalar") +
@@ -512,6 +642,78 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{30}, std::size_t{0}),
                        ::testing::Bool(), ::testing::Bool()),
     parity_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, OpticsHeapParity,
+    ::testing::Combine(
+        ::testing::Values(ParitySet::kDim3, ParitySet::kDim17,
+                          ParitySet::kDim300, ParitySet::kDim3Eps,
+                          ParitySet::kDim17Eps, ParitySet::kDim300Eps,
+                          ParitySet::kLarge, ParitySet::kLargeEps,
+                          ParitySet::kTiny, ParitySet::kHuge),
+        ::testing::Values(std::size_t{5}, std::size_t{30}),
+        ::testing::Bool(), ::testing::Bool()),
+    parity_name);
+
+TEST(OpticsHeapParity, LowersReachabilityByUlps) {
+  // A visit that lowers a reachability by a few ulps must still take its
+  // square root: a is visited first and leaves q at reachability 1, then
+  // b, 2⁻⁵⁰ closer to q, lowers it to 1 − 2⁻⁵⁰ (q, far from the rest, is
+  // visited last). A bound on d² that let this slip would keep 1.
+  Matrix pts(4, 2);
+  pts(0, 0) = 1.0;                // a
+  pts(1, 0) = 1.0;                // a', keeps a's neighbourhood dense
+  pts(1, 1) = 1e-9;
+  pts(2, 0) = 1.0 - 0x1p-50;     // b
+  // pts row 3 is q at the origin.
+  for (const bool use_gemm : {true, false}) {
+    const embed::DistanceOptions opts{.use_gemm = use_gemm};
+    const OpticsConfig config{2};
+    const OpticsResult want = reference_heap_optics(pts, config, opts);
+    linalg::Workspace ws;
+    const OpticsResult got = optics(pts, config, ws, opts);
+    expect_bitwise_equal(got, want);
+    EXPECT_EQ(got.order.back(), 3u);
+    EXPECT_EQ(got.reachability[3], 1.0 - 0x1p-50) << "use_gemm " << use_gemm;
+  }
+}
+
+TEST(OpticsHeapParity, CorePassFansOutOnThePool) {
+  // At 10⁶ pairs the core pass runs its row bands as pool tasks, unless
+  // allow_parallel is off or the pool has one thread.
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  std::printf("pool threads %zu\n", threads);
+  // Counted before each task runs, so every count is in by the time the
+  // dispatching call returns.
+  const obs::Histogram& tasks =
+      obs::metrics().histogram("pool.task_wait_seconds");
+  const Matrix pts = large_embedding();
+  linalg::Workspace ws;
+  long before = tasks.count();
+  const OpticsResult pooled =
+      optics(pts, OpticsConfig{30}, ws, {.allow_parallel = true});
+  if (threads >= 2) {
+    EXPECT_GE(tasks.count() - before, static_cast<long>(threads));
+  } else {
+    EXPECT_EQ(tasks.count(), before);
+  }
+  before = tasks.count();
+  const OpticsResult serial =
+      optics(pts, OpticsConfig{30}, ws, {.allow_parallel = false});
+  EXPECT_EQ(tasks.count(), before);
+  expect_bitwise_equal(pooled, serial);
+}
+
+TEST(OpticsHeapParity, SweepHoldsOnAOneThreadPool) {
+  // The shared pool's size is fixed per process, so the pool-size-1 half
+  // of the sweep re-runs this binary's OpticsHeapParity tests with
+  // ARAMS_POOL_THREADS=1.
+  const test::ChildRun run = test::rerun_self(
+      "ARAMS_POOL_THREADS=1", "*OpticsHeapParity.*:-*OneThreadPool*");
+  EXPECT_EQ(run.status, 0) << run.output;
+  EXPECT_NE(run.output.find("pool threads 1\n"), std::string::npos)
+      << run.output;
+}
 
 TEST(OpticsHeapParity, DuplicatesProduceReachabilityTies) {
   // The duplicate set really exercises the index tie-break: some finite
@@ -544,29 +746,6 @@ TEST(OpticsHeapParity, WarmWorkspaceAcrossCalls) {
                                reference_heap_optics(*pts, config, opts));
         }
       }
-    }
-  }
-}
-
-TEST(OpticsHeapParity, RpforestSearcherOverload) {
-  // The searcher-backed overload over an rpforest index, grown by insert()
-  // as the streaming monitor grows its warm index.
-  const Matrix pts = blobs(60, 0.5, 43, /*noise_points=*/10);
-  const std::size_t head = 120;
-  Matrix first(head, 2);
-  for (std::size_t i = 0; i < head; ++i) first.set_row(i, pts.row(i));
-  const linalg::MatrixView rest(pts.row(head).data(), pts.rows() - head, 2);
-  for (const bool use_gemm : {true, false}) {
-    const embed::DistanceOptions opts{.use_gemm = use_gemm};
-    linalg::Workspace ws;
-    const auto index = embed::make_searcher("rpforest", /*seed=*/7);
-    index->build(first, ws, opts);
-    index->insert(rest, ws, opts);
-    for (const std::size_t min_pts : {2u, 5u, 30u}) {
-      const OpticsConfig config{min_pts};
-      const OpticsResult want =
-          reference_heap_optics(*index, config, ws, opts);
-      expect_bitwise_equal(optics(*index, config, ws, opts), want);
     }
   }
 }

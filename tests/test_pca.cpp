@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <vector>
 
 #include "core/fd.hpp"
 #include "data/synthetic.hpp"
@@ -10,6 +13,9 @@
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
+#include "rerun_self.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -17,6 +23,12 @@ namespace arams::embed {
 namespace {
 
 using linalg::Matrix;
+
+// project_rows runs on the shared pool, whose size is read once, before
+// first use: this process runs at pool size 4 and
+// ProjectRowsHoldsOnAOneThreadPool re-runs the check at pool size 1. An
+// explicit ARAMS_POOL_THREADS wins.
+const int g_pool_env = ::setenv("ARAMS_POOL_THREADS", "4", 0);
 
 TEST(Pca, EmptySketchThrows) {
   EXPECT_THROW(PcaProjector(Matrix(), 2), CheckError);
@@ -126,31 +138,60 @@ TEST(Pca, SingularValuesDescend) {
 }
 
 TEST(Pca, ProjectRowsIsBitwiseProject) {
-  // project_rows projects 64-row blocks; every row must come out bitwise
-  // as in one whole-matrix product. Covers n below, at and across the
-  // block size, a partial 4-row tile at the tail, one block matrix reused
-  // across calls, a width spanning several GEMM k panels, and a whole
-  // product large enough to run on the pool while the blocks run serially.
+  // project_rows runs one GEMM over rows read in place; every row must
+  // come out bitwise as in one whole-matrix product. Covers n below, at
+  // and across the 4-row tile with a partial tile at the tail, widths of
+  // several GEMM k panels (2000, and 16384 as in a 128×128 frame), rows
+  // held in separate vectors as in the monitor's reservoir, and products
+  // large enough to run on the pool.
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  std::printf("pool threads %zu\n", threads);
+  const obs::Counter& dispatches =
+      obs::metrics().counter("linalg.gemm_parallel_count");
   Rng rng(8);
-  Matrix sketch(12, 2000);
-  for (std::size_t i = 0; i < 12; ++i) rng.fill_normal(sketch.row(i));
-  const PcaProjector pca(sketch, 10);
-  Matrix block;
-  for (const std::size_t n : {std::size_t{1030}, std::size_t{7},
-                              std::size_t{64}, std::size_t{513}}) {
-    Matrix x(n, 2000);
-    for (std::size_t i = 0; i < n; ++i) rng.fill_normal(x.row(i));
-    const Matrix whole = pca.project(x);
-    const Matrix blocked = pca.project_rows(
-        n, [&](std::size_t i) { return std::span<const double>(x.row(i)); },
-        block);
-    ASSERT_EQ(blocked.rows(), whole.rows());
-    ASSERT_EQ(blocked.cols(), whole.cols());
-    for (std::size_t i = 0; i < whole.size(); ++i) {
-      ASSERT_EQ(blocked.data()[i], whole.data()[i])
-          << "n=" << n << ", element " << i;
+  for (const std::size_t dim : {std::size_t{2000}, std::size_t{16384}}) {
+    Matrix sketch(12, dim);
+    for (std::size_t i = 0; i < 12; ++i) rng.fill_normal(sketch.row(i));
+    const PcaProjector pca(sketch, 10);
+    const std::vector<std::size_t> sizes =
+        dim == 2000 ? std::vector<std::size_t>{1030, 7, 64, 513}
+                    : std::vector<std::size_t>{70, 3};
+    for (const std::size_t n : sizes) {
+      Matrix x(n, dim);
+      std::vector<std::vector<double>> rows(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        rng.fill_normal(x.row(i));
+        rows[i].assign(x.row(i).begin(), x.row(i).end());
+      }
+      const Matrix whole = pca.project(x);
+      const long before = dispatches.value();
+      const Matrix in_place = pca.project_rows(n, [&](std::size_t i) {
+        return std::span<const double>(rows[i]);
+      });
+      // 2·n·10·dim flops: the 1030- and 513-row and the 70-row wide
+      // products clear the GEMM's pool threshold.
+      if (threads >= 2 && n >= 70) {
+        EXPECT_GT(dispatches.value(), before) << "n=" << n;
+      }
+      ASSERT_EQ(in_place.rows(), whole.rows());
+      ASSERT_EQ(in_place.cols(), whole.cols());
+      for (std::size_t i = 0; i < whole.size(); ++i) {
+        ASSERT_EQ(in_place.data()[i], whole.data()[i])
+            << "dim=" << dim << ", n=" << n << ", element " << i;
+      }
     }
   }
+  EXPECT_THROW((void)PcaProjector(Matrix(2, 8), 1).project_rows(
+                   1, [](std::size_t) { return std::span<const double>(); }),
+               CheckError);
+}
+
+TEST(Pca, ProjectRowsHoldsOnAOneThreadPool) {
+  const test::ChildRun run = test::rerun_self(
+      "ARAMS_POOL_THREADS=1", "Pca.ProjectRowsIsBitwiseProject");
+  EXPECT_EQ(run.status, 0) << run.output;
+  EXPECT_NE(run.output.find("pool threads 1\n"), std::string::npos)
+      << run.output;
 }
 
 }  // namespace
