@@ -1,6 +1,6 @@
 // Micro-kernel benchmarks (google-benchmark): the primitives that dominate
 // the sketching pipeline — GEMM, row Gram, Gram-trick SVD vs Jacobi SVD,
-// FD append throughput, priority-sampler push throughput, and the wide-row
+// tridiagonal vs Jacobi eig, FD append throughput, and the wide-row
 // (d ≫ ℓ) ingest hot path: short-fat GEMM, FD shrink, one rank-adaptive
 // decision and one priority-sampled batch.
 
@@ -109,29 +109,30 @@ void BM_JacobiEig(benchmark::State& state) {
 BENCHMARK(BM_JacobiEig)->Arg(32)->Arg(64)->Arg(128);
 
 // Head-to-head symmetric eigensolver comparison on the Gram matrices the
-// FD shrink produces. Both run through the eigen_symmetric dispatch with
-// a caller-owned workspace (steady-state, allocation-free), values +
-// full eigenvectors — the shrink's actual request shape.
-void eig_sym_method(benchmark::State& state, linalg::EigMethod method) {
+// FD shrink produces: the production solver against the Jacobi reference,
+// each with a caller-owned workspace (steady-state, allocation-free),
+// values + full eigenvectors — the shrink's actual request shape.
+void BM_EigSymJacobi(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Matrix a = linalg::gram_rows(random_matrix(n, 2 * n, 6));
   linalg::Workspace ws;
   linalg::SymmetricEig out;
-  linalg::EigenConfig cfg;
-  cfg.method = method;
   for (auto _ : state) {
-    linalg::eigen_symmetric(linalg::MatrixView(a), ws, out, cfg);
+    linalg::jacobi_eigen_symmetric(linalg::MatrixView(a), ws, out);
     benchmark::DoNotOptimize(out.vectors.data());
   }
-}
-
-void BM_EigSymJacobi(benchmark::State& state) {
-  eig_sym_method(state, linalg::EigMethod::kJacobi);
 }
 BENCHMARK(BM_EigSymJacobi)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_EigSymTridiag(benchmark::State& state) {
-  eig_sym_method(state, linalg::EigMethod::kTridiag);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix a = linalg::gram_rows(random_matrix(n, 2 * n, 6));
+  linalg::Workspace ws;
+  linalg::SymmetricEig out;
+  for (auto _ : state) {
+    linalg::eigen_symmetric(linalg::MatrixView(a), ws, out);
+    benchmark::DoNotOptimize(out.vectors.data());
+  }
 }
 BENCHMARK(BM_EigSymTridiag)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
@@ -143,7 +144,6 @@ void BM_EigSymTridiagValuesOnly(benchmark::State& state) {
   linalg::Workspace ws;
   linalg::SymmetricEig out;
   linalg::EigenConfig cfg;
-  cfg.method = linalg::EigMethod::kTridiag;
   cfg.vectors = false;
   for (auto _ : state) {
     linalg::eigen_symmetric(linalg::MatrixView(a), ws, out, cfg);
@@ -152,11 +152,10 @@ void BM_EigSymTridiagValuesOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_EigSymTridiagValuesOnly)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-// End-to-end FD shrink under each eigensolver: fill the 2ℓ buffer, then
-// time exactly one shrink per iteration (ℓ fresh rows re-fill the buffer
-// each pass). ℓ=64 on 1024-dim rows is the paper's operating regime.
-void fd_shrink_method(benchmark::State& state, const char* method) {
-  ::setenv("ARAMS_EIG_METHOD", method, /*overwrite=*/1);
+// End-to-end FD shrink: fill the 2ℓ buffer, then time exactly one shrink
+// per iteration (ℓ fresh rows re-fill the buffer each pass). ℓ=64 on
+// 1024-dim rows is the paper's operating regime.
+void BM_FdShrinkTridiag(benchmark::State& state) {
   constexpr std::size_t kEll = 64;
   constexpr std::size_t kDim = 1024;
   const Matrix block = random_matrix(kEll, kDim, 42);
@@ -166,16 +165,6 @@ void fd_shrink_method(benchmark::State& state, const char* method) {
     fd.append_batch(block);  // crosses 2ℓ: exactly one shrink
     benchmark::DoNotOptimize(fd.occupied_rows());
   }
-  ::unsetenv("ARAMS_EIG_METHOD");
-}
-
-void BM_FdShrinkJacobi(benchmark::State& state) {
-  fd_shrink_method(state, "jacobi");
-}
-BENCHMARK(BM_FdShrinkJacobi);
-
-void BM_FdShrinkTridiag(benchmark::State& state) {
-  fd_shrink_method(state, "tridiag");
 }
 BENCHMARK(BM_FdShrinkTridiag);
 
@@ -201,19 +190,6 @@ void BM_FdAppendThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 512);
 }
 BENCHMARK(BM_FdAppendThroughput)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_PrioritySamplerPush(benchmark::State& state) {
-  const Matrix rows = random_matrix(4096, 256, 8);
-  for (auto _ : state) {
-    core::PrioritySamplerConfig config;
-    config.capacity = 1024;
-    core::PrioritySampler sampler(config);
-    sampler.push_batch(rows);
-    benchmark::DoNotOptimize(sampler.take());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4096);
-}
-BENCHMARK(BM_PrioritySamplerPush);
 
 // ---- wide rows (d ≫ ℓ): the beam_ingest operating point, 128×128 frames
 // (d = 16384) sketched at ℓ = 32 with ν = 10 probes and 256-frame batches.

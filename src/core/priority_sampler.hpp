@@ -7,7 +7,7 @@
 // sketching each kept row is rescaled by √(max(1, τ/wᵢ)) so that
 // E[B̃ᵀB̃] = AᵀA (property-tested).
 
-#include <span>
+#include <cstdint>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -21,68 +21,9 @@ enum class SamplingWeight {
 };
 
 struct PrioritySamplerConfig {
-  std::size_t capacity = 128;  ///< m — rows retained
   SamplingWeight weight = SamplingWeight::kRowNormSquared;
-  bool rescale = true;         ///< apply the unbiasedness rescaling
+  bool rescale = true;  ///< apply the unbiasedness rescaling
   std::uint64_t seed = 99;
-};
-
-/// Bounded streaming priority sampler over matrix rows.
-class PrioritySampler {
- public:
-  explicit PrioritySampler(const PrioritySamplerConfig& config);
-
-  /// Offers one row to the sampler.
-  void push(std::span<const double> row);
-
-  /// fp32 ingest lane: same weight arithmetic (the norm accumulates in
-  /// double either way), same RNG stream, same decisions — the retained
-  /// row is widened on entry, so the sample is bitwise identical to
-  /// pushing the widened row.
-  void push(std::span<const float> row);
-
-  /// Offers every row of a matrix.
-  void push_batch(const linalg::Matrix& rows);
-
-  /// Offers every row of an fp32 view.
-  void push_batch(linalg::MatrixViewF rows);
-
-  /// Extracts the sampled (and rescaled) rows, in stream order, and resets
-  /// the sampler for the next batch.
-  linalg::Matrix take();
-
-  [[nodiscard]] std::size_t capacity() const { return config_.capacity; }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  [[nodiscard]] long rows_seen() const { return rows_seen_; }
-
-  /// τ of the most recent take(): the (m+1)-th largest priority, 0 when the
-  /// stream did not overflow the capacity.
-  [[nodiscard]] double last_threshold() const { return last_threshold_; }
-
- private:
-  /// Shared fp64/fp32 push body; the stored row widens element-wise at
-  /// Entry construction.
-  template <typename T>
-  void push_any(std::span<const T> row);
-
-  struct Entry {
-    double priority;
-    double weight;
-    long order;  ///< arrival index, to restore stream order on take()
-    std::vector<double> row;
-  };
-  struct MinPriority {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.priority > b.priority;  // min-heap on priority
-    }
-  };
-
-  PrioritySamplerConfig config_;
-  Rng rng_;
-  std::vector<Entry> heap_;  ///< min-heap of the top-(m+1) priorities
-  long rows_seen_ = 0;
-  double last_threshold_ = 0.0;
-  std::size_t dim_ = 0;
 };
 
 /// Grow-only buffers for priority_sample. Reused across calls at a steady
@@ -98,21 +39,22 @@ struct PrioritySampleScratch {
   linalg::Matrix rows;          ///< the sample of the latest call
 };
 
-/// One-shot: priority-samples the rows of `a` down to ⌈fraction·n⌉ rows
-/// into scratch.rows and returns it. fraction in (0, 1]; 1 copies `a`
-/// unchanged. Bitwise identical to a PrioritySampler with capacity
-/// ⌈fraction·n⌉ fed `a` and drained by take() — the same weights, RNG draws,
-/// keep/evict rule and τ — but the heap holds row indices, not row copies,
-/// and only the survivors are copied, once. Throws CheckError on an empty
-/// `a` (fraction < 1).
+/// One-shot: priority-samples the rows of `a` down to m = ⌈fraction·n⌉
+/// rows into scratch.rows and returns it, survivors in row order. fraction
+/// in (0, 1]; 1 copies `a` unchanged. Each call seeds one Rng with
+/// config.seed and visits the rows in order, each non-zero row drawing one
+/// uniform; a min-heap of row indices keeps the top m+1 priorities, so only
+/// the survivors are copied, once. The streaming reference in
+/// tests/priority_sampler_oracle.hpp makes the same decisions bitwise.
+/// Throws CheckError on an empty `a` (fraction < 1).
 const linalg::Matrix& priority_sample(const linalg::Matrix& a,
                                       double fraction,
                                       const PrioritySamplerConfig& config,
                                       PrioritySampleScratch& scratch);
 
-/// fp32 one-shot: identical sampling decisions to the streaming sampler fed
-/// the same fp32 rows; only the survivors are widened (fraction ≥ 1 widens
-/// the whole view).
+/// fp32 one-shot: the same weights (accumulated in double), draws and
+/// decisions; only the survivors are widened (fraction ≥ 1 widens the
+/// whole view).
 const linalg::Matrix& priority_sample(linalg::MatrixViewF a, double fraction,
                                       const PrioritySamplerConfig& config,
                                       PrioritySampleScratch& scratch);

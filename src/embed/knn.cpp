@@ -188,10 +188,8 @@ KnnGraph exact_knn(const Matrix& points, std::size_t k) {
 
 namespace {
 
-/// The NN-descent local-join iterations (Dong et al. 2011), shared by the
-/// randomly-initialized builder below and by nn_descent_refine (which seeds
-/// the lists from rp-forest candidates instead). Distances in `lists` are
-/// squared Euclidean.
+/// The NN-descent local-join iterations (Dong et al. 2011) behind
+/// nn_descent_refine. Distances in `lists` are squared Euclidean.
 void descent_iterations(const Matrix& points, std::vector<NeighborList>& lists,
                         std::size_t k, Rng& rng, linalg::Workspace& ws,
                         int iters, double sample_rate,
@@ -308,36 +306,6 @@ void lists_to_graph(const std::vector<NeighborList>& lists, std::size_t k,
 
 }  // namespace
 
-void nn_descent(const Matrix& points, std::size_t k, Rng& rng,
-                linalg::Workspace& ws, KnnGraph& g, int iters,
-                double sample_rate, const DistanceOptions& opts) {
-  const std::size_t n = points.rows();
-  check_graph_args(n, k);
-  Stopwatch timer;
-
-  std::vector<NeighborList> lists(n, NeighborList(k));
-  // Random initialization.
-  for (std::size_t i = 0; i < n; ++i) {
-    while (true) {
-      bool full = true;
-      for (const auto& it : lists[i].items) {
-        if (it.index == static_cast<std::size_t>(-1)) {
-          full = false;
-          break;
-        }
-      }
-      if (full) break;
-      std::size_t j = rng.uniform_index(n);
-      if (j == i) continue;
-      lists[i].try_insert(sq_dist(points.row(i), points.row(j)), j);
-    }
-  }
-
-  descent_iterations(points, lists, k, rng, ws, iters, sample_rate, opts);
-  lists_to_graph(lists, k, g);
-  knn_seconds().observe(timer.seconds());
-}
-
 void nn_descent_refine(const Matrix& points, Rng& rng, linalg::Workspace& ws,
                        KnnGraph& g, int iters, double sample_rate,
                        const DistanceOptions& opts) {
@@ -369,32 +337,6 @@ void nn_descent_refine(const Matrix& points, Rng& rng, linalg::Workspace& ws,
   descent_iterations(points, lists, k, rng, ws, iters, sample_rate, opts);
   lists_to_graph(lists, k, g);
   knn_seconds().observe(timer.seconds());
-}
-
-KnnGraph nn_descent(const Matrix& points, std::size_t k, Rng& rng, int iters,
-                    double sample_rate) {
-  linalg::Workspace ws;
-  KnnGraph g;
-  nn_descent(points, k, rng, ws, g, iters, sample_rate);
-  return g;
-}
-
-void build_knn(const Matrix& points, std::size_t k, Rng& rng,
-               linalg::Workspace& ws, KnnGraph& out,
-               std::size_t exact_threshold, const DistanceOptions& opts) {
-  if (points.rows() <= exact_threshold) {
-    exact_knn(points, k, ws, out, opts);
-    return;
-  }
-  nn_descent(points, k, rng, ws, out, /*iters=*/6, /*sample_rate=*/1.0, opts);
-}
-
-KnnGraph build_knn(const Matrix& points, std::size_t k, Rng& rng,
-                   std::size_t exact_threshold) {
-  linalg::Workspace ws;
-  KnnGraph g;
-  build_knn(points, k, rng, ws, g, exact_threshold);
-  return g;
 }
 
 double knn_recall(const KnnGraph& approx, const KnnGraph& exact) {

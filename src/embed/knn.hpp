@@ -1,12 +1,13 @@
 #pragma once
 // k-nearest-neighbour graphs over latent points.
 //
-// Two constructions: exact brute force (blocked GEMM distance blocks from
-// the shared engine in distance.hpp plus a per-row partial select — the
-// latent dimension is small after PCA, so this is fine for the
-// few-thousand-point embeddings the monitoring pipeline draws), and
-// NN-descent (Dong et al. 2011), the approximate method reference UMAP
-// uses, for larger point sets. Both record their wall time in the
+// Two building blocks for the searchers in ann/searcher.hpp: exact brute
+// force (blocked GEMM distance blocks from the shared engine in
+// distance.hpp plus a per-row partial select — the latent dimension is
+// small after PCA, so this is fine for the few-thousand-point embeddings
+// the monitoring pipeline draws), and NN-descent refinement (Dong et al.
+// 2011), the local-join passes the rpforest searcher runs over its
+// leaf-co-membership seed graph. Both record their wall time in the
 // "embed.knn_seconds" histogram.
 //
 // The workspace overloads draw every scratch block (distance block, row
@@ -86,38 +87,20 @@ void exact_knn(const linalg::Matrix& points, std::size_t k,
                linalg::Workspace& ws, KnnGraph& out,
                const DistanceOptions& opts = {});
 
-/// Approximate kNN via NN-descent. `iters` full passes; `sample_rate`
-/// controls the candidate pool per pass. Recall is typically > 0.9 after
-/// 4–6 passes on latent data.
-KnnGraph nn_descent(const linalg::Matrix& points, std::size_t k, Rng& rng,
-                    int iters = 6, double sample_rate = 1.0);
-
-/// Workspace-backed NN-descent: candidate scoring goes through gathered
-/// Gram blocks drawn from `ws` instead of per-pair scalar loops.
-void nn_descent(const linalg::Matrix& points, std::size_t k, Rng& rng,
-                linalg::Workspace& ws, KnnGraph& out, int iters = 6,
-                double sample_rate = 1.0, const DistanceOptions& opts = {});
-
-/// Refines an existing kNN graph in place with NN-descent local-join
-/// passes. `graph` must be a valid graph over `points` (n == points.rows(),
-/// ascending Euclidean distances, no self/invalid neighbours) — typically
-/// the leaf-co-membership seed the rpforest searcher produces, which
-/// converges in far fewer passes than random initialization.
+/// Refines an existing kNN graph in place with at most `iters` NN-descent
+/// local-join passes (fewer once a pass updates under 0.1% of the n·k
+/// entries); `sample_rate` < 1 joins a random subset of each pass's new
+/// candidates. `graph` must cover `points` (n == points.rows()) with k
+/// neighbours per point, none a self or out-of-range index, each with its
+/// Euclidean distance, in any order; the refined graph comes back sorted
+/// ascending. The rpforest searcher seeds it from leaf co-membership,
+/// which converges in far fewer passes than a random graph. Candidate
+/// pairs are scored through gathered Gram blocks drawn from `ws` when
+/// `opts.use_gemm`, by per-pair scalar loops otherwise.
 void nn_descent_refine(const linalg::Matrix& points, Rng& rng,
                        linalg::Workspace& ws, KnnGraph& graph, int iters,
                        double sample_rate = 1.0,
                        const DistanceOptions& opts = {});
-
-/// Builds a kNN graph choosing the method by size: exact below
-/// `exact_threshold` points, NN-descent above.
-KnnGraph build_knn(const linalg::Matrix& points, std::size_t k, Rng& rng,
-                   std::size_t exact_threshold = 4096);
-
-/// Workspace-backed build_knn (same method selection).
-void build_knn(const linalg::Matrix& points, std::size_t k, Rng& rng,
-               linalg::Workspace& ws, KnnGraph& out,
-               std::size_t exact_threshold = 4096,
-               const DistanceOptions& opts = {});
 
 /// Fraction of true kNN edges recovered (test / diagnostic helper).
 double knn_recall(const KnnGraph& approx, const KnnGraph& exact);

@@ -223,104 +223,16 @@ std::pair<double, double> fit_ab(double spread, double min_dist) {
   return last.ab;
 }
 
-Matrix spectral_init(const FuzzyGraph& graph, std::size_t n_components,
-                     Rng& rng, int iterations) {
-  ARAMS_CHECK(graph.n >= 2, "spectral init needs at least two points");
-  const std::size_t n = graph.n;
-
-  // Degree vector of the symmetric weighted graph.
-  std::vector<double> degree(n, 1e-12);  // floor avoids isolated-node 1/0
-  for (const auto& e : graph.edges) {
-    degree[e.u] += e.weight;
-    degree[e.v] += e.weight;
-  }
-  std::vector<double> inv_sqrt_deg(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    inv_sqrt_deg[i] = 1.0 / std::sqrt(degree[i]);
-  }
-
-  // Normalized adjacency T = D^{-1/2}·W·D^{-1/2}; its top eigenvector is
-  // the trivial D^{1/2}·1. The Laplacian's smallest non-trivial
-  // eigenvectors are T's next-largest; find them by power iteration on the
-  // PSD shift (T + I)/2 with deflation.
-  const auto matvec = [&](const std::vector<double>& x,
-                          std::vector<double>& y) {
-    for (std::size_t i = 0; i < n; ++i) {
-      y[i] = 0.5 * x[i];  // the +I/2 shift
-    }
-    for (const auto& e : graph.edges) {
-      const double w = 0.5 * e.weight * inv_sqrt_deg[e.u] *
-                       inv_sqrt_deg[e.v];
-      y[e.u] += w * x[e.v];
-      y[e.v] += w * x[e.u];
-    }
-  };
-
-  std::vector<std::vector<double>> found;
-  // Trivial eigenvector, normalized.
-  {
-    std::vector<double> trivial(n);
-    for (std::size_t i = 0; i < n; ++i) trivial[i] = std::sqrt(degree[i]);
-    const double nrm = linalg::norm2(trivial);
-    linalg::scale(trivial, 1.0 / nrm);
-    found.push_back(std::move(trivial));
-  }
-
-  Matrix y(n, n_components);
-  std::vector<double> x(n), tx(n);
-  for (std::size_t comp = 0; comp < n_components; ++comp) {
-    rng.fill_normal(x);
-    for (int it = 0; it < iterations; ++it) {
-      // Deflate all previously found directions.
-      for (const auto& q : found) {
-        linalg::axpy(-linalg::dot(q, x), q, x);
-      }
-      matvec(x, tx);
-      const double nrm = linalg::norm2(tx);
-      if (nrm <= 0.0) break;
-      for (std::size_t i = 0; i < n; ++i) {
-        x[i] = tx[i] / nrm;
-      }
-    }
-    for (const auto& q : found) {
-      linalg::axpy(-linalg::dot(q, x), q, x);
-    }
-    const double nrm = linalg::norm2(x);
-    if (nrm > 0.0) linalg::scale(x, 1.0 / nrm);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Recover the Laplacian eigenvector u = D^{-1/2}·x.
-      y(i, comp) = x[i] * inv_sqrt_deg[i];
-    }
-    found.push_back(x);
-  }
-
-  // Rescale to the [-10, 10] box UMAP's SGD expects.
-  double mx = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const double v : y.row(i)) mx = std::max(mx, std::abs(v));
-  }
-  if (mx > 0.0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      linalg::scale(y.row(i), 10.0 / mx);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (auto& v : y.row(i)) v += 1e-4 * rng.normal();
-  }
-  return y;
-}
-
 namespace {
 
-Matrix initialize_embedding(const Matrix& points, const FuzzyGraph& fuzzy,
-                            const UmapConfig& config, Rng& rng) {
+/// PCA initialization (the documented deviation from spectral init). An
+/// input with fewer columns than n_components has no such projection and
+/// starts uniform in the same [-10, 10] box instead.
+Matrix initialize_embedding(const Matrix& points, const UmapConfig& config,
+                            Rng& rng) {
   const std::size_t n = points.rows();
   Matrix y(n, config.n_components);
-  if (config.init == UmapConfig::Init::kSpectral) {
-    return spectral_init(fuzzy, config.n_components, rng);
-  }
-  if (config.init == UmapConfig::Init::kPca &&
-      points.cols() >= config.n_components) {
+  if (points.cols() >= config.n_components) {
     // Center, project on top components, rescale to [-10, 10].
     Matrix centered = points;
     std::vector<double> mean(points.cols(), 0.0);
@@ -585,7 +497,7 @@ Matrix umap_embed_graph(const Matrix& points, const KnnGraph& graph,
   const FuzzyGraph fuzzy = fuzzy_simplicial_set(graph, smooth);
   const auto [a, b] = fit_ab(config.spread, config.min_dist);
 
-  Matrix y = initialize_embedding(points, fuzzy, config, rng);
+  Matrix y = initialize_embedding(points, config, rng);
   if (use_batch_optimizer(fuzzy, config)) {
     optimize_layout_batch(y, fuzzy, config, a, b, rng);
   } else {

@@ -32,8 +32,6 @@ struct UmapConfig {
   double learning_rate = 1.0;
   int negative_samples = 5;
   double repulsion_strength = 1.0;
-  enum class Init { kPca, kRandom, kSpectral };
-  Init init = Init::kPca;
   std::uint64_t seed = 42;
 
   /// kNN searcher configuration (embed/ann/searcher.hpp). The default
@@ -95,14 +93,6 @@ FuzzyGraph fuzzy_simplicial_set(const KnnGraph& graph,
 /// (spread, min_dist) → (a, b); a repeated call returns the same bits
 /// without searching again.
 std::pair<double, double> fit_ab(double spread, double min_dist);
-
-/// Spectral layout: the n_components eigenvectors of the symmetrically
-/// normalized graph Laplacian with the smallest non-trivial eigenvalues,
-/// found by deflated power iteration on the normalized adjacency. This is
-/// the reference implementation's default initialization.
-linalg::Matrix spectral_init(const FuzzyGraph& graph,
-                             std::size_t n_components, Rng& rng,
-                             int iterations = 200);
 
 /// The effective searcher config an embedding run derives from `config`:
 /// `config.seed` flows into the searcher stream. The streaming monitor

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -61,8 +62,35 @@ std::vector<image::ImageF> load_frames(const std::string& path) {
   const std::uint64_t h = read_u64(f);
   const std::uint64_t w = read_u64(f);
   const std::uint64_t count = read_u64(f);
-  ARAMS_CHECK(f.good() && h > 0 && w > 0 && count > 0,
-              "malformed frame bundle header in " + path);
+  ARAMS_CHECK(f.good(), "truncated frame bundle header in " + path);
+  ARAMS_CHECK(h > 0 && w > 0 && count > 0,
+              "frame bundle " + path + " has a zero height, width or count");
+
+  // The pixels must be exactly what the header promises: checked before
+  // anything is allocated, so a lying header cannot ask for more memory
+  // than the file holds.
+  std::uint64_t frame_bytes = 0;
+  const bool frame_fits =
+      !__builtin_mul_overflow(h, w, &frame_bytes) &&
+      !__builtin_mul_overflow(frame_bytes, sizeof(double), &frame_bytes);
+  ARAMS_CHECK(frame_fits, "frame bundle " + path + ": height × width " +
+                              std::to_string(h) + " × " + std::to_string(w) +
+                              " overflows the addressable size");
+  std::uint64_t payload = 0;
+  const bool count_fits = !__builtin_mul_overflow(frame_bytes, count, &payload);
+  ARAMS_CHECK(count_fits, "frame bundle " + path + ": count " +
+                              std::to_string(count) +
+                              " overflows the addressable size");
+  const std::streampos start = f.tellg();
+  f.seekg(0, std::ios::end);
+  const auto available = static_cast<std::uint64_t>(f.tellg() - start);
+  f.seekg(start);
+  ARAMS_CHECK(payload == available,
+              "frame bundle " + path + ": count × height × width " +
+                  std::to_string(count) + " × " + std::to_string(h) + " × " +
+                  std::to_string(w) + " needs " + std::to_string(payload) +
+                  " pixel bytes but the file holds " +
+                  std::to_string(available));
 
   std::vector<image::ImageF> frames;
   frames.reserve(count);

@@ -16,7 +16,9 @@ namespace arams::io {
 void save_frames(const std::string& path,
                  const std::vector<image::ImageF>& frames);
 
-/// Loads a frame bundle written by save_frames.
+/// Loads a frame bundle written by save_frames. Throws CheckError naming
+/// the file and the field on a bad magic, a zero or overflowing height,
+/// width or count, or a file that does not hold exactly count·h·w pixels.
 std::vector<image::ImageF> load_frames(const std::string& path);
 
 }  // namespace arams::io

@@ -1,9 +1,13 @@
 #include "io/npy.hpp"
 
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -14,12 +18,16 @@ namespace {
 
 constexpr char kMagic[] = "\x93NUMPY";
 
-/// Extracts the value of a python-dict literal key like "'shape': (3, 4)".
-std::string dict_value(const std::string& header, const std::string& key) {
+/// Extracts the value of a python-dict literal key like "'shape': (3, 4)",
+/// without surrounding spaces.
+std::string dict_value(const std::string& header, const std::string& key,
+                       const std::string& path) {
   const auto kpos = header.find("'" + key + "'");
-  ARAMS_CHECK(kpos != std::string::npos, "npy header missing key " + key);
+  ARAMS_CHECK(kpos != std::string::npos,
+              "npy header missing key '" + key + "' in " + path);
   auto vpos = header.find(':', kpos);
-  ARAMS_CHECK(vpos != std::string::npos, "malformed npy header");
+  ARAMS_CHECK(vpos != std::string::npos,
+              "malformed npy header at '" + key + "' in " + path);
   ++vpos;
   while (vpos < header.size() && header[vpos] == ' ') ++vpos;
   // Value ends at the matching comma outside parentheses.
@@ -31,7 +39,41 @@ std::string dict_value(const std::string& header, const std::string& key) {
     if (c == ')') --depth;
     if ((c == ',' || c == '}') && depth == 0) break;
   }
+  while (end > vpos && header[end - 1] == ' ') --end;
   return header.substr(vpos, end - vpos);
+}
+
+/// Parses a shape tuple "(r, c)" or "(n,)" (a 1-D array of length n loads
+/// as 1×n). Every dimension must be an unsigned decimal that fits in
+/// size_t; a sign, an empty or overflowing token, or any other rank throws.
+std::pair<std::size_t, std::size_t> parse_shape(const std::string& shape,
+                                                const std::string& path) {
+  const std::string bad =
+      "npy 'shape' must be (rows, cols) or (n,) with unsigned decimal "
+      "dimensions that fit in size_t, got " + shape + " in " + path;
+  ARAMS_CHECK(shape.size() >= 2 && shape.front() == '(' &&
+                  shape.back() == ')',
+              bad);
+  std::vector<std::size_t> dims;
+  const char* p = shape.data() + 1;
+  const char* const end = shape.data() + shape.size() - 1;
+  const auto skip_spaces = [&] {
+    while (p < end && *p == ' ') ++p;
+  };
+  for (skip_spaces(); p < end; skip_spaces()) {
+    std::size_t dim = 0;
+    const auto [next, ec] = std::from_chars(p, end, dim);
+    ARAMS_CHECK(ec == std::errc(), bad);  // a sign, no digits, or overflow
+    dims.push_back(dim);
+    p = next;
+    skip_spaces();
+    if (p == end) break;
+    ARAMS_CHECK(*p == ',', bad);
+    ++p;
+  }
+  ARAMS_CHECK(dims.size() == 1 || dims.size() == 2, bad);
+  if (dims.size() == 1) return {1, dims[0]};
+  return {dims[0], dims[1]};
 }
 
 /// Writes magic + version + padded dict header for an r×c array of the
@@ -59,7 +101,8 @@ void write_header(std::ofstream& f, const char* descr, std::size_t rows,
 }
 
 /// Parsed .npy prolog: shape plus which of the two supported dtypes the
-/// payload carries. The stream is left positioned at the payload.
+/// payload carries. The stream is left positioned at the payload, which is
+/// known to hold exactly rows·cols elements and nothing after them.
 struct NpyProlog {
   std::size_t rows = 0;
   std::size_t cols = 0;
@@ -85,30 +128,38 @@ NpyProlog read_prolog(std::ifstream& f, const std::string& path) {
   ARAMS_CHECK(f.good(), "truncated npy header in " + path);
 
   NpyProlog out;
-  const std::string descr = dict_value(header, "descr");
-  if (descr.find("<f4") != std::string::npos) {
-    out.is_f32 = true;
-  } else {
-    ARAMS_CHECK(descr.find("<f8") != std::string::npos,
-                "npy dtype must be little-endian float64 or float32, got " +
-                    descr);
-  }
-  const std::string order = dict_value(header, "fortran_order");
-  ARAMS_CHECK(order.find("False") != std::string::npos,
-              "npy must be C-ordered");
+  const std::string descr = dict_value(header, "descr", path);
+  ARAMS_CHECK(descr == "'<f8'" || descr == "'<f4'",
+              "npy 'descr' must be little-endian float64 or float32, got " +
+                  descr + " in " + path);
+  out.is_f32 = descr == "'<f4'";
+  const std::string order = dict_value(header, "fortran_order", path);
+  ARAMS_CHECK(order == "False",
+              "npy 'fortran_order' must be False, got " + order + " in " +
+                  path);
 
-  // Parse "(r, c)" or "(n,)".
-  std::string shape = dict_value(header, "shape");
-  for (auto& c : shape) {
-    if (c == '(' || c == ')' || c == ',') c = ' ';
-  }
-  std::istringstream ss(shape);
-  ss >> out.rows;
-  if (!(ss >> out.cols)) {
-    out.cols = out.rows;  // 1-D array of length n → 1×n matrix
-    out.rows = 1;
-  }
-  ARAMS_CHECK(out.rows > 0 && out.cols > 0, "npy with empty shape: " + path);
+  const std::string shape = dict_value(header, "shape", path);
+  std::tie(out.rows, out.cols) = parse_shape(shape, path);
+  ARAMS_CHECK(out.rows > 0 && out.cols > 0,
+              "npy 'shape' " + shape + " is empty in " + path);
+
+  // The payload must be exactly what the shape promises: checked before
+  // anything is allocated, so a lying header cannot ask for more memory
+  // than the file holds.
+  const std::size_t elem = out.is_f32 ? sizeof(float) : sizeof(double);
+  std::size_t payload = 0;
+  const bool fits = !__builtin_mul_overflow(out.rows, out.cols, &payload) &&
+                    !__builtin_mul_overflow(payload, elem, &payload);
+  ARAMS_CHECK(fits, "npy 'shape' " + shape +
+                        " overflows the addressable size in " + path);
+  const std::streampos start = f.tellg();
+  f.seekg(0, std::ios::end);
+  const auto available = static_cast<std::size_t>(f.tellg() - start);
+  f.seekg(start);
+  ARAMS_CHECK(payload == available,
+              "npy 'shape' " + shape + " needs " + std::to_string(payload) +
+                  " payload bytes but " + path + " holds " +
+                  std::to_string(available));
   return out;
 }
 

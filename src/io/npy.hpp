@@ -23,7 +23,9 @@ void save_npy_f32(const std::string& path, const linalg::MatrixF& m);
 
 /// Loads a 2-D float64 or float32 .npy file (little-endian, C-order);
 /// '<f4' payloads are widened on read. 1-D files load as a single-row
-/// matrix. Throws CheckError on malformed input, dtype or order mismatch.
+/// matrix. Throws CheckError naming the file and the field on malformed
+/// input, a dtype or order mismatch, a shape that is not unsigned decimal
+/// or overflows, or a payload that is not exactly rows·cols elements.
 linalg::Matrix load_npy(const std::string& path);
 
 /// Loads a float32 or float64 .npy file natively into an fp32 MatrixF —

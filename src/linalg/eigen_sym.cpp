@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
 
 #include "linalg/workspace.hpp"
-#include "obs/metrics.hpp"
-#include "util/stopwatch.hpp"
 
 namespace arams::linalg {
 
@@ -114,72 +110,6 @@ SymmetricEig jacobi_eigen_symmetric(const Matrix& a, double tol,
   Workspace ws;
   SymmetricEig out;
   jacobi_eigen_symmetric(MatrixView(a), ws, out, tol, max_sweeps);
-  return out;
-}
-
-namespace {
-
-/// Drops trailing columns of a row-major matrix in place: row r's first
-/// `keep` entries move to offset r*keep. Forward compaction is safe because
-/// every destination index r*keep+c is <= its source index r*cols+c, and
-/// strictly below every not-yet-read source.
-void truncate_columns_in_place(Matrix& m, std::size_t keep) {
-  const std::size_t rows = m.rows();
-  const std::size_t cols = m.cols();
-  if (keep >= cols) return;
-  double* data = m.data();
-  for (std::size_t r = 1; r < rows; ++r) {
-    std::memmove(data + r * keep, data + r * cols, keep * sizeof(double));
-  }
-  m.reshape(rows, keep);  // grow-only storage: no reallocation, keeps prefix
-}
-
-EigMethod resolve_method(EigMethod requested) {
-  if (requested != EigMethod::kAuto) return requested;
-  // Read per call (not cached) so tests and the parity harness can flip the
-  // whole process between solvers with setenv; getenv is a pointer walk,
-  // invisible next to an O(n³) decomposition, and never allocates.
-  const char* env = std::getenv("ARAMS_EIG_METHOD");
-  if (env != nullptr && std::strcmp(env, "jacobi") == 0) {
-    return EigMethod::kJacobi;
-  }
-  return EigMethod::kTridiag;
-}
-
-}  // namespace
-
-void eigen_symmetric(MatrixView a, Workspace& ws, SymmetricEig& out,
-                     const EigenConfig& config) {
-  Stopwatch timer;
-  const EigMethod method = resolve_method(config.method);
-  if (method == EigMethod::kJacobi) {
-    jacobi_eigen_symmetric(a, ws, out, config.jacobi_tol,
-                           config.jacobi_max_sweeps);
-    // Jacobi always accumulates the full square factor; trim to the
-    // requested prefix so both methods honour the same output contract.
-    if (!config.vectors) {
-      out.vectors.reshape(0, 0);
-    } else if (config.max_vectors < out.vectors.cols()) {
-      truncate_columns_in_place(out.vectors, config.max_vectors);
-    }
-  } else {
-    tridiag_eigen_symmetric(a, ws, out, config);
-  }
-  // Resolved once; per-call cost is two relaxed atomic observes.
-  static obs::Histogram& seconds =
-      obs::metrics().histogram("linalg.eig_seconds");
-  static constexpr double kIterBounds[] = {1,  2,   4,   8,   16,  32,
-                                           64, 128, 256, 512, 1024, 4096};
-  static obs::Histogram& iterations =
-      obs::metrics().histogram("linalg.eig_iterations", kIterBounds);
-  seconds.observe(timer.seconds());
-  iterations.observe(static_cast<double>(out.iterations));
-}
-
-SymmetricEig eigen_symmetric(const Matrix& a, const EigenConfig& config) {
-  Workspace ws;
-  SymmetricEig out;
-  eigen_symmetric(MatrixView(a), ws, out, config);
   return out;
 }
 

@@ -1,7 +1,7 @@
-// Production symmetric eigensolver: blocked Householder tridiagonalization
-// (dsytrd/dlatrd-style panels) + implicit Wilkinson-shift QL iteration on
-// the tridiagonal (dsteqr-style) + Householder back-transformation of the
-// retained eigenvector prefix.
+// The symmetric eigensolver behind eigen_symmetric(): blocked Householder
+// tridiagonalization (dsytrd/dlatrd-style panels) + implicit
+// Wilkinson-shift QL iteration on the tridiagonal (dsteqr-style) +
+// Householder back-transformation of the retained eigenvector prefix.
 //
 // Shape of the computation, for an n×n symmetric input:
 //  1. Reduce A to tridiagonal T = Qᵀ·A·Q. Panels of kPanel columns are
@@ -32,6 +32,8 @@
 #include "linalg/blas.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/workspace.hpp"
+#include "obs/metrics.hpp"
+#include "util/stopwatch.hpp"
 
 namespace arams::linalg {
 
@@ -245,10 +247,8 @@ int ql_implicit(std::span<double> d, std::span<double> e, std::size_t n,
   return total_iters;
 }
 
-}  // namespace
-
-void tridiag_eigen_symmetric(MatrixView a, Workspace& ws, SymmetricEig& out,
-                             const EigenConfig& config) {
+void tridiag_eigen(MatrixView a, Workspace& ws, SymmetricEig& out,
+                   const EigenConfig& config) {
   ARAMS_CHECK(a.rows() == a.cols(), "eigensolver needs a square matrix");
   ARAMS_CHECK(a.rows() > 0, "eigensolver needs a non-empty matrix");
   const std::size_t n = a.rows();
@@ -323,6 +323,30 @@ void tridiag_eigen_symmetric(MatrixView a, Workspace& ws, SymmetricEig& out,
       axpy(-t * wm(r, j), acc, out.vectors.row(r));  // M −= tau·v·acc
     }
   }
+}
+
+}  // namespace
+
+void eigen_symmetric(MatrixView a, Workspace& ws, SymmetricEig& out,
+                     const EigenConfig& config) {
+  Stopwatch timer;
+  tridiag_eigen(a, ws, out, config);
+  // Resolved once; per-call cost is two relaxed atomic observes.
+  static obs::Histogram& seconds =
+      obs::metrics().histogram("linalg.eig_seconds");
+  static constexpr double kIterBounds[] = {1,  2,   4,   8,   16,  32,
+                                           64, 128, 256, 512, 1024, 4096};
+  static obs::Histogram& iterations =
+      obs::metrics().histogram("linalg.eig_iterations", kIterBounds);
+  seconds.observe(timer.seconds());
+  iterations.observe(static_cast<double>(out.iterations));
+}
+
+SymmetricEig eigen_symmetric(const Matrix& a, const EigenConfig& config) {
+  Workspace ws;
+  SymmetricEig out;
+  eigen_symmetric(MatrixView(a), ws, out, config);
+  return out;
 }
 
 }  // namespace arams::linalg

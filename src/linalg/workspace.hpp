@@ -1,6 +1,6 @@
 #pragma once
 // linalg::Workspace — a grow-only arena of reusable scratch buffers for the
-// dense-kernel call chain (Gram products, Jacobi eig, Σ·Vᵀ SVD).
+// dense-kernel call chain (Gram products, symmetric eig, Σ·Vᵀ SVD).
 //
 // Why: the FD shrink cycle runs millions of times per stream. Every scratch
 // matrix it allocates (Gram, eig rotation accumulator, Uᵀ·B) is the same
@@ -13,7 +13,7 @@
 //    a merge call). NOT thread-safe — never share across threads.
 //  * Slots are keyed by the constants in `wslot`; each kernel layer owns a
 //    disjoint slot range, so the nested call chain
-//    sigma_vt_svd → gram_rows → jacobi_eigen_symmetric never aliases a live
+//    sigma_vt_svd → gram_rows → eigen_symmetric never aliases a live
 //    buffer. New kernels must claim fresh slot ids, not reuse these.
 //  * mat()/vec()/idx() return storage with UNSPECIFIED contents; callers
 //    must fully overwrite (or zero) what they read.
@@ -40,9 +40,9 @@ inline constexpr std::size_t kEigWork = 1;   ///< jacobi eig rotation target
 inline constexpr std::size_t kEigVectors = 2;  ///< jacobi eig accumulator
 inline constexpr std::size_t kEigValues = 0;   ///< vec slot: unsorted values
 inline constexpr std::size_t kEigOrder = 0;    ///< idx slot: sort permutation
-// Tridiagonal eigensolver (eigen_tridiag.cpp). Jacobi and tridiag are
-// alternatives at the same layer, but they keep disjoint ids so flipping
-// ARAMS_EIG_METHOD mid-process never hands one solver the other's scratch.
+// Tridiagonal eigensolver (eigen_tridiag.cpp). It keeps ids disjoint from
+// the Jacobi reference's, so a test that runs both on one workspace never
+// hands one solver the other's scratch.
 inline constexpr std::size_t kTrdWork = 3;     ///< reduction target / V store
 inline constexpr std::size_t kTrdPanelV = 4;   ///< dlatrd panel V (n×nb)
 inline constexpr std::size_t kTrdPanelW = 5;   ///< dlatrd panel W (n×nb)

@@ -190,6 +190,30 @@ EOF
 if "$BIN" frobnicate 2>/dev/null; then exit 1; fi
 if "$BIN" sketch --in="$DIR/missing.frames" 2>/dev/null; then exit 1; fi
 
+# crafted headers fail closed: exit status 1 and an `error:` line naming
+# the file, for a .npy whose shape product wraps 64 bits (2^62 x 4) and a
+# .frames bundle claiming 2^40 frames
+python3 - "$DIR/huge_shape.npy" "$DIR/huge_count.frames" <<'EOF'
+import struct, sys
+header = ("{'descr': '<f8', 'fortran_order': False, "
+          "'shape': (4611686018427387904, 4), }")
+header = header.ljust(128 - 10 - 1) + "\n"
+with open(sys.argv[1], "wb") as f:
+    f.write(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)))
+    f.write(header.encode())
+with open(sys.argv[2], "wb") as f:
+    f.write(b"ARAMSFR1" + struct.pack("<QQQ", 4, 4, 1 << 40))
+    f.write(bytes(4 * 4 * 8))
+EOF
+for bad in huge_shape.npy huge_count.frames; do
+  status=0
+  "$BIN" sketch --in="$DIR/$bad" --out="$DIR/bad.npy" \
+    >/dev/null 2>"$DIR/bad.err" || status=$?
+  test "$status" -eq 1
+  grep -q "^error: " "$DIR/bad.err"
+  grep -qF "$DIR/$bad" "$DIR/bad.err"
+done
+
 # doctor rejects garbage and missing files
 if "$BIN" doctor "$DIR/missing.txt" 2>/dev/null; then exit 1; fi
 echo "not a postmortem" > "$DIR/garbage.txt"

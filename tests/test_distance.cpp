@@ -19,6 +19,7 @@
 #include "embed/umap.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/workspace.hpp"
+#include "random_knn_graph.hpp"
 #include "rng/rng.hpp"
 
 namespace {
@@ -247,11 +248,12 @@ TEST(Distance, NnDescentGramScoringTracksScalarRecall) {
   KnnGraph exact;
   exact_knn(pts, 10, ws, exact, {});
   Rng rng_a(47);
-  KnnGraph gram_graph;
-  nn_descent(pts, 10, rng_a, ws, gram_graph, 8, 1.0, {.use_gemm = true});
+  KnnGraph gram_graph = arams::test::random_knn_graph(pts, 10, rng_a);
+  nn_descent_refine(pts, rng_a, ws, gram_graph, 8, 1.0, {.use_gemm = true});
   Rng rng_b(47);
-  KnnGraph scalar_graph;
-  nn_descent(pts, 10, rng_b, ws, scalar_graph, 8, 1.0, {.use_gemm = false});
+  KnnGraph scalar_graph = arams::test::random_knn_graph(pts, 10, rng_b);
+  nn_descent_refine(pts, rng_b, ws, scalar_graph, 8, 1.0,
+                    {.use_gemm = false});
   const double gram_recall = knn_recall(gram_graph, exact);
   const double scalar_recall = knn_recall(scalar_graph, exact);
   EXPECT_NEAR(gram_recall, scalar_recall, 0.02);

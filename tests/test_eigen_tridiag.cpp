@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "core/fd.hpp"
+#include "data/beam_profile.hpp"
+#include "data/diffraction.hpp"
+#include "image/image.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/norms.hpp"
@@ -50,11 +55,9 @@ Matrix with_spectrum(const Matrix& q, const std::vector<double>& values) {
   return matmul_nt(ql, q);
 }
 
-SymmetricEig run_tridiag(const Matrix& a, const EigenConfig& base = {}) {
+SymmetricEig run_tridiag(const Matrix& a, const EigenConfig& cfg = {}) {
   Workspace ws;
   SymmetricEig out;
-  EigenConfig cfg = base;
-  cfg.method = EigMethod::kTridiag;
   eigen_symmetric(MatrixView(a), ws, out, cfg);
   return out;
 }
@@ -121,16 +124,14 @@ TEST(EigenTridiag, NonSquareThrows) {
   Workspace ws;
   SymmetricEig out;
   Matrix a(2, 3);
-  EXPECT_THROW(tridiag_eigen_symmetric(MatrixView(a), ws, out, {}),
-               CheckError);
+  EXPECT_THROW(eigen_symmetric(MatrixView(a), ws, out, {}), CheckError);
 }
 
 TEST(EigenTridiag, EmptyThrows) {
   Workspace ws;
   SymmetricEig out;
   Matrix a;
-  EXPECT_THROW(tridiag_eigen_symmetric(MatrixView(a), ws, out, {}),
-               CheckError);
+  EXPECT_THROW(eigen_symmetric(MatrixView(a), ws, out, {}), CheckError);
 }
 
 class TridiagSizes : public ::testing::TestWithParam<int> {};
@@ -244,19 +245,20 @@ TEST(EigenTridiag, MaxVectorsKeepsLeadingPrefix) {
 }
 
 TEST(EigenTridiag, DispatchHonorsExplicitMethodAndCapsJacobi) {
+  // The capped production solve against the full Jacobi reference: the
+  // same spectrum, and each of the four kept columns spans the reference's
+  // eigendirection.
   Rng rng(23);
   const Matrix a = random_symmetric(20, rng);
   EigenConfig cfg;
-  cfg.method = EigMethod::kJacobi;
   cfg.max_vectors = 4;
   Workspace ws;
-  SymmetricEig jac;
-  eigen_symmetric(MatrixView(a), ws, jac, cfg);
-  ASSERT_EQ(jac.vectors.cols(), 4u);
-  cfg.method = EigMethod::kTridiag;
   SymmetricEig tri;
   eigen_symmetric(MatrixView(a), ws, tri, cfg);
   ASSERT_EQ(tri.vectors.cols(), 4u);
+  SymmetricEig jac;
+  jacobi_eigen_symmetric(MatrixView(a), ws, jac);
+  ASSERT_EQ(jac.vectors.cols(), 20u);
   const double scale = spectral_scale(jac);
   for (std::size_t i = 0; i < 20; ++i) {
     EXPECT_NEAR(tri.values[i], jac.values[i], 1e-10 * scale);
@@ -286,36 +288,125 @@ TEST(EigenTridiag, RepeatedCallsReuseWorkspace) {
   EXPECT_LT(max_residual(a, out), 1e-9 * spectral_scale(out));
 }
 
-/// FD-level invariance: the same stream sketched under either eigensolver
+/// Frequent Directions with the Jacobi reference in its shrink: the same
+/// 2ℓ buffer, Gram-trick rows σᵢ·vᵢᵀ = (UᵀB)ᵢ, δ = σ_ℓ² rescale and
+/// 1e-7·σ₀ noise floor as core::FrequentDirections, so the two sketches
+/// differ only in which solver diagonalized B·Bᵀ.
+class JacobiFd {
+ public:
+  JacobiFd(std::size_t ell, std::size_t dim)
+      : ell_(ell), buffer_(2 * ell, dim) {}
+
+  void append_batch(const Matrix& rows) {
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      if (used_ == buffer_.rows()) shrink();
+      buffer_.set_row(used_++, rows.row(r));
+    }
+  }
+
+  /// The occupied rows after a final shrink to at most ℓ (FD's compress()).
+  Matrix sketch() {
+    if (used_ > ell_) shrink();
+    return buffer_.slice_rows(0, used_);
+  }
+
+ private:
+  void shrink() {
+    const Matrix b = buffer_.slice_rows(0, used_);
+    const SymmetricEig eig = jacobi_eigen_symmetric(gram_rows(b));
+    const Matrix w = matmul_tn(eig.vectors, b);
+    const std::size_t m = eig.values.size();
+    std::vector<double> sigma(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      sigma[i] = std::sqrt(std::max(eig.values[i], 0.0));
+    }
+    const double delta = m >= ell_ ? sigma[ell_ - 1] * sigma[ell_ - 1] : 0.0;
+    const double floor = m > 0 && sigma[0] > 0.0 ? 1e-7 * sigma[0] : 0.0;
+    std::size_t out = 0;
+    for (; out < m; ++out) {
+      const double s2 = sigma[out] * sigma[out];
+      if (s2 <= delta || sigma[out] <= floor) break;
+      buffer_.set_row(out, w.row(out));
+      scale(buffer_.row(out), std::sqrt(s2 - delta) / sigma[out]);
+    }
+    for (std::size_t r = out; r < used_; ++r) buffer_.zero_row(r);
+    used_ = out;
+  }
+
+  std::size_t ell_;
+  Matrix buffer_;
+  std::size_t used_ = 0;
+};
+
+/// Relative covariance errors of core::FrequentDirections and JacobiFd at
+/// rank `ell` over `rows`, each measured with the same power-iteration
+/// probe stream.
+std::pair<double, double> fd_errors(const Matrix& rows, std::size_t ell,
+                                    std::uint64_t probe_seed) {
+  core::FrequentDirections fd(core::FdConfig{ell, true});
+  fd.append_batch(rows);
+  fd.compress();
+  JacobiFd reference(ell, rows.cols());
+  reference.append_batch(rows);
+  Rng probe_a(probe_seed);
+  Rng probe_b(probe_seed);
+  return {covariance_error_relative(rows, fd.sketch(), probe_a, 60),
+          covariance_error_relative(rows, reference.sketch(), probe_b, 60)};
+}
+
+/// FD-level invariance: the same stream sketched with either eigensolver
 /// must report the same covariance error to well below the FD bound —
 /// the solver is an implementation detail, not a model change.
 TEST(EigenTridiag, FdSketchErrorIsMethodIndependent) {
-  const auto sketch_with = [](const char* method, const Matrix& rows) {
-    ::setenv("ARAMS_EIG_METHOD", method, /*overwrite=*/1);
-    core::FdConfig config;
-    config.sketch_rows = 16;
-    core::FrequentDirections fd(config);
-    fd.append_batch(rows);
-    fd.compress();
-    Matrix out = fd.sketch();
-    ::unsetenv("ARAMS_EIG_METHOD");
-    return out;
-  };
-
   Rng rng(31);
   Matrix rows(200, 48);
   for (std::size_t i = 0; i < rows.rows(); ++i) rng.fill_normal(rows.row(i));
+  const auto [tridiag, jacobi] = fd_errors(rows, 16, 77);
+  EXPECT_NEAR(jacobi, tridiag, 1e-10);
+}
 
-  const Matrix sk_jacobi = sketch_with("jacobi", rows);
-  const Matrix sk_tridiag = sketch_with("tridiag", rows);
-
-  Rng probe_a(77);
-  const double err_jacobi =
-      covariance_error_relative(rows, sk_jacobi, probe_a, 60);
-  Rng probe_b(77);
-  const double err_tridiag =
-      covariance_error_relative(rows, sk_tridiag, probe_b, 60);
-  EXPECT_NEAR(err_jacobi, err_tridiag, 1e-10);
+/// Stream-level parity on detector frames: 120 beam and 120 diffraction
+/// frames of 24×24 (3 classes, generator seed 7) at ℓ ∈ {8, 16}. The
+/// solvers are different algorithms over the same math, so the sketch
+/// error may differ only by eigensolver roundoff carried through the
+/// stream; a drift past 1e-8 means an eigensolver bug that the unit-level
+/// cross-checks above missed.
+TEST(EigenTridiag, FdFrameStreamsMatchJacobiReference) {
+  constexpr std::size_t kFrames = 120;
+  constexpr std::size_t kSize = 24;
+  std::vector<image::ImageF> beam;
+  {
+    data::BeamProfileConfig config;
+    config.height = kSize;
+    config.width = kSize;
+    Rng rng(7);
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      beam.push_back(data::generate_beam_profile(config, rng).frame);
+    }
+  }
+  std::vector<image::ImageF> diffraction;
+  {
+    data::DiffractionConfig config;
+    config.height = kSize;
+    config.width = kSize;
+    config.num_classes = 3;
+    const data::DiffractionGenerator generator(config);
+    Rng rng(7);
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      diffraction.push_back(generator.generate(rng).frame);
+    }
+  }
+  const std::pair<const char*, Matrix> streams[] = {
+      {"beam", image::images_to_matrix(beam)},
+      {"diffraction", image::images_to_matrix(diffraction)},
+  };
+  for (const auto& [kind, rows] : streams) {
+    for (const std::size_t ell : {8, 16}) {
+      const auto [tridiag, jacobi] = fd_errors(rows, ell, 1);
+      EXPECT_NEAR(jacobi, tridiag, 1e-8) << kind << " ell=" << ell;
+      EXPECT_GT(tridiag, 0.0) << kind << " ell=" << ell;
+    }
+  }
 }
 
 }  // namespace

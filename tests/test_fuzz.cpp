@@ -1,15 +1,26 @@
 // Randomized stress tests: random shapes, degenerate and adversarial
 // inputs through the sketching stack — nothing may crash, produce NaNs,
-// or violate the FD invariants, across a seeded sweep.
+// or violate the FD invariants, across a seeded sweep — and header
+// mutations through the .npy and .frames readers, which must fail closed.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "core/arams_sketch.hpp"
 #include "core/fd.hpp"
 #include "core/merge.hpp"
 #include "core/priority_sampler.hpp"
+#include "image/image.hpp"
+#include "io/frames.hpp"
+#include "io/npy.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/svd.hpp"
@@ -83,13 +94,15 @@ TEST_P(FuzzSeeds, FdSurvivesNastyInputsAndKeepsGuarantee) {
 TEST_P(FuzzSeeds, PrioritySamplerSurvivesNastyInputs) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 3);
   const Matrix a = nasty_matrix(rng);
+  const auto n = static_cast<double>(a.rows());
+  // β = m/n for m in [1, n): a β of 1 returns the batch unsampled.
+  const double fraction =
+      static_cast<double>(1 + rng.uniform_index(a.rows() - 1)) / n;
   core::PrioritySamplerConfig config;
-  config.capacity = 1 + rng.uniform_index(a.rows());
   config.seed = static_cast<std::uint64_t>(GetParam());
-  core::PrioritySampler sampler(config);
-  sampler.push_batch(a);
-  const Matrix s = sampler.take();
-  EXPECT_LE(s.rows(), config.capacity);
+  core::PrioritySampleScratch scratch;
+  const Matrix& s = core::priority_sample(a, fraction, config, scratch);
+  EXPECT_LE(s.rows(), static_cast<std::size_t>(std::ceil(fraction * n)));
   EXPECT_FALSE(has_nan(s));
   // Sampled rows never include zero rows.
   for (std::size_t i = 0; i < s.rows(); ++i) {
@@ -153,6 +166,238 @@ TEST_P(FuzzSeeds, SigmaVtSvdStableOnNastyInputs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds, ::testing::Range(0, 12));
+
+// ------------------------------------------ reader header mutations
+//
+// Deterministic sweep over the byte-level readers. Starting from a valid
+// small file, every header byte is overwritten in turn with each of a
+// fixed set of hostile values, and each shape or count field with hostile
+// numbers; a seeded pass then overwrites several header bytes at once.
+// Every load must return exactly the payload the (mutated) header leaves
+// in the file — element count × element size = payload bytes — or throw
+// CheckError. Any other exception fails the test; a crash kills it.
+
+/// Single-byte values: zero, all-ones, a sign and a digit.
+constexpr char kHostileBytes[] = {'\x00', '\xff', '-', '9'};
+/// Replacement shape dimensions: empty, zero, signed, non-decimal, and
+/// digit runs whose value or product with the other dimension overflows.
+const char* const kHostileDims[] = {"",   "0",   "-1",  "-0",
+                                    "+3", "3.0", "0x3", "4294967296",
+                                    "4611686018427387904",
+                                    "18446744073709551616",
+                                    "99999999999999999999999999"};
+/// Seeded multi-byte pass: mutants per file in tier-1.
+constexpr int kRandomMutants = 200;
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+std::string temp_path(const std::string& ext) {
+  return ::testing::TempDir() + "arams_mutant_" + std::to_string(::getpid()) +
+         ext;
+}
+
+/// Writes `bytes` to `path` and loads it with `load` (which returns the
+/// element count it read). The load must return `payload_bytes` /
+/// `elem_size` elements or throw CheckError.
+template <typename Load>
+void expect_fail_closed(const std::string& path, const std::string& bytes,
+                        long payload_bytes, std::size_t elem_size, Load load,
+                        const std::string& what) {
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    const std::size_t count = load(path);
+    EXPECT_EQ(static_cast<long>(count * elem_size), payload_bytes) << what;
+  } catch (const CheckError&) {
+    // Failed closed.
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw " << e.what() << " instead of CheckError";
+  }
+}
+
+/// Where a (possibly mutated) .npy says its header ends: the 10-byte
+/// preamble plus the little-endian u16 length in bytes 8–9.
+long npy_header_end(const std::string& bytes) {
+  const auto lo = static_cast<unsigned char>(bytes[8]);
+  const auto hi = static_cast<unsigned char>(bytes[9]);
+  return 10 + (static_cast<long>(lo) | (static_cast<long>(hi) << 8));
+}
+
+/// A valid little .npy (3×4, dtype by `f32`), its header length and the
+/// on-disk element size.
+struct NpyFixture {
+  std::string bytes;
+  std::size_t header_end = 0;  ///< 10 + header length
+  std::size_t elem = 0;
+};
+
+NpyFixture valid_npy(bool f32) {
+  Matrix m(3, 4);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = 0.5 * static_cast<double>(i) - 2.0;
+  }
+  const std::string path = temp_path(".npy");
+  if (f32) {
+    io::save_npy_f32(path, linalg::MatrixF::from_matrix(m));
+  } else {
+    io::save_npy(path, m);
+  }
+  NpyFixture out;
+  out.bytes = read_file(path);
+  std::remove(path.c_str());
+  out.header_end = static_cast<std::size_t>(npy_header_end(out.bytes));
+  out.elem = f32 ? sizeof(float) : sizeof(double);
+  return out;
+}
+
+/// Runs one mutant through both .npy loaders.
+void check_npy_mutant(const std::string& bytes, std::size_t elem,
+                      const std::string& what) {
+  const std::string path = temp_path(".npy");
+  const long payload = static_cast<long>(bytes.size()) - npy_header_end(bytes);
+  expect_fail_closed(path, bytes, payload, elem, [](const std::string& p) {
+    return io::load_npy(p).size();
+  }, what + " load_npy");
+  expect_fail_closed(path, bytes, payload, elem, [](const std::string& p) {
+    return io::load_npy_f32(p).size();
+  }, what + " load_npy_f32");
+  std::remove(path.c_str());
+}
+
+/// Header-byte sweep plus the seeded multi-byte pass over [0, end).
+template <typename Check>
+void sweep_header_bytes(const std::string& valid, std::size_t end,
+                        Check check) {
+  for (std::size_t pos = 0; pos < end; ++pos) {
+    for (const char v : kHostileBytes) {
+      std::string mutant = valid;
+      mutant[pos] = v;
+      check(mutant, "byte " + std::to_string(pos) + " := " +
+                        std::to_string(static_cast<unsigned char>(v)));
+    }
+  }
+  Rng rng(2024);
+  for (int m = 0; m < kRandomMutants; ++m) {
+    std::string mutant = valid;
+    const std::size_t count = 2 + rng.uniform_index(3);
+    std::string what = "mutant " + std::to_string(m) + ":";
+    for (std::size_t c = 0; c < count; ++c) {
+      const std::size_t pos = rng.uniform_index(end);
+      const char v = kHostileBytes[rng.uniform_index(std::size(kHostileBytes))];
+      mutant[pos] = v;
+      what += " " + std::to_string(pos);
+    }
+    check(mutant, what);
+  }
+}
+
+TEST(ReaderMutation, NpyHeaderBytes) {
+  for (const bool f32 : {false, true}) {
+    const NpyFixture fx = valid_npy(f32);
+    sweep_header_bytes(fx.bytes, fx.header_end,
+                       [&](const std::string& mutant, const std::string& what) {
+                         check_npy_mutant(mutant, fx.elem,
+                                          (f32 ? "<f4 " : "<f8 ") + what);
+                       });
+  }
+}
+
+TEST(ReaderMutation, NpyShapeFields) {
+  for (const bool f32 : {false, true}) {
+    const NpyFixture fx = valid_npy(f32);
+    const std::string header = fx.bytes.substr(10, fx.header_end - 10);
+    const std::string payload = fx.bytes.substr(fx.header_end);
+    const std::size_t at = header.find("(3, 4)");
+    ASSERT_NE(at, std::string::npos);
+    for (const char* dim : kHostileDims) {
+      for (const bool rows : {true, false}) {
+        const std::string shape = rows ? "(" + std::string(dim) + ", 4)"
+                                       : "(3, " + std::string(dim) + ")";
+        // Re-pad so the header stays a valid v1.0 block of 64-byte units.
+        std::string dict = header.substr(0, at) + shape +
+                           header.substr(at + 6);
+        while (!dict.empty() && (dict.back() == ' ' || dict.back() == '\n')) {
+          dict.pop_back();
+        }
+        const std::size_t total = ((10 + dict.size() + 1 + 63) / 64) * 64;
+        dict.resize(total - 10 - 1, ' ');
+        dict += '\n';
+        std::string mutant = fx.bytes.substr(0, 8);
+        mutant += static_cast<char>(dict.size() & 0xff);
+        mutant += static_cast<char>(dict.size() >> 8);
+        mutant += dict + payload;
+        check_npy_mutant(mutant, fx.elem,
+                         std::string(f32 ? "<f4 " : "<f8 ") + "shape " + shape);
+      }
+    }
+  }
+}
+
+/// A valid little .frames bundle: 3 frames of 2×3.
+std::string valid_frames() {
+  std::vector<image::ImageF> frames;
+  for (int i = 0; i < 3; ++i) {
+    image::ImageF img(2, 3);
+    for (std::size_t p = 0; p < img.pixels().size(); ++p) {
+      img.pixels()[p] = static_cast<double>(i) + 0.25 * static_cast<double>(p);
+    }
+    frames.push_back(std::move(img));
+  }
+  const std::string path = temp_path(".frames");
+  io::save_frames(path, frames);
+  std::string bytes = read_file(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+void check_frames_mutant(const std::string& bytes, const std::string& what) {
+  constexpr long kHeader = 32;  // magic + {height, width, count}
+  const std::string path = temp_path(".frames");
+  expect_fail_closed(
+      path, bytes, static_cast<long>(bytes.size()) - kHeader, sizeof(double),
+      [](const std::string& p) {
+        std::size_t count = 0;
+        for (const image::ImageF& frame : io::load_frames(p)) {
+          count += frame.pixels().size();
+        }
+        return count;
+      },
+      what);
+  std::remove(path.c_str());
+}
+
+TEST(ReaderMutation, FramesHeaderBytes) {
+  sweep_header_bytes(valid_frames(), 32, check_frames_mutant);
+}
+
+TEST(ReaderMutation, FramesCountFields) {
+  const std::string valid = valid_frames();
+  const std::uint64_t values[] = {0,
+                                  1,
+                                  4,
+                                  std::uint64_t{1} << 32,
+                                  std::uint64_t{1} << 40,
+                                  std::uint64_t{1} << 62,
+                                  std::uint64_t{1} << 63,  // the sign bit
+                                  ~std::uint64_t{0}};
+  const char* const fields[] = {"height", "width", "count"};
+  for (std::size_t field = 0; field < 3; ++field) {
+    for (const std::uint64_t v : values) {
+      std::string mutant = valid;
+      for (int i = 0; i < 8; ++i) {
+        mutant[8 + 8 * field + static_cast<std::size_t>(i)] =
+            static_cast<char>((v >> (8 * i)) & 0xff);
+      }
+      check_frames_mutant(mutant, std::string(fields[field]) + " := " +
+                                      std::to_string(v));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace arams

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "io/frames.hpp"
 #include "io/npy.hpp"
@@ -182,6 +184,105 @@ TEST(Npy, RejectsTruncatedPayload) {
 
 TEST(Npy, EmptyMatrixRefused) {
   EXPECT_THROW(save_npy("/tmp/x.npy", Matrix()), CheckError);
+}
+
+// ----------------------------------------------- malformed headers
+//
+// Each reader must fail closed with a CheckError that names the file and
+// the offending field — never wrap a product, allocate from an unchecked
+// count or hand back a matrix without storage.
+
+/// Writes a v1.0 .npy whose header dict is `dict`, followed by
+/// `payload_bytes` zero bytes.
+void write_npy(const std::string& path, const std::string& dict,
+               std::size_t payload_bytes) {
+  std::string header = dict;
+  const std::size_t total = ((10 + header.size() + 1 + 63) / 64) * 64;
+  header.resize(total - 10 - 1, ' ');
+  header += '\n';
+  std::ofstream f(path, std::ios::binary);
+  f << "\x93NUMPY";
+  f.put('\x01');
+  f.put('\x00');
+  f.put(static_cast<char>(header.size() & 0xff));
+  f.put(static_cast<char>(header.size() >> 8));
+  f << header << std::string(payload_bytes, '\0');
+}
+
+/// Writes a .frames header {h, w, count} followed by `payload_bytes` zero
+/// bytes.
+void write_frames(const std::string& path, std::uint64_t h, std::uint64_t w,
+                  std::uint64_t count, std::size_t payload_bytes) {
+  std::ofstream f(path, std::ios::binary);
+  f << "ARAMSFR1";
+  for (const std::uint64_t v : {h, w, count}) {
+    for (int i = 0; i < 8; ++i) f.put(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+  f << std::string(payload_bytes, '\0');
+}
+
+/// `load()` must throw CheckError (and nothing else) whose message names
+/// `path` and `field`.
+template <typename Load>
+void expect_rejected(Load load, const std::string& path,
+                     const std::string& field) {
+  try {
+    load();
+    ADD_FAILURE() << "loaded " << path << " without a CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+TEST(Npy, RejectsShapeWhoseProductOverflows) {
+  // 2⁶² × 4 elements × 8 bytes wraps to 0 in 64 bits.
+  const std::string path = "/tmp/arams_shape_overflow.npy";
+  write_npy(path,
+            "{'descr': '<f8', 'fortran_order': False, "
+            "'shape': (4611686018427387904, 4), }",
+            8);
+  expect_rejected([&] { load_npy(path); }, path, "'shape'");
+  expect_rejected([&] { load_npy_f32(path); }, path, "'shape'");
+  std::remove(path.c_str());
+}
+
+TEST(Npy, RejectsSignedShape) {
+  const std::string path = "/tmp/arams_shape_signed.npy";
+  write_npy(path,
+            "{'descr': '<f8', 'fortran_order': False, 'shape': (-1, 2), }",
+            16);
+  expect_rejected([&] { load_npy(path); }, path, "'shape'");
+  expect_rejected([&] { load_npy_f32(path); }, path, "'shape'");
+  std::remove(path.c_str());
+}
+
+TEST(Npy, RejectsPayloadLargerThanShape) {
+  // Trailing bytes past rows·cols elements are refused too: the payload
+  // must be exactly what the header promises.
+  const std::string path = "/tmp/arams_payload_extra.npy";
+  write_npy(path, "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), }",
+            40);
+  expect_rejected([&] { load_npy(path); }, path, "'shape'");
+  expect_rejected([&] { load_npy_f32(path); }, path, "'shape'");
+  std::remove(path.c_str());
+}
+
+TEST(Frames, RejectsFrameSizeWhoseProductOverflows) {
+  // h = w = 2³²: h·w wraps to 0 in 64 bits.
+  const std::string path = "/tmp/arams_frames_hw.frames";
+  write_frames(path, std::uint64_t{1} << 32, std::uint64_t{1} << 32, 1, 8);
+  expect_rejected([&] { load_frames(path); }, path, "height × width");
+  std::remove(path.c_str());
+}
+
+TEST(Frames, RejectsCountBeyondTheFile) {
+  // 2⁴⁰ frames of 4×4 would need 2⁴⁷ bytes; the file holds one frame.
+  const std::string path = "/tmp/arams_frames_count.frames";
+  write_frames(path, 4, 4, std::uint64_t{1} << 40, 4 * 4 * sizeof(double));
+  expect_rejected([&] { load_frames(path); }, path, "count");
+  std::remove(path.c_str());
 }
 
 TEST(Frames, RoundTrip) {

@@ -1,10 +1,12 @@
-// kNN graphs: exact brute force and NN-descent recall.
+// kNN graphs: exact brute force, and the recall NN-descent refinement
+// reaches from a random seed graph.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "embed/knn.hpp"
+#include "random_knn_graph.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -66,7 +68,9 @@ TEST(NnDescent, HighRecallOnRandomPoints) {
   const Matrix pts = random_points(300, 5, 4);
   const KnnGraph exact = exact_knn(pts, 10);
   Rng rng(5);
-  const KnnGraph approx = nn_descent(pts, 10, rng, 8);
+  KnnGraph approx = test::random_knn_graph(pts, 10, rng);
+  linalg::Workspace ws;
+  nn_descent_refine(pts, rng, ws, approx, 8);
   EXPECT_GT(knn_recall(approx, exact), 0.85);
 }
 
@@ -82,26 +86,10 @@ TEST(NnDescent, PerfectRecallOnWellSeparatedClusters) {
   }
   const KnnGraph exact = exact_knn(pts, 5);
   Rng rng2(7);
-  const KnnGraph approx = nn_descent(pts, 5, rng2, 10);
+  KnnGraph approx = test::random_knn_graph(pts, 5, rng2);
+  linalg::Workspace ws;
+  nn_descent_refine(pts, rng2, ws, approx, 10);
   EXPECT_GT(knn_recall(approx, exact), 0.95);
-}
-
-TEST(BuildKnn, SelectsExactBelowThreshold) {
-  const Matrix pts = random_points(50, 3, 8);
-  Rng rng(9);
-  const KnnGraph auto_g = build_knn(pts, 4, rng, 100);
-  const KnnGraph exact = exact_knn(pts, 4);
-  EXPECT_DOUBLE_EQ(knn_recall(auto_g, exact), 1.0);
-}
-
-TEST(BuildKnn, UsesApproximateAboveThreshold) {
-  const Matrix pts = random_points(120, 3, 10);
-  Rng rng(11);
-  const KnnGraph g = build_knn(pts, 5, rng, 50);  // force NN-descent
-  EXPECT_EQ(g.n, 120u);
-  EXPECT_EQ(g.k, 5u);
-  const KnnGraph exact = exact_knn(pts, 5);
-  EXPECT_GT(knn_recall(g, exact), 0.8);
 }
 
 TEST(NnDescent, ScalarPathRecallRegression) {
@@ -129,8 +117,8 @@ TEST(NnDescent, ScalarPathRecallRegression) {
     KnnGraph exact;
     exact_knn(pts, 10, ws, exact, scalar);
     Rng rng(c.descent_seed);
-    KnnGraph approx;
-    nn_descent(pts, 10, rng, ws, approx, 8, 1.0, scalar);
+    KnnGraph approx = test::random_knn_graph(pts, 10, rng);
+    nn_descent_refine(pts, rng, ws, approx, 8, 1.0, scalar);
     EXPECT_DOUBLE_EQ(knn_recall(approx, exact), c.expected_recall)
         << "n=" << c.n << " d=" << c.d;
   }

@@ -1,5 +1,7 @@
-// Priority sampling: unit tests plus the unbiasedness property —
-// E[B̃ᵀB̃] = AᵀA over many sampling repetitions.
+// Priority sampling: unit tests of the streaming oracle
+// (priority_sampler_oracle.hpp) and of the production one-shot
+// priority_sample, the unbiasedness property — E[B̃ᵀB̃] = AᵀA over many
+// sampling repetitions — and bitwise parity between the two.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 
 #include "core/priority_sampler.hpp"
 #include "linalg/blas.hpp"
+#include "priority_sampler_oracle.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -15,6 +18,7 @@ namespace arams::core {
 namespace {
 
 using linalg::Matrix;
+using test::PrioritySampler;
 
 Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
   Matrix m(r, c);
@@ -25,15 +29,11 @@ Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
 }
 
 TEST(PrioritySampler, CapacityZeroThrows) {
-  PrioritySamplerConfig config;
-  config.capacity = 0;
-  EXPECT_THROW(PrioritySampler{config}, CheckError);
+  EXPECT_THROW(PrioritySampler{0}, CheckError);
 }
 
 TEST(PrioritySampler, UnderflowKeepsEverythingExactly) {
-  PrioritySamplerConfig config;
-  config.capacity = 10;
-  PrioritySampler sampler(config);
+  PrioritySampler sampler(10);
   Rng rng(1);
   const Matrix a = random_matrix(6, 4, rng);
   sampler.push_batch(a);
@@ -43,9 +43,7 @@ TEST(PrioritySampler, UnderflowKeepsEverythingExactly) {
 }
 
 TEST(PrioritySampler, OverflowKeepsExactlyCapacity) {
-  PrioritySamplerConfig config;
-  config.capacity = 5;
-  PrioritySampler sampler(config);
+  PrioritySampler sampler(5);
   Rng rng(2);
   sampler.push_batch(random_matrix(50, 3, rng));
   const Matrix out = sampler.take();
@@ -54,15 +52,12 @@ TEST(PrioritySampler, OverflowKeepsExactlyCapacity) {
 }
 
 TEST(PrioritySampler, TakeBeforePushThrows) {
-  PrioritySamplerConfig config;
-  PrioritySampler sampler(config);
+  PrioritySampler sampler(128);
   EXPECT_THROW(sampler.take(), CheckError);
 }
 
 TEST(PrioritySampler, ZeroRowsAreNeverSampled) {
-  PrioritySamplerConfig config;
-  config.capacity = 3;
-  PrioritySampler sampler(config);
+  PrioritySampler sampler(3);
   Matrix a(10, 2);
   a(4, 0) = 1.0;  // the only non-zero row
   sampler.push_batch(a);
@@ -73,9 +68,8 @@ TEST(PrioritySampler, ZeroRowsAreNeverSampled) {
 
 TEST(PrioritySampler, OutputPreservesStreamOrder) {
   PrioritySamplerConfig config;
-  config.capacity = 4;
   config.rescale = false;
-  PrioritySampler sampler(config);
+  PrioritySampler sampler(4, config);
   // Increasing-norm rows: the four largest are rows 6..9, in order.
   Matrix a(10, 1);
   for (std::size_t i = 0; i < 10; ++i) {
@@ -95,9 +89,8 @@ TEST(PrioritySampler, HeavyRowsAlmostAlwaysKept) {
   constexpr int kReps = 100;
   for (int rep = 0; rep < kReps; ++rep) {
     PrioritySamplerConfig config;
-    config.capacity = 3;
     config.seed = static_cast<std::uint64_t>(rep);
-    PrioritySampler sampler(config);
+    PrioritySampler sampler(3, config);
     Matrix a(20, 2);
     Rng rng(static_cast<std::uint64_t>(rep) + 1000);
     for (std::size_t i = 0; i < 20; ++i) {
@@ -126,9 +119,8 @@ TEST(PrioritySampler, RescaledCovarianceIsUnbiased) {
   constexpr int kReps = 600;
   for (int rep = 0; rep < kReps; ++rep) {
     PrioritySamplerConfig config;
-    config.capacity = 20;
     config.seed = static_cast<std::uint64_t>(rep) * 7 + 1;
-    PrioritySampler sampler(config);
+    PrioritySampler sampler(20, config);
     sampler.push_batch(a);
     const Matrix s = sampler.take();
     const Matrix g = linalg::gram_cols(s);
@@ -144,18 +136,15 @@ TEST(PrioritySampler, RescaledCovarianceIsUnbiased) {
 
 TEST(PrioritySampler, RowNormWeightModeRuns) {
   PrioritySamplerConfig config;
-  config.capacity = 5;
   config.weight = SamplingWeight::kRowNorm;
-  PrioritySampler sampler(config);
+  PrioritySampler sampler(5, config);
   Rng rng(4);
   sampler.push_batch(random_matrix(30, 3, rng));
   EXPECT_EQ(sampler.take().rows(), 5u);
 }
 
 TEST(PrioritySampler, ReusableAfterTake) {
-  PrioritySamplerConfig config;
-  config.capacity = 4;
-  PrioritySampler sampler(config);
+  PrioritySampler sampler(4);
   Rng rng(5);
   sampler.push_batch(random_matrix(10, 2, rng));
   EXPECT_EQ(sampler.take().rows(), 4u);
@@ -203,18 +192,14 @@ TEST(PrioritySample, InvalidFractionThrows) {
 // rows bitwise — same draws, same keep/evict decisions, same τ, same
 // rescaled survivors in stream order.
 
-PrioritySamplerConfig streaming_config(std::size_t rows, double fraction,
-                                       PrioritySamplerConfig config) {
-  config.capacity = std::max<std::size_t>(
-      static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(rows))),
-      1);
-  return config;
-}
-
 template <typename Rows>
 Matrix streaming_sample(const Rows& a, double fraction,
                         const PrioritySamplerConfig& config) {
-  PrioritySampler sampler(streaming_config(a.rows(), fraction, config));
+  const std::size_t capacity = std::max<std::size_t>(
+      static_cast<std::size_t>(
+          std::ceil(fraction * static_cast<double>(a.rows()))),
+      1);
+  PrioritySampler sampler(capacity, config);
   sampler.push_batch(a);
   return sampler.take();
 }

@@ -13,6 +13,7 @@
 #include "embed/umap.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
+#include "priority_sampler_oracle.hpp"
 #include "rng/rng.hpp"
 #include "stream/pipeline.hpp"
 #include "util/check.hpp"
@@ -99,10 +100,9 @@ TEST(PrioritySampler, SubsetSumEstimatorUnbiased) {
   constexpr int kReps = 2000;
   for (int rep = 0; rep < kReps; ++rep) {
     core::PrioritySamplerConfig config;
-    config.capacity = 10;
     config.rescale = false;  // keep raw rows; estimate by hand
     config.seed = static_cast<std::uint64_t>(rep) * 13 + 1;
-    core::PrioritySampler sampler(config);
+    test::PrioritySampler sampler(10, config);
     sampler.push_batch(a);
     const Matrix sample = sampler.take();
     const double tau = sampler.last_threshold();
