@@ -111,6 +111,7 @@ int main(int argc, char** argv) {
   flags.declare("size", "32", "frame height/width");
   flags.declare("cores", "4", "row ranges sketched, then tree-merged");
   flags.declare("full", "false", "larger run (2000 frames, 64x64)");
+  flags.declare("seed", "5", "generator seed");
   flags.declare("help", "false", "print usage");
   flags.parse(argc, argv);
   if (flags.get_bool("help")) {
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
   beam.height = size;
   beam.width = size;
   beam.exotic_prob = 0.02;
-  Rng rng(5);
+  Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
   std::cerr << "[fig5] generating " << frames << " beam profiles...\n";
   const auto samples = data::generate_beam_profiles(beam, frames, rng);
   std::vector<image::ImageF> images;

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   flags.declare("classes", "4", "latent quadrant-weight classes");
   flags.declare("size", "40", "frame height/width");
   flags.declare("full", "false", "larger run (1200 frames, 64x64)");
+  flags.declare("seed", "6", "generator seed");
   flags.declare("help", "false", "print usage");
   flags.parse(argc, argv);
   if (flags.get_bool("help")) {
@@ -44,7 +45,8 @@ int main(int argc, char** argv) {
   diff.photons_per_frame = 5e4;
   std::cerr << "[fig6] generating " << frames << " diffraction frames ("
             << diff.num_classes << " classes)...\n";
-  stream::DiffractionSource source(diff, frames, 120.0, 6);
+  stream::DiffractionSource source(
+      diff, frames, 120.0, static_cast<std::uint64_t>(flags.get_int("seed")));
   const auto events = stream::drain(source, frames);
   std::vector<int> truth;
   truth.reserve(frames);

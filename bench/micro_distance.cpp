@@ -1,6 +1,6 @@
 // Downstream distance-engine benchmarks (google-benchmark): the pairwise
 // block primitive, exact kNN, OPTICS, the snapshot's reservoir projection,
-// and UMAP epochs — each engine path next to the per-pair scalar
+// and UMAP embeds — each engine path next to the per-pair scalar
 // implementation it replaced, so BENCH_downstream.json records the
 // before/after directly. Shapes follow the Section VI-B snapshot sizes (a
 // few thousand latent points, d = 32 after PCA) and the monitor's own
@@ -234,35 +234,31 @@ void BM_ProjectRows(benchmark::State& state) {
 }
 BENCHMARK(BM_ProjectRows)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-embed::UmapConfig umap_bench_config(embed::UmapConfig::Optimizer opt) {
+void BM_UmapEpoch(benchmark::State& state) {
+  const Matrix pts = random_matrix(600, 16, 13);
   embed::UmapConfig config;
   config.n_neighbors = 12;
   config.n_epochs = 50;
-  config.optimizer = opt;
-  return config;
-}
-
-void BM_UmapEpochSerial(benchmark::State& state) {
-  const Matrix pts = random_matrix(600, 16, 13);
-  const embed::UmapConfig config =
-      umap_bench_config(embed::UmapConfig::Optimizer::kSerial);
   linalg::Workspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(embed::umap_embed(pts, config, ws).data());
   }
 }
-BENCHMARK(BM_UmapEpochSerial)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_UmapEpoch)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_UmapEpochBatch(benchmark::State& state) {
-  const Matrix pts = random_matrix(600, 16, 13);
-  const embed::UmapConfig config =
-      umap_bench_config(embed::UmapConfig::Optimizer::kBatchParallel);
+/// The monitor's full snapshot embed: 4608 reservoir rows, 10 PCA
+/// components, the Fig. 6 config's 200 epochs (rpforest kNN above the
+/// 4096-point exact threshold, then the layout).
+void BM_UmapEmbed(benchmark::State& state) {
+  const Matrix pts = random_matrix(4608, 10, 14);
+  embed::UmapConfig config;
+  config.n_epochs = 200;
   linalg::Workspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(embed::umap_embed(pts, config, ws).data());
   }
 }
-BENCHMARK(BM_UmapEpochBatch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_UmapEmbed)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

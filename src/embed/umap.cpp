@@ -1,7 +1,11 @@
 #include "embed/umap.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <span>
 #include <string>
 
 #include "embed/pca.hpp"
@@ -12,6 +16,21 @@
 namespace arams::embed {
 
 using linalg::Matrix;
+
+namespace {
+
+// SGD settings of the reference implementation, which nothing here tunes.
+constexpr double kLearningRate = 1.0;
+constexpr int kNegativeSamples = 5;
+constexpr double kRepulsionStrength = 1.0;
+
+// The layout's partition: fixed, so that no bit depends on the pool size.
+constexpr std::size_t kChunks = 16;
+constexpr std::size_t kWaves = 2;
+// Below this many edges an epoch's chunks run inline on the caller.
+constexpr std::size_t kPoolMinEdges = 2048;
+
+}  // namespace
 
 SmoothKnn smooth_knn_distances(const KnnGraph& graph,
                                double local_connectivity, int iterations) {
@@ -268,39 +287,140 @@ Matrix initialize_embedding(const Matrix& points, const UmapConfig& config,
 
 double clip4(double v) { return std::clamp(v, -4.0, 4.0); }
 
-void optimize_layout(Matrix& y, const FuzzyGraph& graph,
-                     const UmapConfig& config, double a, double b, Rng& rng) {
-  const std::size_t n = y.rows();
-  const std::size_t dim = y.cols();
-  const int n_epochs = config.n_epochs;
-  if (graph.edges.empty()) return;
+/// One chunk of the owned-chunk layout: a contiguous run of the
+/// (u, v)-sorted edge list, cut at a change of head u, whose heads all fall
+/// in the rows [lo, hi) it owns. It is the only one that writes those rows,
+/// in place; every other row it reads from the snapshot taken at the start
+/// of the wave, and its moves of tails it does not own go into a private
+/// delta (rows [hi, n), since v > u ≥ lo).
+struct LayoutChunk {
+  std::size_t e0 = 0, e1 = 0;  ///< edge range [e0, e1)
+  std::size_t lo = 0, hi = 0;  ///< owned rows [lo, hi)
+  Matrix delta;                ///< tail moves for rows hi + i
+  Rng rng;                     ///< this epoch's negative-sample stream
+};
 
-  double w_max = 0.0;
-  for (const auto& e : graph.edges) w_max = std::max(w_max, e.weight);
+/// Cuts the edge list into kChunks chunks of about m / kChunks edges, each
+/// cut moved forward to the next change of head u (some may be empty).
+std::vector<LayoutChunk> cut_chunks(const FuzzyGraph& graph, std::size_t dim) {
+  const auto& edges = graph.edges;
+  const std::size_t m = edges.size();
+  std::vector<LayoutChunk> chunks(kChunks);
+  for (std::size_t c = 1; c < kChunks; ++c) {
+    std::size_t e = std::max(m * c / kChunks, chunks[c - 1].e0);
+    while (e > 0 && e < m && edges[e].u == edges[e - 1].u) ++e;
+    chunks[c].e0 = e;
+    chunks[c].lo = (e < m) ? edges[e].u : graph.n;
+  }
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    const bool last = c + 1 == kChunks;
+    chunks[c].e1 = last ? m : chunks[c + 1].e0;
+    chunks[c].hi = last ? graph.n : chunks[c + 1].lo;
+    chunks[c].delta = Matrix(graph.n - chunks[c].hi, dim);
+  }
+  return chunks;
+}
 
-  const std::size_t m = graph.edges.size();
-  std::vector<double> epochs_per_sample(m);
-  std::vector<double> epoch_of_next(m);
-  std::vector<double> epochs_per_negative(m);
-  std::vector<double> epoch_of_next_negative(m);
-  for (std::size_t e = 0; e < m; ++e) {
-    epochs_per_sample[e] = w_max / graph.edges[e].weight;
-    epoch_of_next[e] = epochs_per_sample[e];
-    epochs_per_negative[e] =
-        epochs_per_sample[e] / std::max(config.negative_samples, 1);
-    epoch_of_next_negative[e] = epochs_per_negative[e];
+/// Runs fn(i) for i in [0, kChunks): inline without a pool, otherwise on
+/// the caller and thread_count() − 1 helpers that all take indices from
+/// one counter. The caller waits for the indices, not for the helpers: one
+/// that wakes after the work is claimed finds nothing left and touches only
+/// the shared counter. Which thread runs an index changes no bit.
+void for_each_chunk(parallel::ThreadPool* pool,
+                    const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < kChunks; ++i) fn(i);
+    return;
+  }
+  struct Claims {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> done{0};
+  };
+  const auto claims = std::make_shared<Claims>();
+  const auto drain = [claims, work = &fn] {
+    for (std::size_t i; (i = claims->next++) < kChunks;) {
+      (*work)(i);
+      if (++claims->done == kChunks) claims->done.notify_one();
+    }
+  };
+  for (std::size_t t = 1; t < pool->thread_count(); ++t) {
+    (void)pool->submit(drain);
+  }
+  drain();
+  for (std::size_t d; (d = claims->done) < kChunks;) claims->done.wait(d);
+}
+
+/// Negative-sampling SGD on the fuzzy graph's cross-entropy, as owned
+/// chunks. Each epoch runs in kWaves waves: wave w moves the w-th slice of
+/// every chunk's edges with the reference per-edge rule, then the deltas
+/// are added into y in chunk order and the snapshot is refreshed from y.
+/// During a wave no chunk reads a row another chunk writes, so the chunks
+/// are independent and the result does not depend on who runs them.
+class Layout {
+ public:
+  Layout(Matrix& y, const FuzzyGraph& graph, double a, double b)
+      : y_(y), snap_(y), graph_(graph), a_(a), b_(b),
+        chunks_(cut_chunks(graph, y.cols())) {
+    const std::size_t m = graph.edges.size();
+    double w_max = 0.0;
+    for (const auto& e : graph.edges) w_max = std::max(w_max, e.weight);
+    epochs_per_sample_.resize(m);
+    epochs_per_negative_.resize(m);
+    for (std::size_t e = 0; e < m; ++e) {
+      epochs_per_sample_[e] = w_max / graph.edges[e].weight;
+      epochs_per_negative_[e] = epochs_per_sample_[e] / kNegativeSamples;
+    }
+    epoch_of_next_ = epochs_per_sample_;
+    epoch_of_next_negative_ = epochs_per_negative_;
   }
 
-  const double gamma = config.repulsion_strength;
-  for (int epoch = 1; epoch <= n_epochs; ++epoch) {
-    const double alpha =
-        config.learning_rate *
-        (1.0 - static_cast<double>(epoch) / static_cast<double>(n_epochs));
-    for (std::size_t e = 0; e < m; ++e) {
-      if (epoch_of_next[e] > epoch) continue;
-      const auto& edge = graph.edges[e];
-      auto yu = y.row(edge.u);
-      auto yv = y.row(edge.v);
+  void run(int n_epochs, const Rng& rng) {
+    parallel::ThreadPool& shared = parallel::shared_pool();
+    parallel::ThreadPool* pool =
+        (graph_.edges.size() >= kPoolMinEdges && shared.thread_count() >= 2 &&
+         !shared.on_worker_thread())
+            ? &shared
+            : nullptr;
+    for (int epoch = 1; epoch <= n_epochs; ++epoch) {
+      const double alpha =
+          kLearningRate *
+          (1.0 - static_cast<double>(epoch) / static_cast<double>(n_epochs));
+      for (std::size_t c = 0; c < kChunks; ++c) {
+        chunks_[c].rng =
+            rng.split(static_cast<std::uint64_t>(epoch) * kChunks + c);
+      }
+      for (std::size_t wave = 0; wave < kWaves; ++wave) {
+        for_each_chunk(pool, [&](std::size_t c) {
+          LayoutChunk& ch = chunks_[c];
+          const std::size_t len = ch.e1 - ch.e0;
+          move_edges(ch, ch.e0 + len * wave / kWaves,
+                     ch.e0 + len * (wave + 1) / kWaves, epoch, alpha);
+        });
+        fold();
+      }
+    }
+  }
+
+ private:
+  /// The serial loop's visit of edges [e_begin, e_end) that are due:
+  /// attraction along the edge, then the head's negative samples, each
+  /// acting on the head as the previous one left it.
+  void move_edges(LayoutChunk& ch, std::size_t e_begin, std::size_t e_end,
+                  int epoch, double alpha) {
+    const std::size_t n = y_.rows();
+    const std::size_t dim = y_.cols();
+    const auto read = [&](std::size_t r) {
+      return (r >= ch.lo && r < ch.hi) ? std::span<const double>(y_.row(r))
+                                       : snap_.row(r);
+    };
+    Rng rng = ch.rng;  // a local copy: the chunks' streams share cache lines
+    for (std::size_t e = e_begin; e < e_end; ++e) {
+      if (epoch_of_next_[e] > epoch) continue;
+      const auto& edge = graph_.edges[e];
+      auto yu = y_.row(edge.u);
+      const auto yv = read(edge.v);
+      auto dv = (edge.v < ch.hi) ? y_.row(edge.v)
+                                 : ch.delta.row(edge.v - ch.hi);
 
       // Attractive move along the edge.
       double d2 = 0.0;
@@ -309,23 +429,23 @@ void optimize_layout(Matrix& y, const FuzzyGraph& graph,
         d2 += diff * diff;
       }
       if (d2 > 0.0) {
-        const double coeff = (-2.0 * a * b * std::pow(d2, b - 1.0)) /
-                             (1.0 + a * std::pow(d2, b));
+        const double coeff = (-2.0 * a_ * b_ * std::pow(d2, b_ - 1.0)) /
+                             (1.0 + a_ * std::pow(d2, b_));
         for (std::size_t c = 0; c < dim; ++c) {
           const double g = clip4(coeff * (yu[c] - yv[c]));
           yu[c] += alpha * g;
-          yv[c] -= alpha * g;
+          dv[c] -= alpha * g;
         }
       }
-      epoch_of_next[e] += epochs_per_sample[e];
+      epoch_of_next_[e] += epochs_per_sample_[e];
 
       // Negative (repulsive) samples for the head vertex.
       const int n_neg = static_cast<int>(
-          (epoch - epoch_of_next_negative[e]) / epochs_per_negative[e]) + 1;
+          (epoch - epoch_of_next_negative_[e]) / epochs_per_negative_[e]) + 1;
       for (int s = 0; s < n_neg; ++s) {
         const std::size_t r = rng.uniform_index(n);
         if (r == edge.u || r == edge.v) continue;
-        const auto yr = y.row(r);
+        const auto yr = read(r);
         double rd2 = 0.0;
         for (std::size_t c = 0; c < dim; ++c) {
           const double diff = yu[c] - yr[c];
@@ -333,8 +453,8 @@ void optimize_layout(Matrix& y, const FuzzyGraph& graph,
         }
         double coeff = 0.0;
         if (rd2 > 0.0) {
-          coeff = (2.0 * gamma * b) /
-                  ((0.001 + rd2) * (1.0 + a * std::pow(rd2, b)));
+          coeff = (2.0 * kRepulsionStrength * b_) /
+                  ((0.001 + rd2) * (1.0 + a_ * std::pow(rd2, b_)));
         }
         for (std::size_t c = 0; c < dim; ++c) {
           const double g =
@@ -342,148 +462,36 @@ void optimize_layout(Matrix& y, const FuzzyGraph& graph,
           yu[c] += alpha * g;
         }
       }
-      epoch_of_next_negative[e] +=
-          epochs_per_negative[e] * static_cast<double>(n_neg);
+      epoch_of_next_negative_[e] +=
+          epochs_per_negative_[e] * static_cast<double>(n_neg);
     }
-  }
-}
-
-/// Batch-parallel layout (umappp-style). Per epoch: the layout is frozen
-/// into y_prev, the edge list is split into kPartitions fixed contiguous
-/// ranges, and each partition accumulates its gradient steps into a private
-/// delta matrix while reading only y_prev. Deltas are then folded into y in
-/// partition order. Nothing shared is written concurrently (TSan-clean) and
-/// both the partitioning and the reduction order are independent of the
-/// pool size, so the result is deterministic for any thread count —
-/// including one, which is how the serial-equivalence test runs it.
-/// Negative samples come from per-edge-per-epoch split RNG streams.
-void optimize_layout_batch(Matrix& y, const FuzzyGraph& graph,
-                           const UmapConfig& config, double a, double b,
-                           const Rng& rng) {
-  const std::size_t n = y.rows();
-  const std::size_t dim = y.cols();
-  const int n_epochs = config.n_epochs;
-  if (graph.edges.empty()) return;
-
-  double w_max = 0.0;
-  for (const auto& e : graph.edges) w_max = std::max(w_max, e.weight);
-
-  const std::size_t m = graph.edges.size();
-  std::vector<double> epochs_per_sample(m);
-  std::vector<double> epoch_of_next(m);
-  std::vector<double> epochs_per_negative(m);
-  std::vector<double> epoch_of_next_negative(m);
-  for (std::size_t e = 0; e < m; ++e) {
-    epochs_per_sample[e] = w_max / graph.edges[e].weight;
-    epoch_of_next[e] = epochs_per_sample[e];
-    epochs_per_negative[e] =
-        epochs_per_sample[e] / std::max(config.negative_samples, 1);
-    epoch_of_next_negative[e] = epochs_per_negative[e];
+    ch.rng = rng;
   }
 
-  constexpr std::size_t kPartitions = 16;
-  const std::size_t parts = std::min(kPartitions, m);
-  std::vector<Matrix> deltas;
-  deltas.reserve(parts);
-  for (std::size_t p = 0; p < parts; ++p) deltas.emplace_back(n, dim);
-  Matrix y_prev(n, dim);
-
-  parallel::ThreadPool& pool = parallel::shared_pool();
-  const bool parallel_epochs = pool.thread_count() >= 2;
-
-  const double gamma = config.repulsion_strength;
-  for (int epoch = 1; epoch <= n_epochs; ++epoch) {
-    const double alpha =
-        config.learning_rate *
-        (1.0 - static_cast<double>(epoch) / static_cast<double>(n_epochs));
-    std::copy(y.data(), y.data() + n * dim, y_prev.data());
-
-    const auto run_partition = [&](std::size_t p) {
-      Matrix& delta = deltas[p];
-      std::fill(delta.data(), delta.data() + n * dim, 0.0);
-      const std::size_t e0 = m * p / parts;
-      const std::size_t e1 = m * (p + 1) / parts;
-      for (std::size_t e = e0; e < e1; ++e) {
-        if (epoch_of_next[e] > epoch) continue;
-        const auto& edge = graph.edges[e];
-        const auto yu = y_prev.row(edge.u);
-        const auto yv = y_prev.row(edge.v);
-        auto du = delta.row(edge.u);
-        auto dv = delta.row(edge.v);
-
-        double d2 = 0.0;
-        for (std::size_t c = 0; c < dim; ++c) {
-          const double diff = yu[c] - yv[c];
-          d2 += diff * diff;
-        }
-        if (d2 > 0.0) {
-          const double coeff = (-2.0 * a * b * std::pow(d2, b - 1.0)) /
-                               (1.0 + a * std::pow(d2, b));
-          for (std::size_t c = 0; c < dim; ++c) {
-            const double g = clip4(coeff * (yu[c] - yv[c]));
-            du[c] += alpha * g;
-            dv[c] -= alpha * g;
-          }
-        }
-        epoch_of_next[e] += epochs_per_sample[e];
-
-        const int n_neg = static_cast<int>(
-            (epoch - epoch_of_next_negative[e]) / epochs_per_negative[e]) + 1;
-        Rng neg_rng = rng.split(static_cast<std::uint64_t>(epoch) * m + e);
-        for (int s = 0; s < n_neg; ++s) {
-          const std::size_t r = neg_rng.uniform_index(n);
-          if (r == edge.u || r == edge.v) continue;
-          const auto yr = y_prev.row(r);
-          double rd2 = 0.0;
-          for (std::size_t c = 0; c < dim; ++c) {
-            const double diff = yu[c] - yr[c];
-            rd2 += diff * diff;
-          }
-          double coeff = 0.0;
-          if (rd2 > 0.0) {
-            coeff = (2.0 * gamma * b) /
-                    ((0.001 + rd2) * (1.0 + a * std::pow(rd2, b)));
-          }
-          for (std::size_t c = 0; c < dim; ++c) {
-            const double g =
-                (coeff > 0.0) ? clip4(coeff * (yu[c] - yr[c])) : 4.0;
-            du[c] += alpha * g;
-          }
-        }
-        epoch_of_next_negative[e] +=
-            epochs_per_negative[e] * static_cast<double>(n_neg);
+  /// Adds the deltas into y in chunk order and refreshes the snapshot.
+  void fold() {
+    for (LayoutChunk& ch : chunks_) {
+      double* dst = y_.data() + ch.hi * y_.cols();
+      double* src = ch.delta.data();
+      for (std::size_t i = 0; i < ch.delta.size(); ++i) {
+        dst[i] += src[i];
+        src[i] = 0.0;
       }
-    };
-
-    if (parallel_epochs) {
-      pool.parallel_for(parts, run_partition);
-    } else {
-      for (std::size_t p = 0; p < parts; ++p) run_partition(p);
     }
-
-    // Deterministic reduction: partition 0 first, always.
-    for (std::size_t p = 0; p < parts; ++p) {
-      const double* src = deltas[p].data();
-      double* dst = y.data();
-      for (std::size_t i = 0; i < n * dim; ++i) dst[i] += src[i];
-    }
+    std::copy(y_.data(), y_.data() + y_.size(), snap_.data());
   }
-}
 
-/// Resolves UmapConfig::Optimizer::kAuto by total edge-epoch visit count.
-bool use_batch_optimizer(const FuzzyGraph& graph, const UmapConfig& config) {
-  switch (config.optimizer) {
-    case UmapConfig::Optimizer::kSerial:
-      return false;
-    case UmapConfig::Optimizer::kBatchParallel:
-      return true;
-    case UmapConfig::Optimizer::kAuto:
-      break;
-  }
-  const double visits = static_cast<double>(graph.edges.size()) *
-                        static_cast<double>(std::max(config.n_epochs, 0));
-  return visits >= 2e7;
-}
+  Matrix& y_;
+  Matrix snap_;
+  const FuzzyGraph& graph_;
+  const double a_;
+  const double b_;
+  std::vector<LayoutChunk> chunks_;
+  std::vector<double> epochs_per_sample_;
+  std::vector<double> epoch_of_next_;
+  std::vector<double> epochs_per_negative_;
+  std::vector<double> epoch_of_next_negative_;
+};
 
 }  // namespace
 
@@ -498,11 +506,7 @@ Matrix umap_embed_graph(const Matrix& points, const KnnGraph& graph,
   const auto [a, b] = fit_ab(config.spread, config.min_dist);
 
   Matrix y = initialize_embedding(points, config, rng);
-  if (use_batch_optimizer(fuzzy, config)) {
-    optimize_layout_batch(y, fuzzy, config, a, b, rng);
-  } else {
-    optimize_layout(y, fuzzy, config, a, b, rng);
-  }
+  Layout(y, fuzzy, a, b).run(config.n_epochs, rng);
   return y;
 }
 
@@ -549,7 +553,7 @@ void place_new_point(std::span<const std::size_t> nbr,
   Rng rng = base_rng.split(point_index);
   const int epochs = std::max(config.n_epochs / 6, 10);
   for (int epoch = 1; epoch <= epochs; ++epoch) {
-    const double alpha = config.learning_rate * 0.5 *
+    const double alpha = kLearningRate * 0.5 *
                          (1.0 - static_cast<double>(epoch) / epochs);
     const std::size_t j = rng.uniform_index(k);
     const auto ref = reference_embedding.row(nbr[j]);

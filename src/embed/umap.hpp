@@ -8,9 +8,16 @@
 // (w = wᵢⱼ + wⱼᵢ − wᵢⱼwⱼᵢ) → negative-sampling SGD on the cross-entropy
 // layout with the (a, b) curve fitted from min_dist.
 //
+// The SGD layout runs on the shared pool as owned edge chunks with the
+// reference per-edge rule (learning rate 1, 5 negative samples per visit,
+// repulsion 1, all fixed) and gives the same bits at any pool size;
+// docs/ALGORITHMS.md describes it.
+//
 // Deviations from the reference implementation (documented in DESIGN.md):
 // spectral initialization is replaced by PCA initialization (deterministic,
-// and the input here is already a PCA latent space).
+// and the input here is already a PCA latent space), and the chunked layout
+// replaces the single serial pass. As in the reference, each pair is kept
+// once (u < v) and negative samples move only the head u.
 
 #include <cstdint>
 #include <utility>
@@ -29,9 +36,8 @@ struct UmapConfig {
   double min_dist = 0.1;
   double spread = 1.0;
   int n_epochs = 300;
-  double learning_rate = 1.0;
-  int negative_samples = 5;
-  double repulsion_strength = 1.0;
+  /// Seeds the PCA-init jitter, the layout's negative samples and the kNN
+  /// searcher.
   std::uint64_t seed = 42;
 
   /// kNN searcher configuration (embed/ann/searcher.hpp). The default
@@ -39,21 +45,6 @@ struct UmapConfig {
   /// knn.exact_threshold points, rpforest above. knn.seed is overridden
   /// from `seed` so one knob controls the whole embedding.
   AnnConfig knn;
-
-  /// SGD layout strategy.
-  ///  * kSerial — the reference single-threaded loop: edges visited in
-  ///    order, one shared RNG stream. Bitwise-reproducible run to run.
-  ///  * kBatchParallel — umappp-style batch epochs: gradients for each
-  ///    epoch are evaluated against a frozen copy of the previous layout,
-  ///    edges are split into a fixed number of partitions whose delta
-  ///    matrices are reduced in deterministic order, and negative samples
-  ///    draw from per-edge split RNG streams. Race-free and deterministic
-  ///    regardless of thread count, but a different (batch) update rule, so
-  ///    its layouts differ numerically from kSerial's.
-  ///  * kAuto — kSerial below ~2·10⁷ edge-epoch visits (every existing
-  ///    small-scale caller stays bitwise-identical), kBatchParallel above.
-  enum class Optimizer { kSerial, kBatchParallel, kAuto };
-  Optimizer optimizer = Optimizer::kAuto;
 };
 
 /// Smoothed local metric per point.

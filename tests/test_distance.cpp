@@ -279,22 +279,5 @@ TEST(Distance, UmapThroughEngineKeepsTrustworthiness) {
   EXPECT_GT(trustworthiness(pts, y, 8), 0.7);
 }
 
-TEST(Distance, BatchOptimizerIsDeterministic) {
-  const Matrix pts = random_points(90, 5, 49);
-  UmapConfig config;
-  config.n_neighbors = 8;
-  config.n_epochs = 60;
-  config.optimizer = UmapConfig::Optimizer::kBatchParallel;
-  Workspace ws;
-  const Matrix a = umap_embed(pts, config, ws);
-  const Matrix b = umap_embed(pts, config, ws);
-  ASSERT_EQ(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      EXPECT_EQ(a(i, j), b(i, j)) << "at (" << i << ", " << j << ")";
-    }
-  }
-}
-
 }  // namespace
 }  // namespace arams::embed

@@ -1,16 +1,27 @@
-// UMAP internals (smooth-kNN calibration, fuzzy union, a/b curve fit) and
-// end-to-end behaviour: well-separated clusters must stay separated.
+// UMAP internals (smooth-kNN calibration, fuzzy union, a/b curve fit),
+// end-to-end behaviour (well-separated clusters must stay separated) and
+// the layout's two promises: the same bits at any pool size, and quality
+// within the serial reference loop's seed-to-seed spread.
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "embed/metrics.hpp"
 #include "embed/umap.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
+#include "rerun_self.hpp"
 #include "rng/rng.hpp"
+#include "umap_serial_reference.hpp"
 #include "util/check.hpp"
 
 namespace arams::embed {
@@ -419,6 +430,111 @@ TEST(Umap, GraphMismatchThrows) {
   const KnnGraph g = exact_knn(pts, 5);
   const Matrix other(10, 4);
   EXPECT_THROW(umap_embed_graph(other, g, fast_config()), CheckError);
+}
+
+/// Gaussian classes in `dim` dimensions with per-class spreads, the shape
+/// of the monitor's PCA latent.
+Matrix latent_classes(std::size_t n, std::size_t dim, std::size_t classes,
+                      std::uint64_t seed) {
+  Matrix pts(n, dim);
+  Rng rng(seed);
+  Matrix centers(classes, dim);
+  for (std::size_t k = 0; k < classes; ++k) {
+    for (auto& v : centers.row(k)) v = 4.0 * rng.normal();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = i % classes;
+    const double spread = 0.6 + 0.3 * static_cast<double>(k);
+    for (std::size_t c = 0; c < dim; ++c) {
+      pts(i, c) = centers(k, c) + spread * rng.normal();
+    }
+  }
+  return pts;
+}
+
+/// FNV-1a over the embedding's bytes.
+std::uint64_t digest(const Matrix& y) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    std::uint64_t bits;
+    std::memcpy(&bits, y.data() + i, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((bits >> (8 * byte)) & 0xffu)) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(UmapLayout, SameBitsAtAnyPoolSize) {
+  // 2048 points: the layout sends every epoch's chunks to the pool when
+  // it has two or more threads. The same call made from a pool worker,
+  // where the chunks run inline, gives the same bits; a child process
+  // re-runs this test at pool sizes 1 and 4 and must print the same digest.
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  const Matrix pts = latent_classes(2048, 10, 4, 61);
+  UmapConfig config;
+  config.n_epochs = 40;
+  const KnnGraph graph = exact_knn(pts, config.n_neighbors);
+
+  // Counted before each task runs, so every count is in by the time the
+  // dispatching call returns.
+  const obs::Histogram& tasks =
+      obs::metrics().histogram("pool.task_wait_seconds");
+  const long before = tasks.count();
+  const Matrix y = umap_embed_graph(pts, graph, config);
+  if (threads >= 2) {
+    EXPECT_GE(tasks.count() - before, static_cast<long>(config.n_epochs));
+  } else {
+    EXPECT_EQ(tasks.count(), before);
+  }
+  Matrix on_worker;
+  parallel::shared_pool()
+      .submit([&] { on_worker = umap_embed_graph(pts, graph, config); })
+      .get();
+  ASSERT_EQ(on_worker.size(), y.size());
+  EXPECT_EQ(std::memcmp(on_worker.data(), y.data(), y.size() * sizeof(double)),
+            0);
+
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016" PRIx64, digest(y));
+  std::printf("pool threads %zu digest %s\n", threads, hex);
+  if (std::getenv("ARAMS_UMAP_LAYOUT_CHILD") != nullptr) return;
+  for (const std::string size : {"1", "4"}) {
+    const test::ChildRun run =
+        test::rerun_self("ARAMS_UMAP_LAYOUT_CHILD=1 ARAMS_POOL_THREADS=" + size,
+                         "UmapLayout.SameBitsAtAnyPoolSize");
+    EXPECT_EQ(run.status, 0) << run.output;
+    EXPECT_NE(run.output.find("pool threads " + size + " digest " + hex +
+                              "\n"),
+              std::string::npos)
+        << run.output;
+  }
+}
+
+TEST(UmapLayout, QualityWithinSerialReferenceSpread) {
+  // The serial reference loop's trustworthiness moves with the layout seed
+  // alone. The library's layout, at each of the same seeds, must reach at
+  // least the reference's minimum over them.
+  const Matrix pts = latent_classes(600, 10, 4, 62);
+  UmapConfig config;
+  config.n_epochs = 200;
+  const KnnGraph graph = exact_knn(pts, config.n_neighbors);
+  double reference_min = 1.0;
+  std::vector<double> layout;
+  for (std::uint64_t seed = 42; seed <= 46; ++seed) {
+    config.seed = seed;
+    reference_min = std::min(
+        reference_min,
+        trustworthiness(pts, test::serial_reference_embed(pts, graph, config),
+                        12));
+    layout.push_back(
+        trustworthiness(pts, umap_embed_graph(pts, graph, config), 12));
+  }
+  for (std::size_t s = 0; s < layout.size(); ++s) {
+    EXPECT_GE(layout[s], reference_min) << "seed " << 42 + s;
+    std::printf("seed %zu: layout %.6f, reference min %.6f\n", 42 + s,
+                layout[s], reference_min);
+  }
 }
 
 }  // namespace
