@@ -211,6 +211,44 @@ BENCHMARK(BM_OpticsCoreDistClusteredSerial)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/// Phase one of the row above alone: every core distance at k = 29
+/// (min_pts 30) on the pool, through cluster::core_distances. The
+/// traversal is the difference between the two rows.
+void BM_CoreDistancesClustered(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix pts = clustered_embedding(n, 21);
+  for (auto _ : state) {
+    const std::vector<double> core = cluster::core_distances(pts, 29);
+    benchmark::DoNotOptimize(core.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n * n));
+}
+BENCHMARK(BM_CoreDistancesClustered)
+    ->Arg(2048)
+    ->Arg(4608)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// The same pass with the per-pair scalar arithmetic (use_gemm = false),
+/// as HDBSCAN runs it.
+void BM_CoreDistancesNaive(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix pts = clustered_embedding(n, 21);
+  for (auto _ : state) {
+    const std::vector<double> core =
+        cluster::core_distances(pts, 29, {.use_gemm = false});
+    benchmark::DoNotOptimize(core.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n * n));
+}
+BENCHMARK(BM_CoreDistancesNaive)
+    ->Arg(2048)
+    ->Arg(4608)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 /// The snapshot's reservoir projection: 4608 rows of 4096 pixels, each in
 /// its own vector as in the monitor's reservoir, through 10 components.
 void BM_ProjectRows(benchmark::State& state) {

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/sq_dist_2d.hpp"
 #include "embed/knn.hpp"
 #include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
@@ -43,13 +44,15 @@ double sq_bound(double r) {
 /// with the arithmetic of one NeighborSearcher::sq_dists_to row from p
 /// (embed/distance.hpp). With use_gemm that is the Gram value from
 /// linalg::matmul_nt_row, the GEMM's own one-row loop, over the points
-/// stored transposed, then embed::gram_sq_dist with the hoisted row norms.
-/// Without it, the engine's scalar row (embed::pairwise_sq_dists) in the
-/// core pass and embed::sq_dist per pair in the traversal.
+/// stored transposed, then embed::gram_sq_dist with the hoisted row norms;
+/// at d = 2 (two_d) both passes form the same bits with
+/// detail::sq_dist_row_2d instead. Without use_gemm, the engine's scalar
+/// row (embed::pairwise_sq_dists) in the core pass and embed::sq_dist per
+/// pair in the traversal.
 struct PointSet {
   PointSet(const Matrix& pts, const embed::DistanceOptions& opts,
            linalg::Workspace& ws, const char* what)
-      : points(pts), gemm(opts.use_gemm) {
+      : points(pts), gemm(opts.use_gemm), two_d(gemm && pts.cols() == 2) {
     embed::check_finite(pts, what);
     if (!gemm) return;
     const std::size_t n = pts.rows();
@@ -63,8 +66,16 @@ struct PointSet {
     }
   }
 
+  /// out[i] = d²(p, column i of cols) for every i < out.size(), where
+  /// ‖p‖² = np (two_d only).
+  void sq_dist_row_2d(std::size_t p, double np, std::span<double> out) const {
+    detail::sq_dist_row_2d(points(p, 0), points(p, 1), np, cols->row(0).data(),
+                           cols->row(1).data(), norms.data(), out);
+  }
+
   const Matrix& points;
   bool gemm;
+  bool two_d;               ///< use_gemm at d = 2: sq_dist_row_2d
   std::span<double> norms;  ///< ‖x_i‖² (use_gemm only)
   Matrix* cols = nullptr;   ///< d×n, column i = point i (use_gemm only)
 };
@@ -72,9 +83,9 @@ struct PointSet {
 /// core[p] = square root of the k-th smallest d²(p, q) over q ≠ p, for
 /// every p. Each core distance depends only on its own row of d², so the
 /// rows split into bands that run on the shared pool, each band with its
-/// own Gram row and embed::select_k scratch; the result is the same bits
-/// at any pool size. sqrt is correctly rounded and monotone, so this is
-/// the k-th smallest distance, bit for bit.
+/// own Gram row (at d = 2, its d² row) and embed::select_k scratch; the
+/// result is the same bits at any pool size. sqrt is correctly rounded and
+/// monotone, so this is the k-th smallest distance, bit for bit.
 void core_pass(const PointSet& set, std::size_t k, bool allow_parallel,
                std::span<double> core) {
   const Matrix& pts = set.points;
@@ -85,7 +96,10 @@ void core_pass(const PointSet& set, std::size_t k, bool allow_parallel,
     linalg::Workspace ws;
     std::vector<std::pair<double, std::size_t>> best;
     for (std::size_t p = p0; p < p1; ++p) {
-      if (set.gemm) {
+      if (set.two_d) {
+        set.sq_dist_row_2d(p, set.norms[p], gram);
+        embed::select_k(n, p, k, best, [&](std::size_t q) { return gram[q]; });
+      } else if (set.gemm) {
         linalg::matmul_nt_row(pts.row(p), set.cols->data(), n, gram);
         const double np = set.norms[p];
         embed::select_k(n, p, k, best, [&](std::size_t q) {
@@ -222,7 +236,11 @@ OpticsResult optics(const Matrix& points, const OpticsConfig& config,
       }
       return next;
     };
-    if (set.gemm) {
+    if (set.two_d) {
+      // One d² row over the live set; a non-core point lowers nothing.
+      if (core < kInf) set.sq_dist_row_2d(p, np, gram.first(live));
+      slot = visit([&](std::size_t i) { return gram[i]; });
+    } else if (set.gemm) {
       // One Gram row over the live set; a non-core point lowers nothing.
       if (core < kInf) {
         linalg::matmul_nt_row(points.row(p), set.cols->data(), n,

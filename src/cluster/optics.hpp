@@ -44,6 +44,17 @@ struct OpticsResult {
 /// NeighborSearcher::sq_dists_to row, so order, reachability and core
 /// distance equal the heap formulation of Ankerst et al. over those rows
 /// bit for bit, at any pool size and with or without allow_parallel.
+///
+/// At d = 2 with use_gemm, the width the monitor and the pipeline
+/// cluster, both phases form each d² row themselves (cluster/sq_dist_2d.hpp),
+/// with that row's own arithmetic in a loop the compiler vectorises: the
+/// Gram value (0 + px·x) + py·y as linalg::matmul_nt_row sums it at k = 2
+/// (unfused in an optimised build; with the second product fused under
+/// sanitizer instrumentation, which the kernel reads from one probe row),
+/// then embed::gram_sq_dist. Phase one selects from that row with
+/// embed::select_k, and phase two runs the same scan over it as every
+/// other width. Every other d, and use_gemm = false, form d² with
+/// matmul_nt_row or embed::sq_dist.
 /// Throws CheckError naming the row and column of a NaN or ±inf point.
 /// The wall time of phase one goes to the "cluster.core_dist_seconds"
 /// histogram.

@@ -219,4 +219,29 @@ if "$BIN" doctor "$DIR/missing.txt" 2>/dev/null; then exit 1; fi
 echo "not a postmortem" > "$DIR/garbage.txt"
 if "$BIN" doctor "$DIR/garbage.txt" 2>/dev/null; then exit 1; fi
 
+# doctor accepts a complete dump, and refuses the same dump cut before its
+# [end] marker: exit status 1 and a `doctor: INVALID` line
+cat > "$DIR/dump.txt" <<'EOF'
+ARAMS-POSTMORTEM v1
+reason=signal:SIGSEGV
+pid=4242
+uptime=12.500000
+build=version=1.0.0 git=abc1234 compiler=GNU march=baseline
+[backtrace]
+./arams(+0x1234) [0x55]
+[flight-recorder]
+t=12.400000 code=batch_sketched shot=17 d=64 v=0.003000 tid=0
+[metrics]
+arams_fd_shrink_count_total 9
+[health]
+{"t":12.1,"from":"ok","to":"degraded","reason":"x"}
+[end]
+EOF
+"$BIN" doctor "$DIR/dump.txt" | grep -q "^doctor: OK"
+sed '/^\[end\]$/,$d' "$DIR/dump.txt" > "$DIR/cut.txt"
+status=0
+"$BIN" doctor "$DIR/cut.txt" >/dev/null 2>"$DIR/doctor.err" || status=$?
+test "$status" -eq 1
+grep -q "^doctor: INVALID" "$DIR/doctor.err"
+
 echo "cli round trip OK"

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -326,6 +328,74 @@ TEST(Blas, MatmulNtRowIsRowOfMatmulNt) {
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_EQ(got[j], want(0, j)) << "k=" << k << ", n=" << n
                                       << ", j=" << j;
+      }
+    }
+  }
+}
+
+TEST(MatmulNtRow, TwoColumnRowIsUnfusedSum) {
+  // OPTICS' d = 2 kernel (cluster/sq_dist_2d.cpp) forms its Gram values
+  // itself and keeps the bits of the general path only while
+  // matmul_nt_row sums every k = 2 row one way: (0 + a0·b0) + a1·b1, with
+  // the second product either unfused in every row (GCC 12 in an optimised
+  // build, and at the baseline ISA) or fused in every row (under sanitizer
+  // instrumentation with a vector ISA). The kernel reads which from one
+  // row where the two differ, u = 1 + 2⁻³⁰: u·u rounds away the 2⁻⁶⁰ that
+  // the fused form keeps. This takes the form from the same row and checks
+  // that 10⁵ others have it. The file is built at the baseline ISA, where
+  // x86-64 has no fused multiply-add, so `want` is computed unfused (and
+  // std::fma is the correctly rounded library call). The pairs mix values
+  // near ±1e6 (every fourth pair cancels almost to zero), subnormal
+  // products, magnitudes 1e±150, both signs and exact ±0.
+  const double u = 1.0 + 0x1p-30;
+  const std::vector<double> probe_a = {u, u};
+  const std::vector<double> probe_bt = {u, -u};
+  double probe = 0.0;
+  matmul_nt_row(probe_a, probe_bt.data(), 1, std::span<double>(&probe, 1));
+  const bool fused = probe != 0.0;
+  Rng rng(2);
+  constexpr std::size_t kRows = 1000;
+  constexpr std::size_t kCols = 100;
+  const auto draw = [&rng]() -> double {
+    const double sign = rng.uniform() < 0.5 ? -1.0 : 1.0;
+    switch (rng.uniform_index(6)) {
+      case 0:
+        return rng.normal();
+      case 1:
+        return sign * (1e6 + rng.normal());
+      case 2:
+        return 1e-160 * rng.normal();
+      case 3:
+        return 1e150 * rng.normal();
+      case 4:
+        return 1e-150 * rng.normal();
+      default:
+        return sign * 0.0;
+    }
+  };
+  std::vector<double> bt(2 * kCols);
+  std::vector<double> got(kCols);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const std::vector<double> a = {draw(), draw()};
+    for (std::size_t j = 0; j < kCols; ++j) {
+      bt[j] = draw();
+      bt[kCols + j] = draw();
+      const double cancel =
+          -(a[0] * bt[j]) / a[1] * (1.0 + 0x1p-30 * rng.normal());
+      if (j % 4 == 0 && a[1] != 0.0 && std::isfinite(cancel)) {
+        bt[kCols + j] = cancel;
+      }
+    }
+    matmul_nt_row(a, bt.data(), kCols, got);
+    for (std::size_t j = 0; j < kCols; ++j) {
+      const double first = 0.0 + a[0] * bt[j];
+      const double want = fused ? std::fma(a[1], bt[kCols + j], first)
+                                : first + a[1] * bt[kCols + j];
+      ASSERT_EQ(got[j], want) << "row " << i << ", column " << j;
+      if (want != 0.0) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+                  std::bit_cast<std::uint64_t>(want))
+            << "row " << i << ", column " << j;
       }
     }
   }

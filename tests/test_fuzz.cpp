@@ -1,7 +1,8 @@
 // Randomized stress tests: random shapes, degenerate and adversarial
 // inputs through the sketching stack — nothing may crash, produce NaNs,
-// or violate the FD invariants, across a seeded sweep — and header
-// mutations through the .npy and .frames readers, which must fail closed.
+// or violate the FD invariants, across a seeded sweep — and byte
+// mutations through the .npy, .frames and post-mortem readers, which must
+// fail closed.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/svd.hpp"
+#include "obs/postmortem.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -396,6 +399,78 @@ TEST(ReaderMutation, FramesCountFields) {
       check_frames_mutant(mutant, std::string(fields[field]) + " := " +
                                       std::to_string(v));
     }
+  }
+}
+
+/// A valid post-mortem dump in the v1 format, one line per section.
+const char kValidDump[] =
+    "ARAMS-POSTMORTEM v1\n"
+    "reason=signal:SIGSEGV\n"
+    "pid=4242\n"
+    "uptime=12.500000\n"
+    "build=version=1.0.0 git=abc1234 compiler=GNU march=baseline\n"
+    "[backtrace]\n"
+    "./arams(+0x1234) [0x55]\n"
+    "[flight-recorder]\n"
+    "t=12.400000 code=batch_sketched shot=17 d=64 v=0.003000 tid=0\n"
+    "[metrics]\n"
+    "arams_fd_shrink_count_total 9\n"
+    "[health]\n"
+    "{\"t\":12.1,\"from\":\"ok\",\"to\":\"degraded\",\"reason\":\"x\"}\n"
+    "[end]\n";
+
+bool has_end_line(const std::string& bytes) {
+  std::istringstream in(bytes);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line == "[end]") return true;
+  }
+  return false;
+}
+
+/// A dump fails closed when parse_postmortem refuses it with a message, or
+/// parses it and validate_postmortem decides, naming its reason when it
+/// refuses. Without an intact [end] line it must be refused. Returns
+/// whether the dump validated.
+bool check_postmortem_mutant(const std::string& bytes,
+                             const std::string& what) {
+  std::istringstream in(bytes);
+  obs::PostmortemReport report;
+  std::string error;
+  try {
+    if (!obs::parse_postmortem(in, report, &error)) {
+      EXPECT_FALSE(error.empty()) << what;
+      return false;
+    }
+    const bool valid = obs::validate_postmortem(report, &error);
+    EXPECT_NE(valid, !error.empty()) << what << ": " << error;
+    if (!has_end_line(bytes)) {
+      EXPECT_FALSE(valid) << what;
+    }
+    return valid;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw " << e.what();
+  }
+  return false;
+}
+
+TEST(ReaderMutation, PostmortemBytes) {
+  const std::string valid = kValidDump;
+  ASSERT_TRUE(check_postmortem_mutant(valid, "valid dump"));
+  sweep_header_bytes(valid, valid.size(),
+                     [](const std::string& mutant, const std::string& what) {
+                       check_postmortem_mutant(mutant, what);
+                     });
+  // Cut at every line boundary: every dump cut before the [end] line is
+  // refused.
+  const std::size_t end_line = valid.find("[end]");
+  for (std::size_t cut = 0; cut <= valid.size();
+       cut = valid.find('\n', cut) + 1) {
+    const bool ok =
+        check_postmortem_mutant(valid.substr(0, cut), "cut at " +
+                                                          std::to_string(cut));
+    EXPECT_EQ(ok, cut > end_line) << "cut at " << cut;
+    if (cut == valid.size()) break;
   }
 }
 
