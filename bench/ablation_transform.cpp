@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
   }
   image::PreprocessConfig pre;
   pre.center = false;
-  const linalg::Matrix rows =
-      image::images_to_matrix(image::preprocess_batch(frames, pre));
+  const linalg::Matrix rows = image::preprocess_rows(frames, pre);
   // Cheap latent: the first 10 PCA coordinates via a random projection is
   // overkill here — use the raw rows' top directions through UMAP's own
   // kNN, i.e. feed raw rows (28² dims are fine at these point counts).

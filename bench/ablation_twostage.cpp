@@ -74,8 +74,7 @@ int main(int argc, char** argv) {
   }
   image::PreprocessConfig pre;
   pre.center = false;
-  const linalg::Matrix raw =
-      image::images_to_matrix(image::preprocess_batch(images, pre));
+  const linalg::Matrix raw = image::preprocess_rows(images, pre);
 
   // Shared sketch + latent projection (the streaming stages).
   Stopwatch timer;

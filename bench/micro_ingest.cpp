@@ -3,15 +3,19 @@
 // sketcher's fp32 entry point) head-to-head against the classic fp64 lane
 // at equal ℓ and d, plus the mixed-precision GEMM against its all-fp64
 // twin. The fp32 lane halves the memory traffic of everything before the
-// sketch core while every accumulation stays fp64.
+// sketch core while every accumulation stays fp64. The batch pipeline's
+// first two stages close the file: Fig. 6 frames preprocessed into rows,
+// and the num_cores range-sharded sketch of those rows.
 
 #include <benchmark/benchmark.h>
 
 #include "core/sketcher.hpp"
+#include "data/diffraction.hpp"
 #include "image/image.hpp"
 #include "image/preprocess.hpp"
 #include "linalg/blas.hpp"
 #include "rng/rng.hpp"
+#include "stream/pipeline.hpp"
 
 namespace {
 
@@ -73,8 +77,7 @@ void BM_IngestF64(benchmark::State& state) {
   const std::unique_ptr<core::Sketcher> sketcher =
       core::make_sketcher(ingest_config());
   for (auto _ : state) {
-    const Matrix rows =
-        image::images_to_matrix(image::preprocess_batch(frames, prep));
+    const Matrix rows = image::preprocess_rows(frames, prep);
     sketcher->push_batch(rows);
     benchmark::DoNotOptimize(sketcher->current_ell());
   }
@@ -99,8 +102,7 @@ void BM_IngestF32(benchmark::State& state) {
   const std::unique_ptr<core::Sketcher> sketcher =
       core::make_sketcher(ingest_config());
   for (auto _ : state) {
-    const MatrixF rows =
-        image::images_to_matrix(image::preprocess_batch(frames, prep));
+    const MatrixF rows = image::preprocess_rows(frames, prep);
     sketcher->push_batch(linalg::MatrixViewF(rows));
     benchmark::DoNotOptimize(sketcher->current_ell());
   }
@@ -158,6 +160,77 @@ void BM_GemmMixed(benchmark::State& state) {
                           static_cast<int64_t>(n * n * n));
 }
 BENCHMARK(BM_GemmMixed)->Arg(128)->Arg(256)->Arg(512);
+
+/// n 64×64 diffraction frames with the Fig. 6 generator settings.
+std::vector<image::ImageF> fig6_frames(std::size_t n) {
+  data::DiffractionConfig diff;
+  diff.height = 64;
+  diff.width = 64;
+  diff.num_classes = 4;
+  diff.photons_per_frame = 5e4;
+  const data::DiffractionGenerator generator(diff);
+  Rng rng(6);
+  std::vector<image::ImageF> frames;
+  frames.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    frames.push_back(generator.generate(rng).frame);
+  }
+  return frames;
+}
+
+/// The Fig. 6 preprocess config: threshold and normalize, no centring.
+image::PreprocessConfig fig6_preprocess() {
+  image::PreprocessConfig config;
+  config.center = false;
+  return config;
+}
+
+// Stage 1 of MonitoringPipeline::analyze: every frame preprocessed straight
+// into its row of the n×4096 matrix, in bands of frames on the shared pool.
+void BM_PreprocessRows(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<image::ImageF> frames = fig6_frames(n);
+  const image::PreprocessConfig prep = fig6_preprocess();
+  for (auto _ : state) {
+    const Matrix rows = image::preprocess_rows(frames, prep);
+    benchmark::DoNotOptimize(rows.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_PreprocessRows)
+    ->Arg(512)
+    ->Arg(4608)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// Stage 2 of MonitoringPipeline::analyze_matrix on the Fig. 6 rows: four
+// contiguous ranges at d = 4096, each sketched by its own Arams, then
+// tree-merged. Timed by the stage's own report entry ("sketch"), so the
+// untimed tail (a cut-down embedding and k-means) does not count.
+void BM_RangeShardSketch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix rows = image::images_to_matrix(
+      image::preprocess_batch(fig6_frames(n), fig6_preprocess()));
+  stream::PipelineConfig config;
+  config.sketch.ell = 24;
+  config.num_cores = 4;
+  config.pca_components = 2;
+  config.umap.n_epochs = 1;
+  config.cluster_method = stream::PipelineConfig::ClusterMethod::kKmeans;
+  config.abod_k = 0;
+  const stream::MonitoringPipeline pipeline(config);
+  for (auto _ : state) {
+    const stream::PipelineResult result = pipeline.analyze_matrix(rows);
+    state.SetIterationTime(result.report.seconds("sketch"));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_RangeShardSketch)
+    ->Arg(4608)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -75,31 +75,29 @@ FrequentDirections& Arams::fd() {
   return ra_fd_ ? static_cast<FrequentDirections&>(*ra_fd_) : *fixed_fd_;
 }
 
-AramsResult Arams::sketch_matrix(const Matrix& x) {
+AramsResult Arams::sketch_matrix(linalg::MatrixView x) {
   const obs::ScopedSpan span("arams.sketch_matrix");
   AramsResult result;
   Stopwatch timer;
 
-  const Matrix* input = &x;
+  linalg::MatrixView input = x;
   if (config_.use_sampling && config_.beta < 1.0) {
     const obs::ScopedSpan sample_span("arams.sample");
     PrioritySamplerConfig ps;
     ps.weight = config_.weight;
     ps.seed = config_.seed ^ 0x5a5a5a5aull;
-    input = &priority_sample(x, config_.beta, ps, sampler_scratch_);
+    input = priority_sample(x, config_.beta, ps, sampler_scratch_);
   }
   result.report.set_seconds("sample", timer.lap());
-  result.rows_sampled = input->rows();
-  rows_sampled_total_ += input->rows();
+  result.rows_sampled = input.rows();
+  rows_sampled_total_ += input.rows();
 
   {
     const obs::ScopedSpan sketch_span("arams.sketch");
     if (ra_fd_) {
-      ra_fd_->set_rows_remaining(static_cast<long>(input->rows()));
-      ra_fd_->append_batch(*input);
-    } else {
-      fixed_fd_->append_batch(*input);
+      ra_fd_->set_rows_remaining(static_cast<long>(input.rows()));
     }
+    append_rows(input);
     fd().compress();
   }
   result.report.set_seconds("sketch", timer.lap());
@@ -109,17 +107,17 @@ AramsResult Arams::sketch_matrix(const Matrix& x) {
   return result;
 }
 
-void Arams::push_batch(const Matrix& batch) {
+void Arams::push_batch(linalg::MatrixView batch) {
   if (batch.rows() == 0) return;
   Stopwatch timer;
-  const Matrix* input = &batch;
+  linalg::MatrixView input = batch;
   if (config_.use_sampling && config_.beta < 1.0) {
-    input = &priority_sample(batch, config_.beta, batch_sampler_config(),
-                             sampler_scratch_);
+    input = priority_sample(batch, config_.beta, batch_sampler_config(),
+                            sampler_scratch_);
   }
   sample_seconds_ += timer.lap();
-  rows_sampled_total_ += input->rows();
-  append_rows(*input);
+  rows_sampled_total_ += input.rows();
+  append_rows(input);
 }
 
 void Arams::push_batch(linalg::MatrixViewF batch) {
@@ -146,7 +144,7 @@ void Arams::push_batch(linalg::MatrixViewF batch) {
   }
 }
 
-void Arams::append_rows(const Matrix& rows) {
+void Arams::append_rows(linalg::MatrixView rows) {
   if (ra_fd_) {
     ra_fd_->append_batch(rows);
   } else {

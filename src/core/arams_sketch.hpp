@@ -72,13 +72,14 @@ class Arams {
   explicit Arams(const AramsConfig& config);
 
   /// Algorithm 3: priority-sample the whole matrix to ⌈βn⌉ rows, then run
-  /// (rank-adaptive) FD over the sample.
-  AramsResult sketch_matrix(const linalg::Matrix& x);
+  /// (rank-adaptive) FD over the sample. `x` is read in place: a row range
+  /// of a larger matrix (MatrixView::rows_of) is sketched without a copy.
+  AramsResult sketch_matrix(linalg::MatrixView x);
 
   /// Streaming: sample within this batch, then feed the survivors to the
   /// persistent FD state. An empty batch is a no-op. Survivors land in
   /// grow-only scratch, so steady-state ingest does not allocate.
-  void push_batch(const linalg::Matrix& batch);
+  void push_batch(linalg::MatrixView batch);
 
   /// fp32 streaming ingest. When sampling is on, the fp32 priority-sampler
   /// overload consumes the float rows directly (weights accumulate in
@@ -109,7 +110,7 @@ class Arams {
   FrequentDirections& fd();
 
   /// Feeds rows to whichever FD variant this instance owns.
-  void append_rows(const linalg::Matrix& rows);
+  void append_rows(linalg::MatrixView rows);
 
   /// Sampler config for the next streamed batch: the seed advances with
   /// the rows sampled so far, so successive batches draw independently.

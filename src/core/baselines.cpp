@@ -28,7 +28,7 @@ void GaussianProjectionSketch::ensure_dim(std::size_t d) {
   ARAMS_CHECK(d == sketch_.cols(), "row dimension changed");
 }
 
-void GaussianProjectionSketch::push_batch(const Matrix& batch) {
+void GaussianProjectionSketch::push_batch(linalg::MatrixView batch) {
   if (batch.rows() == 0) return;
   ensure_dim(batch.cols());
   // One b×ℓ coefficient block, same draw order as the row loop (ℓ normals
@@ -103,7 +103,7 @@ void CountSketch::scatter(std::span<const float> row) {
   linalg::axpy(sign, row, sketch_.row(bucket));
 }
 
-void CountSketch::push_batch(const Matrix& batch) {
+void CountSketch::push_batch(linalg::MatrixView batch) {
   if (batch.rows() == 0) return;
   ensure_dim(batch.cols());
   // Single scatter pass; the hash stream matches the row loop exactly, so
@@ -138,7 +138,7 @@ NormSamplingSketch::NormSamplingSketch(std::size_t ell, std::uint64_t seed)
   ARAMS_CHECK(ell >= 1, "sketch needs at least one row");
 }
 
-void NormSamplingSketch::push_batch(const Matrix& batch) {
+void NormSamplingSketch::push_batch(linalg::MatrixView batch) {
   for (std::size_t r = 0; r < batch.rows(); ++r) {
     append(batch.row(r));
   }
@@ -195,7 +195,7 @@ TruncatedSvdSketch::TruncatedSvdSketch(std::size_t ell) : ell_(ell) {
   ARAMS_CHECK(ell >= 1, "sketch needs at least one row");
 }
 
-void TruncatedSvdSketch::push_batch(const Matrix& batch) {
+void TruncatedSvdSketch::push_batch(linalg::MatrixView batch) {
   for (std::size_t r = 0; r < batch.rows(); ++r) {
     append(batch.row(r));
   }

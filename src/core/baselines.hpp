@@ -40,7 +40,7 @@ namespace arams::core {
 class GaussianProjectionSketch : public Sketcher {
  public:
   GaussianProjectionSketch(std::size_t ell, std::uint64_t seed);
-  void push_batch(const linalg::Matrix& batch) override;
+  void push_batch(linalg::MatrixView batch) override;
   /// fp32 lane: same coefficient draw order, mixed-precision GEMM (float
   /// panels widened at pack time) — bitwise identical to widening first.
   void push_batch(linalg::MatrixViewF batch) override;
@@ -71,7 +71,7 @@ class GaussianProjectionSketch : public Sketcher {
 class CountSketch : public Sketcher {
  public:
   CountSketch(std::size_t ell, std::uint64_t seed);
-  void push_batch(const linalg::Matrix& batch) override;
+  void push_batch(linalg::MatrixView batch) override;
   /// fp32 lane: identical hash stream, float-axpy scatter (terms widen
   /// before the add) — bitwise identical to widening first.
   void push_batch(linalg::MatrixViewF batch) override;
@@ -99,7 +99,7 @@ class CountSketch : public Sketcher {
 class NormSamplingSketch : public Sketcher {
  public:
   NormSamplingSketch(std::size_t ell, std::uint64_t seed);
-  void push_batch(const linalg::Matrix& batch) override;
+  void push_batch(linalg::MatrixView batch) override;
   void append(std::span<const double> row) override;
   linalg::Matrix sketch() override;
   [[nodiscard]] std::size_t current_ell() const override { return ell_; }
@@ -128,7 +128,7 @@ class NormSamplingSketch : public Sketcher {
 class TruncatedSvdSketch : public Sketcher {
  public:
   explicit TruncatedSvdSketch(std::size_t ell);
-  void push_batch(const linalg::Matrix& batch) override;
+  void push_batch(linalg::MatrixView batch) override;
   void append(std::span<const double> row) override;
   linalg::Matrix sketch() override;
   [[nodiscard]] std::size_t current_ell() const override { return ell_; }

@@ -51,7 +51,7 @@ void FrequentDirections::append(std::span<const float> row) {
   ++stats_.rows_processed;
 }
 
-void FrequentDirections::append_batch(const Matrix& rows) {
+void FrequentDirections::append_batch(linalg::MatrixView rows) {
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     append(rows.row(r));
   }

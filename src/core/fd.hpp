@@ -40,8 +40,8 @@ class FrequentDirections {
   /// identical to appending the widened row.
   void append(std::span<const float> row);
 
-  /// Appends every row of a matrix.
-  void append_batch(const linalg::Matrix& rows);
+  /// Appends every row of a matrix or of a row range of one.
+  void append_batch(linalg::MatrixView rows);
 
   /// fp32 batch ingest (row loop over the float append).
   void append_batch(linalg::MatrixViewF rows);

@@ -18,7 +18,7 @@ bool min_priority(const Candidate& a, const Candidate& b) {
   return a.priority > b.priority;  // min-heap on priority
 }
 
-/// The one-shot sampler over a Matrix or a MatrixViewF. norm2_squared
+/// The one-shot sampler over a MatrixView or a MatrixViewF. norm2_squared
 /// accumulates in double for both element types; the fp32 overload reduces
 /// in a faster (multi-accumulator) order, so an fp32 row's weight may
 /// differ from its widened twin's in the last ulp — far below anything
@@ -109,7 +109,7 @@ const Matrix& sample_rows(const View& a, double fraction,
 
 }  // namespace
 
-const Matrix& priority_sample(const Matrix& a, double fraction,
+const Matrix& priority_sample(linalg::MatrixView a, double fraction,
                               const PrioritySamplerConfig& config,
                               PrioritySampleScratch& scratch) {
   return sample_rows(a, fraction, config, scratch);

@@ -44,11 +44,11 @@ struct PrioritySampleScratch {
 /// in (0, 1]; 1 copies `a` unchanged. Each call seeds one Rng with
 /// config.seed and visits the rows in order, each non-zero row drawing one
 /// uniform; a min-heap of row indices keeps the top m+1 priorities, so only
-/// the survivors are copied, once. The streaming reference in
-/// tests/priority_sampler_oracle.hpp makes the same decisions bitwise.
-/// Throws CheckError on an empty `a` (fraction < 1).
-const linalg::Matrix& priority_sample(const linalg::Matrix& a,
-                                      double fraction,
+/// the survivors are copied, once. `a` is read in place, so a row range of
+/// a larger matrix (MatrixView::rows_of) costs no copy. The streaming
+/// reference in tests/priority_sampler_oracle.hpp makes the same decisions
+/// bitwise. Throws CheckError on an empty `a` (fraction < 1).
+const linalg::Matrix& priority_sample(linalg::MatrixView a, double fraction,
                                       const PrioritySamplerConfig& config,
                                       PrioritySampleScratch& scratch);
 

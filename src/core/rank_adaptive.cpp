@@ -76,7 +76,7 @@ void RankAdaptiveFd::append(std::span<const double> row) {
   stats_.total_seconds += timer.seconds();
 }
 
-void RankAdaptiveFd::append_batch(const Matrix& rows) {
+void RankAdaptiveFd::append_batch(linalg::MatrixView rows) {
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     append(rows.row(r));
   }

@@ -45,7 +45,7 @@ class RankAdaptiveFd : public FrequentDirections {
   /// Appends one row, adapting the rank on buffer-full events.
   void append(std::span<const double> row);
 
-  void append_batch(const linalg::Matrix& rows);
+  void append_batch(linalg::MatrixView rows);
 
   /// Paper-faithful batch entry point: announces the total row count so
   /// the `rowsLeft > ℓ + ν` guard (Algorithm 2 line 8) is active, streams

@@ -57,7 +57,7 @@ void ShardedSketcher::pool_dispatch(
   pool_->parallel_for(shards_.size(), fn);
 }
 
-void ShardedSketcher::push_batch(const Matrix& batch) {
+void ShardedSketcher::push_batch(linalg::MatrixView batch) {
   if (batch.rows() == 0) return;
   const obs::ScopedSpan span("sketch.sharded_ingest");
   const std::size_t p = shards_.size();

@@ -46,7 +46,7 @@ class ShardedSketcher final : public Sketcher {
   ShardedSketcher(const SketcherConfig& inner, std::size_t shards,
                   parallel::ThreadPool* pool);
 
-  void push_batch(const linalg::Matrix& batch) override;
+  void push_batch(linalg::MatrixView batch) override;
   void push_batch(linalg::MatrixViewF batch) override;
   linalg::Matrix sketch() override;
   [[nodiscard]] std::size_t current_ell() const override;

@@ -86,7 +86,9 @@ class AramsSketcher final : public Sketcher {
  public:
   explicit AramsSketcher(const AramsConfig& config) : arams_(config) {}
 
-  void push_batch(const Matrix& batch) override { arams_.push_batch(batch); }
+  void push_batch(linalg::MatrixView batch) override {
+    arams_.push_batch(batch);
+  }
   void push_batch(linalg::MatrixViewF batch) override {
     arams_.push_batch(batch);
     note_f32_rows(batch.rows());
@@ -114,7 +116,9 @@ class FdBackend final : public Sketcher {
   explicit FdBackend(std::size_t ell)
       : fd_(FdConfig{.sketch_rows = ell, .fast = true}) {}
 
-  void push_batch(const Matrix& batch) override { fd_.append_batch(batch); }
+  void push_batch(linalg::MatrixView batch) override {
+    fd_.append_batch(batch);
+  }
   void push_batch(linalg::MatrixViewF batch) override {
     fd_.append_batch(batch);
     note_f32_rows(batch.rows());
@@ -146,9 +150,7 @@ class FdBackend final : public Sketcher {
 // ----------------------------------------------------- interface defaults
 
 void Sketcher::append(std::span<const double> row) {
-  Matrix one(1, row.size());
-  one.set_row(0, row);
-  push_batch(one);
+  push_batch(linalg::MatrixView(row.data(), 1, row.size()));
 }
 
 const Matrix& Sketcher::widen_to_scratch(linalg::MatrixViewF batch) {
@@ -373,7 +375,7 @@ void RangeFinderSketch::ensure_dim(std::size_t d) {
   ARAMS_CHECK(d == dim_, "row dimension changed");
 }
 
-void RangeFinderSketch::push_batch(const Matrix& batch) {
+void RangeFinderSketch::push_batch(linalg::MatrixView batch) {
   if (batch.rows() == 0) return;
   ensure_dim(batch.cols());
   // Y += batchᵀ·(batch·Ω): two packed GEMMs keep the invariant Y = G·Ω.

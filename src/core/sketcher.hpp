@@ -57,11 +57,13 @@ class Sketcher {
  public:
   virtual ~Sketcher() = default;
 
-  /// Ingests a batch of rows (n×d). The first non-empty batch fixes d.
-  virtual void push_batch(const linalg::Matrix& batch) = 0;
+  /// Ingests a batch of rows (n×d), read in place: a Matrix converts to a
+  /// view, and a row range of one (MatrixView::rows_of) costs no copy. The
+  /// first non-empty batch fixes d.
+  virtual void push_batch(linalg::MatrixView batch) = 0;
 
-  /// Per-row convenience; default copies the row into a 1×d batch. Backends
-  /// with a natural row primitive override it to skip the copy.
+  /// Per-row convenience; default pushes the row as a 1×d view. Backends
+  /// with a natural row primitive override it.
   virtual void append(std::span<const double> row);
 
   /// fp32 ingest lane: accepts an fp32 batch directly. The default widens
@@ -209,7 +211,7 @@ class RangeFinderSketch : public Sketcher {
                     std::size_t oversample = 8,
                     std::size_t reorth_every = 16);
 
-  void push_batch(const linalg::Matrix& batch) override;
+  void push_batch(linalg::MatrixView batch) override;
   linalg::Matrix sketch() override;
   [[nodiscard]] std::size_t current_ell() const override { return ell_; }
   [[nodiscard]] std::size_t dim() const override { return dim_; }

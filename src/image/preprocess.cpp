@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "parallel/thread_pool.hpp"
+
 namespace arams::image {
 
 namespace {
@@ -186,10 +188,10 @@ BasicImage<T> downsample_impl(const BasicImage<T>& img, std::size_t factor) {
   return out;
 }
 
+/// The per-frame pipeline; it takes the frame by value and works in place.
 template <typename T>
-BasicImage<T> preprocess_impl(const BasicImage<T>& img,
+BasicImage<T> preprocess_impl(BasicImage<T> out,
                               const PreprocessConfig& config) {
-  BasicImage<T> out = img;
   if (config.threshold_fraction > 0.0) {
     threshold_relative_impl(out, config.threshold_fraction);
   }
@@ -212,6 +214,38 @@ std::vector<BasicImage<T>> preprocess_batch_impl(
   out.reserve(images.size());
   for (const auto& img : images) {
     out.push_back(preprocess_impl(img, config));
+  }
+  return out;
+}
+
+/// Frames per pool task in preprocess_rows. One 64×64 frame takes tens of
+/// microseconds, so a band amortises the queue round trip; a batch of one
+/// band stays on the calling thread.
+constexpr std::size_t kRowBand = 64;
+
+template <typename T, typename Rows>
+Rows preprocess_rows_impl(std::size_t n, const FrameAt<T>& frame,
+                          const PreprocessConfig& config) {
+  ARAMS_CHECK(n > 0, "empty image batch");
+  // Frame 0 fixes d; the rest fill their rows band by band.
+  const BasicImage<T> first = preprocess_impl(frame(0), config);
+  const std::size_t d = first.pixel_count();
+  Rows out(n, d);
+  first.to_row(out.row(0));
+  const auto run_band = [&](std::size_t band) {
+    const std::size_t end = std::min(n, (band + 1) * kRowBand);
+    for (std::size_t i = std::max<std::size_t>(band * kRowBand, 1); i < end;
+         ++i) {
+      const BasicImage<T> img = preprocess_impl(frame(i), config);
+      ARAMS_CHECK(img.pixel_count() == d, "inconsistent image shapes");
+      img.to_row(out.row(i));
+    }
+  };
+  const std::size_t bands = (n + kRowBand - 1) / kRowBand;
+  if (bands == 1) {
+    run_band(0);
+  } else {
+    parallel::shared_pool().parallel_for(bands, run_band);
   }
   return out;
 }
@@ -278,6 +312,26 @@ std::vector<ImageF> preprocess_batch(const std::vector<ImageF>& images,
 std::vector<ImageF32> preprocess_batch(const std::vector<ImageF32>& images,
                                        const PreprocessConfig& config) {
   return preprocess_batch_impl(images, config);
+}
+
+linalg::Matrix preprocess_rows(std::size_t n, const FrameAt<double>& frame,
+                               const PreprocessConfig& config) {
+  return preprocess_rows_impl<double, linalg::Matrix>(n, frame, config);
+}
+linalg::MatrixF preprocess_rows(std::size_t n, const FrameAt<float>& frame,
+                                const PreprocessConfig& config) {
+  return preprocess_rows_impl<float, linalg::MatrixF>(n, frame, config);
+}
+
+linalg::Matrix preprocess_rows(const std::vector<ImageF>& images,
+                               const PreprocessConfig& config) {
+  return preprocess_rows(
+      images.size(), [&](std::size_t i) { return images[i]; }, config);
+}
+linalg::MatrixF preprocess_rows(const std::vector<ImageF32>& images,
+                                const PreprocessConfig& config) {
+  return preprocess_rows(
+      images.size(), [&](std::size_t i) { return images[i]; }, config);
 }
 
 }  // namespace arams::image

@@ -9,6 +9,7 @@
 // reductions (totals, centroids, block means) accumulated in double so
 // the NaN-guard semantics are identical in both lanes.
 
+#include <functional>
 #include <vector>
 
 #include "image/image.hpp"
@@ -70,5 +71,28 @@ std::vector<ImageF> preprocess_batch(const std::vector<ImageF>& images,
                                      const PreprocessConfig& config);
 std::vector<ImageF32> preprocess_batch(const std::vector<ImageF32>& images,
                                        const PreprocessConfig& config);
+
+/// Frame i of a batch for preprocess_rows, by value: preprocessing works on
+/// its own copy of every frame anyway, so a source that builds the frame
+/// (narrowing an fp64 frame for the fp32 lane, say) hands it over without
+/// a second copy.
+template <typename T>
+using FrameAt = std::function<BasicImage<T>(std::size_t)>;
+
+/// images_to_matrix(preprocess_batch(...)) without the batch of processed
+/// frames: each of the n frames is preprocessed straight into its row of
+/// the n×d result (d = the pixel count after preprocessing), in bands of
+/// frames across the shared pool — bitwise the same at any pool size, since
+/// frames are independent. A frame whose preprocessed pixel count differs
+/// from frame 0's throws CheckError("inconsistent image shapes"); n = 0
+/// throws too. The vector overloads read `images` in place.
+linalg::Matrix preprocess_rows(std::size_t n, const FrameAt<double>& frame,
+                               const PreprocessConfig& config);
+linalg::MatrixF preprocess_rows(std::size_t n, const FrameAt<float>& frame,
+                                const PreprocessConfig& config);
+linalg::Matrix preprocess_rows(const std::vector<ImageF>& images,
+                               const PreprocessConfig& config);
+linalg::MatrixF preprocess_rows(const std::vector<ImageF32>& images,
+                                const PreprocessConfig& config);
 
 }  // namespace arams::image

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -139,9 +140,18 @@ void ThreadPool::parallel_for(std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
+  // Wait for every task before rethrowing: the tasks hold references into
+  // the caller's frame (fn and whatever it captures), which unwinding
+  // would destroy under tasks that are still queued or running.
+  std::exception_ptr first;
   for (auto& f : futures) {
-    f.get();  // propagates the first exception
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
   }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace arams::parallel

@@ -214,10 +214,9 @@ void StreamingMonitor::update_sketch() {
     // (if the backend needs it) happens inside the Sketcher seam.
     sketcher_->push_batch(
         linalg::MatrixViewF(batch_f32_.data(), batch_count, dim_));
-  } else if (batch_count == batch_.rows()) {
-    sketcher_->push_batch(batch_);
   } else {
-    sketcher_->push_batch(batch_.slice_rows(0, batch_count));  // flush
+    // The filled prefix, read in place (a flush leaves it partial).
+    sketcher_->push_batch(linalg::MatrixView::rows_of(batch_, 0, batch_count));
   }
   ++batches_;
   const double seconds = timer.seconds();

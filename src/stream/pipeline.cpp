@@ -117,25 +117,28 @@ MonitoringPipeline::MonitoringPipeline(const PipelineConfig& config)
 
 PipelineResult MonitoringPipeline::analyze(
     const std::vector<image::ImageF>& frames) const {
-  return analyze_frames(frames, {});
+  return analyze_frames(
+      frames.size(),
+      [&](std::size_t i) -> const image::ImageF& { return frames[i]; }, {});
 }
 
 PipelineResult MonitoringPipeline::analyze(
     const std::vector<image::ImageF32>& frames) const {
-  return analyze_frames_f32(frames, {});
+  return analyze_frames_f32(
+      frames.size(), [&](std::size_t i) { return frames[i]; }, {});
 }
 
 PipelineResult MonitoringPipeline::analyze_events(
     const std::vector<ShotEvent>& events) const {
-  std::vector<image::ImageF> frames;
   std::vector<std::uint64_t> shot_ids;
-  frames.reserve(events.size());
   shot_ids.reserve(events.size());
   for (const auto& e : events) {
-    frames.push_back(e.frame);
     shot_ids.push_back(e.shot_id);
   }
-  return analyze_frames(frames, std::move(shot_ids));
+  return analyze_frames(
+      events.size(),
+      [&](std::size_t i) -> const image::ImageF& { return events[i].frame; },
+      std::move(shot_ids));
 }
 
 PipelineResult MonitoringPipeline::analyze_matrix(const Matrix& rows) const {
@@ -150,28 +153,26 @@ PipelineResult MonitoringPipeline::analyze_matrix(
 }
 
 PipelineResult MonitoringPipeline::analyze_frames(
-    const std::vector<image::ImageF>& frames,
+    std::size_t n, const FrameRef& frame,
     std::vector<std::uint64_t> shot_ids) const {
-  ARAMS_CHECK(!frames.empty(), "no frames to analyze");
+  ARAMS_CHECK(n > 0, "no frames to analyze");
   if (config_.ingest_precision == PipelineConfig::IngestPrecision::kF32) {
-    // Narrow at the door: one cast pass over the raw pixels, then every
-    // downstream ingest step moves half the bytes.
-    std::vector<image::ImageF32> narrowed;
-    narrowed.reserve(frames.size());
-    for (const auto& frame : frames) {
-      narrowed.push_back(image::narrow(frame));
-    }
-    return analyze_frames_f32(narrowed, std::move(shot_ids));
+    // Narrow at the door: one cast pass over each frame's raw pixels, in
+    // the pooled preprocessing loop, then every downstream ingest step
+    // moves half the bytes.
+    return analyze_frames_f32(
+        n, [&](std::size_t i) { return image::narrow(frame(i)); },
+        std::move(shot_ids));
   }
   const obs::ScopedSpan span("pipeline.analyze");
   Stopwatch timer;
   Matrix rows;
   {
-    // --- stage 1: per-frame preprocessing ---
+    // --- stage 1: every frame preprocessed straight into its row, in
+    // bands of frames across the shared pool ---
     const obs::ScopedSpan stage_span("pipeline.preprocess");
-    const std::vector<image::ImageF> processed =
-        image::preprocess_batch(frames, config_.preprocess);
-    rows = image::images_to_matrix(processed);
+    rows = image::preprocess_rows(
+        n, [&](std::size_t i) { return frame(i); }, config_.preprocess);
   }
   const double pre = timer.seconds();
   stage_window("pipeline.preprocess_seconds_window").record(pre);
@@ -182,19 +183,17 @@ PipelineResult MonitoringPipeline::analyze_frames(
 }
 
 PipelineResult MonitoringPipeline::analyze_frames_f32(
-    const std::vector<image::ImageF32>& frames,
+    std::size_t n, const image::FrameAt<float>& frame,
     std::vector<std::uint64_t> shot_ids) const {
-  ARAMS_CHECK(!frames.empty(), "no frames to analyze");
+  ARAMS_CHECK(n > 0, "no frames to analyze");
   const obs::ScopedSpan span("pipeline.analyze");
   Stopwatch timer;
   linalg::MatrixF rows;
   {
-    // --- stage 1: per-frame preprocessing, fp32 kernels (reductions in
-    // double, NaN guards identical to the fp64 lane) ---
+    // --- stage 1: per-frame preprocessing into the rows, fp32 kernels
+    // (reductions in double, NaN guards identical to the fp64 lane) ---
     const obs::ScopedSpan stage_span("pipeline.preprocess");
-    const std::vector<image::ImageF32> processed =
-        image::preprocess_batch(frames, config_.preprocess);
-    rows = image::images_to_matrix(processed);
+    rows = image::preprocess_rows(n, frame, config_.preprocess);
   }
   const double pre = timer.seconds();
   stage_window("pipeline.preprocess_seconds_window").record(pre);
@@ -229,22 +228,33 @@ PipelineResult MonitoringPipeline::run_stages(
     result.final_ell = sketcher->current_ell();
     sketcher->report(result.report);
   } else {
+    // The num_cores contiguous ranges [c·n/P, (c+1)·n/P), each sketched
+    // over a view of its rows by its own Arams (seed + c). Several ranges
+    // run concurrently on the shared pool, where each one's GEMMs run
+    // inline on its worker; a single range stays on this thread, so its
+    // GEMMs keep the pool. Either way every range has the same bits.
     const obs::ScopedSpan stage_span("pipeline.sketch");
     const std::size_t n = rows.rows();
-    const std::size_t cores = std::min<std::size_t>(config_.num_cores, n);
+    const std::size_t ranges = std::min<std::size_t>(config_.num_cores, n);
+    std::vector<core::AramsResult> shards(ranges);
+    const auto sketch_range = [&](std::size_t c) {
+      core::AramsConfig range_config = config_.sketch;
+      range_config.seed = config_.sketch.seed + c;
+      shards[c] = core::Arams(range_config)
+                      .sketch_matrix(linalg::MatrixView::rows_of(
+                          rows, c * n / ranges, (c + 1) * n / ranges));
+    };
+    if (ranges == 1) {
+      sketch_range(0);
+    } else {
+      parallel::shared_pool().parallel_for(ranges, sketch_range);
+    }
+    // Ordered fold: range order fixes the stats sum and the merge leaves.
     std::vector<Matrix> sketches;
-    sketches.reserve(cores);
+    sketches.reserve(ranges);
     std::size_t final_ell = config_.sketch.ell;
     core::SketchStats sketch_stats;
-    for (std::size_t c = 0; c < cores; ++c) {
-      const std::size_t r0 = c * n / cores;
-      const std::size_t r1 = (c + 1) * n / cores;
-      if (r1 <= r0) continue;
-      core::AramsConfig shard_config = config_.sketch;
-      shard_config.seed = config_.sketch.seed + c;
-      core::Arams sketcher(shard_config);
-      core::AramsResult shard =
-          sketcher.sketch_matrix(rows.slice_rows(r0, r1));
+    for (core::AramsResult& shard : shards) {
       if (shard.sketch.empty()) continue;
       sketch_stats += core::sketch_stats_from_report(shard.report);
       final_ell = std::max(final_ell, shard.final_ell);
@@ -377,8 +387,9 @@ void MonitoringPipeline::run_tail_stages(const Matrix& rows,
                                             config_.cluster_quantile);
     }
     if (config_.abod_k >= 2 && result.embedding.rows() > config_.abod_k) {
-      result.outlier_scores = cluster::fast_abod(
-          result.embedding, cluster::AbodConfig{config_.abod_k});
+      cluster::AbodConfig abod_config;
+      abod_config.k = config_.abod_k;
+      result.outlier_scores = cluster::fast_abod(result.embedding, abod_config);
     }
   }
   {

@@ -1,13 +1,16 @@
 #pragma once
 // MonitoringPipeline — the Fig. 4 schematic as one public API.
 //
-// Stage 1  preprocess   threshold / center / normalize each frame
-// Stage 2  sketch       ARAMS per row range, tree-merged
+// Stage 1  preprocess   threshold / center / normalize each frame straight
+//                       into its row, bands of frames across the pool
+// Stage 2  sketch       ARAMS per row range, the ranges concurrently on the
+//                       pool over views of the rows, then tree-merged
 // Stage 3  project      PCA latent projection from the global sketch
 // Stage 4  visualize    UMAP to 2-D
 // Stage 5  analyze      OPTICS clustering + FastABOD outlier scores
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,8 +56,12 @@ struct PipelineConfig {
   /// wrapper gathers and fans out fp32 rows natively.
   enum class IngestPrecision { kF64, kF32 };
   IngestPrecision ingest_precision = IngestPrecision::kF64;
-  /// Contiguous row ranges the default "arams" fp64 path sketches one
-  /// after another (seed + range index), then tree-merges on the pool.
+  /// Contiguous row ranges [c·n/P, (c+1)·n/P) of the default "arams" fp64
+  /// path — the paper's MPI ranks. The ranges are sketched concurrently on
+  /// the shared pool, each over a view of its rows by its own Arams (seed +
+  /// range index), and then tree-merged on the pool. With 1 the one range
+  /// runs on the calling thread, whose GEMMs then use the pool. The result
+  /// has the same bits at any pool size.
   std::size_t num_cores = 4;
   std::size_t pca_components = 15;   ///< latent dimension fed to UMAP
   embed::UmapConfig umap;
@@ -149,13 +156,19 @@ class MonitoringPipeline {
   void run_tail_stages(const linalg::Matrix& rows, PipelineResult& result,
                        Stopwatch& timer) const;
 
-  /// Stage 1 + run_stages — shared by the two frame-based adapters.
-  PipelineResult analyze_frames(const std::vector<image::ImageF>& frames,
+  /// Frame i of an fp64 input, read where it lies (a frame vector or the
+  /// events).
+  using FrameRef = std::function<const image::ImageF&(std::size_t)>;
+
+  /// Stage 1 + run_stages over n fp64 frames — shared by the fp64 frame
+  /// and event adapters. With IngestPrecision::kF32 each frame is narrowed
+  /// inside the pooled stage 1 loop and the fp32 lane takes over.
+  PipelineResult analyze_frames(std::size_t n, const FrameRef& frame,
                                 std::vector<std::uint64_t> shot_ids) const;
 
   /// fp32 stage 1 + run_stages_f32.
   PipelineResult analyze_frames_f32(
-      const std::vector<image::ImageF32>& frames,
+      std::size_t n, const image::FrameAt<float>& frame,
       std::vector<std::uint64_t> shot_ids) const;
 
   PipelineConfig config_;

@@ -40,27 +40,38 @@ namespace {
 std::atomic<long> g_heap_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The replacements stay out of line: inlined into a caller, GCC pairs the
+// malloc() of one with the delete or free() of another and reports a
+// mismatch (-Wmismatched-new-delete), although all of them are these.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
+[[gnu::noinline]] void* operator new[](std::size_t n) {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new(std::size_t n, std::align_val_t a) {
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     std::align_val_t a) {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(a), n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
   std::free(p);
 }
 

@@ -240,8 +240,7 @@ TEST(TwoStageShape, NonlinearStageBeatsPcaOnly) {
   }
   image::PreprocessConfig pre;
   pre.center = false;
-  const Matrix raw =
-      image::images_to_matrix(image::preprocess_batch(images, pre));
+  const Matrix raw = image::preprocess_rows(images, pre);
 
   core::AramsConfig sk;
   sk.ell = 16;

@@ -4,12 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <string>
 
 #include "cluster/metrics.hpp"
 #include "embed/metrics.hpp"
 #include "image/image.hpp"
 #include "linalg/blas.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
+#include "rerun_self.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/source.hpp"
 #include "util/check.hpp"
@@ -261,6 +269,199 @@ TEST(Pipeline, RangeShardsAreBitwiseTreeMergedSketches) {
   EXPECT_EQ(linalg::Matrix::max_abs_diff(result.sketch, expected), 0.0);
   EXPECT_EQ(result.report.counter("merge_ops"), 3);
   EXPECT_EQ(result.embedding.rows(), 160u);
+}
+
+/// FNV-1a over the bytes of a matrix.
+std::uint64_t digest(const linalg::Matrix& m, std::uint64_t h) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+  for (std::size_t i = 0; i < m.size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// One digest over everything a pipeline run computes.
+std::uint64_t digest(const PipelineResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const linalg::Matrix* m : {&r.sketch, &r.latent, &r.embedding}) {
+    h = digest(*m, h);
+  }
+  for (const int label : r.labels) {
+    h = (h ^ static_cast<std::uint64_t>(label + 1)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+void expect_same_bits(const linalg::Matrix& got, const linalg::Matrix& want,
+                      const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0)
+      << what;
+}
+
+void expect_same_run(const PipelineResult& got, const PipelineResult& want) {
+  expect_same_bits(got.sketch, want.sketch, "sketch");
+  expect_same_bits(got.latent, want.latent, "latent");
+  expect_same_bits(got.embedding, want.embedding, "embedding");
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(got.final_ell, want.final_ell);
+}
+
+TEST(Pipeline, ConcurrentRangeShardsSameBitsAtAnyPoolSize) {
+  // Four ranges of 300 rows at d = 4096 and ℓ = 32: on its own, a range's
+  // shrink GEMMs (64 × 64 × 4096) fan out at pool 4; run concurrently on
+  // the pool they run inline on each range's worker. The sketch, final ℓ
+  // and merge count must equal the serial reduction spelled out here,
+  // whose GEMMs use the pool. The whole result must digest the same when
+  // the call comes from a pool worker, where everything runs inline, and
+  // in child processes at pool sizes 1 and 4.
+  const std::size_t n = 1200;
+  const std::size_t d = 4096;
+  linalg::Matrix rows(n, d);
+  Rng rng(19);
+  for (std::size_t i = 0; i < n; ++i) rng.fill_normal(rows.row(i));
+  PipelineConfig config = fast_pipeline();
+  config.num_cores = 4;
+  config.sketch.ell = 32;
+  const MonitoringPipeline pipeline(config);
+  const PipelineResult result = pipeline.analyze_matrix(rows);
+
+  std::vector<linalg::Matrix> sketches;
+  std::size_t final_ell = config.sketch.ell;
+  for (std::size_t c = 0; c < 4; ++c) {
+    core::AramsConfig range_config = config.sketch;
+    range_config.seed = config.sketch.seed + c;
+    core::AramsResult range =
+        core::Arams(range_config)
+            .sketch_matrix(linalg::MatrixView::rows_of(rows, c * n / 4,
+                                                       (c + 1) * n / 4));
+    final_ell = std::max(final_ell, range.final_ell);
+    sketches.push_back(std::move(range.sketch));
+  }
+  core::MergeStats merge_stats;
+  const linalg::Matrix expected =
+      core::tree_merge(std::move(sketches), final_ell, 2, &merge_stats);
+  expect_same_bits(result.sketch, expected, "sketch");
+  EXPECT_EQ(result.final_ell, final_ell);
+  EXPECT_EQ(result.report.counter("merge_ops"), merge_stats.merge_ops);
+
+  PipelineResult on_worker;
+  parallel::shared_pool()
+      .submit([&] { on_worker = pipeline.analyze_matrix(rows); })
+      .get();
+  expect_same_run(on_worker, result);
+
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016" PRIx64, digest(result));
+  std::printf("pool threads %zu digest %s\n", threads, hex);
+  if (std::getenv("ARAMS_RANGE_SHARDS_CHILD") != nullptr) return;
+  for (const std::string size : {"1", "4"}) {
+    const test::ChildRun run = test::rerun_self(
+        "ARAMS_RANGE_SHARDS_CHILD=1 ARAMS_POOL_THREADS=" + size,
+        "Pipeline.ConcurrentRangeShardsSameBitsAtAnyPoolSize");
+    EXPECT_EQ(run.status, 0) << run.output;
+    EXPECT_NE(
+        run.output.find("pool threads " + size + " digest " + hex + "\n"),
+        std::string::npos)
+        << run.output;
+  }
+}
+
+TEST(Pipeline, SingleRangeKeepsItsGemmsOnThePool) {
+  // num_cores = 1 sketches on the calling thread, so the shrink GEMMs at
+  // d = 4096 still fan out. Run on a pool worker they would run inline and
+  // the pipeline would send one task where the sketch alone sends many.
+  // Tasks, not linalg.gemm_parallel_count: an inline GEMM counts a
+  // dispatch too.
+  if (parallel::shared_pool().thread_count() < 2) {
+    GTEST_SKIP() << "needs a pool of at least two threads";
+  }
+  linalg::Matrix rows(200, 4096);
+  Rng rng(23);
+  for (std::size_t i = 0; i < rows.rows(); ++i) rng.fill_normal(rows.row(i));
+  PipelineConfig config = fast_pipeline();
+  config.num_cores = 1;
+  config.sketch.ell = 32;
+  config.pca_components = 2;
+  config.abod_k = 0;
+  // Counted before each task runs, so every count is in by the time the
+  // dispatching call returns.
+  const obs::Histogram& tasks =
+      obs::metrics().histogram("pool.task_wait_seconds");
+  long before = tasks.count();
+  (void)core::Arams(config.sketch).sketch_matrix(rows);
+  const long sketch_tasks = tasks.count() - before;
+  ASSERT_GT(sketch_tasks, 1);
+  before = tasks.count();
+  (void)MonitoringPipeline(config).analyze_matrix(rows);
+  EXPECT_GE(tasks.count() - before, sketch_tasks);
+}
+
+TEST(Pipeline, AnalyzeEventsIsAnalyzeMatrixOfPreprocessedRows) {
+  // analyze_events reads the events' frames in place and preprocesses
+  // them straight into rows (kF32: narrowed inside that loop). Both lanes
+  // must give what analyze_matrix gives on the rows preprocess_batch
+  // makes. 150 frames span three preprocessing bands.
+  data::DiffractionConfig diff;
+  diff.height = 24;
+  diff.width = 24;
+  diff.num_classes = 3;
+  DiffractionSource source(diff, 150, 120.0, 4);
+  const auto events = drain(source, 150);
+  std::vector<image::ImageF> frames;
+  std::vector<image::ImageF32> narrowed;
+  std::vector<std::uint64_t> shots;
+  for (const auto& e : events) {
+    frames.push_back(e.frame);
+    narrowed.push_back(image::narrow(e.frame));
+    shots.push_back(e.shot_id);
+  }
+  PipelineConfig config = fast_pipeline();
+  config.preprocess.center = false;
+  const PipelineResult r64 = MonitoringPipeline(config).analyze_events(events);
+  const PipelineResult m64 = MonitoringPipeline(config).analyze_matrix(
+      image::images_to_matrix(image::preprocess_batch(frames,
+                                                      config.preprocess)));
+  expect_same_run(r64, m64);
+  EXPECT_EQ(r64.shot_ids, shots);
+
+  config.ingest_precision = PipelineConfig::IngestPrecision::kF32;
+  const PipelineResult r32 = MonitoringPipeline(config).analyze_events(events);
+  const linalg::MatrixF rows32 = image::images_to_matrix(
+      image::preprocess_batch(narrowed, config.preprocess));
+  const PipelineResult m32 =
+      MonitoringPipeline(config).analyze_matrix(linalg::MatrixViewF(rows32));
+  expect_same_run(r32, m32);
+  EXPECT_EQ(r32.shot_ids, shots);
+  EXPECT_EQ(r32.report.counter("rows_ingested_f32"), 150);
+}
+
+TEST(Pipeline, MisShapedFrameThrowsAndPipelineRecovers) {
+  // Frame 300 of 600 has one column too few: its band throws, every other
+  // band finishes, and the same pipeline then analyzes the mended batch.
+  data::BeamProfileConfig beam;
+  beam.height = 16;
+  beam.width = 16;
+  BeamProfileSource source(beam, 600, 120.0, 21);
+  std::vector<image::ImageF> frames;
+  for (const auto& e : drain(source, 600)) frames.push_back(e.frame);
+  const image::ImageF good = frames[300];
+  frames[300] = image::ImageF(16, 15);
+  const MonitoringPipeline pipeline(fast_pipeline());
+  try {
+    (void)pipeline.analyze(frames);
+    ADD_FAILURE() << "a mis-shaped frame was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("inconsistent image shapes"),
+              std::string::npos)
+        << e.what();
+  }
+  frames[300] = good;
+  const PipelineResult result = pipeline.analyze(frames);
+  EXPECT_EQ(result.embedding.rows(), 600u);
 }
 
 TEST(Pipeline, F32FramesRunEndToEnd) {

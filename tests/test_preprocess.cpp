@@ -4,9 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "image/preprocess.hpp"
+#include "rng/rng.hpp"
 #include "util/check.hpp"
 
 namespace arams::image {
@@ -149,6 +154,81 @@ TEST(Preprocess, BatchAppliesToAll) {
   const auto out = preprocess_batch(batch, config);
   EXPECT_NEAR(out[0].total_intensity(), 1.0, 1e-12);
   EXPECT_NEAR(out[1].total_intensity(), 1.0, 1e-12);
+}
+
+/// n off-centre blobs of random width and brightness over a faint noise
+/// floor, so thresholding, centring, normalising and block means all
+/// change every frame.
+std::vector<ImageF> blob_frames(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ImageF> frames;
+  frames.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ImageF img = gaussian_blob(16, 16, 3.0 + 9.0 * rng.uniform(),
+                               3.0 + 9.0 * rng.uniform(),
+                               1.0 + 2.0 * rng.uniform());
+    const double gain = 1.0 + 10.0 * rng.uniform();
+    for (double& v : img.pixels()) v = gain * v + 0.05 * rng.uniform();
+    frames.push_back(std::move(img));
+  }
+  return frames;
+}
+
+template <typename Rows>
+void expect_same_bits(const Rows& got, const Rows& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        got.size() * sizeof(*got.data())),
+            0)
+      << what;
+}
+
+TEST(Preprocess, RowsAreBitwiseBatchThenFlatten) {
+  // preprocess_rows writes each frame straight into its row, in bands of
+  // frames on the shared pool once a batch spans two bands: 1 and 7
+  // frames stay on the calling thread, 513 fan out with a one-frame last
+  // band. Each row must be the flattened preprocess_batch frame, bit for
+  // bit, in both pixel types and with each stage switched off in turn.
+  std::vector<std::pair<std::string, PreprocessConfig>> configs;
+  configs.emplace_back("default", PreprocessConfig{});
+  PreprocessConfig config;
+  config.center = false;
+  configs.emplace_back("center off", config);
+  config = PreprocessConfig{};
+  config.threshold_fraction = 0.0;
+  configs.emplace_back("threshold off", config);
+  config = PreprocessConfig{};
+  config.normalize = false;
+  configs.emplace_back("normalize off", config);
+  config = PreprocessConfig{};
+  config.downsample_factor = 2;
+  configs.emplace_back("downsample 2", config);
+  for (const std::size_t n : {1u, 7u, 513u}) {
+    const std::vector<ImageF> frames = blob_frames(n, 40 + n);
+    std::vector<ImageF32> narrowed;
+    narrowed.reserve(n);
+    for (const ImageF& frame : frames) narrowed.push_back(narrow(frame));
+    for (const auto& [name, cfg] : configs) {
+      const std::string what = name + ", n=" + std::to_string(n);
+      expect_same_bits(preprocess_rows(frames, cfg),
+                       images_to_matrix(preprocess_batch(frames, cfg)),
+                       "fp64 " + what);
+      expect_same_bits(preprocess_rows(narrowed, cfg),
+                       images_to_matrix(preprocess_batch(narrowed, cfg)),
+                       "fp32 " + what);
+    }
+  }
+}
+
+TEST(Preprocess, RowsRefuseMisShapedFrames) {
+  std::vector<ImageF> frames = blob_frames(200, 9);
+  frames[150] = ImageF(16, 15);
+  EXPECT_THROW((void)preprocess_rows(frames, PreprocessConfig{}), CheckError);
+  EXPECT_THROW(
+      (void)preprocess_rows(std::vector<ImageF>{}, PreprocessConfig{}),
+      CheckError);
 }
 
 TEST(Preprocess, DownsampleFactorOneIsIdentity) {
