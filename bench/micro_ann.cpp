@@ -14,6 +14,11 @@
 //
 // tools/check_ann_recall.sh runs the BM_AnnRecallPin filter as a ctest and
 // fails the build when recall drops below 0.95.
+//
+// The picture's own graph shapes sit beside the sweep: BM_AnnGraphForest at
+// the monitor's 4608-point reservoir with the UMAP graph over the d = 10
+// latent (k = 15) and ABOD's over the 2-D embedding (k = 10), and
+// BM_FastAbod, the whole outlier pass at that size.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +27,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "cluster/abod.hpp"
 #include "embed/ann/searcher.hpp"
 #include "embed/knn.hpp"
 #include "linalg/workspace.hpp"
@@ -129,15 +135,18 @@ BENCHMARK(BM_AnnGraphExact)
     ->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 
+/// Args: n, d, k.
 void BM_AnnGraphForest(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix pts = clustered_points(n, kDim, 1);
+  const auto d = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const Matrix pts = clustered_points(n, d, 1);
   linalg::Workspace ws;
   const auto searcher = embed::make_searcher("rpforest", 7);
   searcher->build(pts, ws);
   embed::KnnGraph g;
   for (auto _ : state) {
-    searcher->query_graph(kNeighbors, ws, g);
+    searcher->query_graph(k, ws, g);
     benchmark::DoNotOptimize(g.neighbors.data());
   }
   // Recall estimate on a deterministic 256-row sample (not timed).
@@ -146,15 +155,33 @@ void BM_AnnGraphForest(benchmark::State& state) {
   for (std::size_t s = 0; s < count; ++s) {
     sample.push_back((s * n) / count);
   }
-  const embed::KnnGraph truth = sampled_truth(pts, sample, kNeighbors, ws);
+  const embed::KnnGraph truth = sampled_truth(pts, sample, k, ws);
   state.counters["n"] = static_cast<double>(n);
   state.counters["recall"] = sampled_recall(truth, g, sample);
 }
 BENCHMARK(BM_AnnGraphForest)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Arg(65536)
+    ->Args({4096, kDim, kNeighbors})
+    ->Args({16384, kDim, kNeighbors})
+    ->Args({65536, kDim, kNeighbors})
+    ->Args({4608, 10, 15})
+    ->Args({4608, 2, 10})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+/// FastABOD over a 4608-point 2-D embedding: its rpforest graph (k = 10)
+/// and the per-point angle statistics.
+void BM_FastAbod(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix pts = clustered_points(n, 2, 9);
+  linalg::Workspace ws;
+  const cluster::AbodConfig config;
+  for (auto _ : state) {
+    const std::vector<double> scores = cluster::fast_abod(pts, config, ws);
+    benchmark::DoNotOptimize(scores.data());
+  }
+  state.counters["n"] = static_cast<double>(n);
+}
+BENCHMARK(BM_FastAbod)->Arg(4608)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /// The ctest recall pin: exhaustive ground truth at a size small enough to
 /// run on every build (tools/check_ann_recall.sh fails below 0.95).

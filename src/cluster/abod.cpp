@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "linalg/blas.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -26,46 +27,50 @@ std::vector<double> fast_abod(const Matrix& points, const AbodConfig& config,
   embed::KnnGraph graph;
   searcher->query_graph(k, ws, graph, opts);
 
+  // Each score depends on its point's neighbourhood alone, so the points
+  // run in bands, each with its own scratch: the k neighbour-difference
+  // vectors and their Gram matrix, reused across the band.
   std::vector<double> scores(n, 0.0);
-  // Per-point scratch: the k neighbour-difference vectors and their Gram
-  // matrix, reused (grow-only) across all n points.
-  Matrix& diffs = ws.mat(linalg::wslot::kDistGather, k, dim);
-  Matrix& gram = ws.mat(linalg::wslot::kDistGram, k, k);
-  std::vector<double> norms(k);
-
-  for (std::size_t p = 0; p < n; ++p) {
-    const auto row_p = points.row(p);
-    for (std::size_t a = 0; a < k; ++a) {
-      const auto row_a = points.row(graph.neighbor(p, a));
-      const auto da = diffs.row(a);
-      for (std::size_t c = 0; c < dim; ++c) {
-        da[c] = row_a[c] - row_p[c];
+  const auto score_band = [&](std::size_t p0, std::size_t p1) {
+    Matrix diffs(k, dim);
+    Matrix gram(k, k);
+    std::vector<double> norms(k);
+    for (std::size_t p = p0; p < p1; ++p) {
+      const auto row_p = points.row(p);
+      for (std::size_t a = 0; a < k; ++a) {
+        const auto row_a = points.row(graph.neighbor(p, a));
+        const auto da = diffs.row(a);
+        for (std::size_t c = 0; c < dim; ++c) {
+          da[c] = row_a[c] - row_p[c];
+        }
       }
-    }
-    // One tiled Gram product hands every pair its inner product and both
-    // norms; the O(k²) angle-statistics loop below no longer touches d.
-    linalg::gram_rows(diffs, gram);
-    for (std::size_t a = 0; a < k; ++a) {
-      norms[a] = std::sqrt(gram(a, a));
-    }
-    double wsum = 0.0, mean = 0.0, m2 = 0.0;
-    for (std::size_t a = 0; a < k; ++a) {
-      if (norms[a] == 0.0) continue;
-      for (std::size_t b = a + 1; b < k; ++b) {
-        if (norms[b] == 0.0) continue;
-        const double inner = gram(a, b);
-        const double value =
-            inner / (norms[a] * norms[a] * norms[b] * norms[b]);
-        const double w = 1.0 / (norms[a] * norms[b]);
-        // West's incremental weighted variance.
-        wsum += w;
-        const double delta = value - mean;
-        mean += (w / wsum) * delta;
-        m2 += w * delta * (value - mean);
+      // One tiled Gram product hands every pair its inner product and both
+      // norms; the O(k²) angle-statistics loop below no longer touches d.
+      linalg::gram_rows(diffs, gram);
+      for (std::size_t a = 0; a < k; ++a) {
+        norms[a] = std::sqrt(gram(a, a));
       }
+      double wsum = 0.0, mean = 0.0, m2 = 0.0;
+      for (std::size_t a = 0; a < k; ++a) {
+        if (norms[a] == 0.0) continue;
+        for (std::size_t b = a + 1; b < k; ++b) {
+          if (norms[b] == 0.0) continue;
+          const double inner = gram(a, b);
+          const double value =
+              inner / (norms[a] * norms[a] * norms[b] * norms[b]);
+          const double w = 1.0 / (norms[a] * norms[b]);
+          // West's incremental weighted variance.
+          wsum += w;
+          const double delta = value - mean;
+          mean += (w / wsum) * delta;
+          m2 += w * delta * (value - mean);
+        }
+      }
+      scores[p] = (wsum > 0.0) ? m2 / wsum : 0.0;
     }
-    scores[p] = (wsum > 0.0) ? m2 / wsum : 0.0;
-  }
+  };
+  parallel::for_bands(embed::graph_loop_pool(opts.allow_parallel, n * k), n,
+                      score_band);
   return scores;
 }
 

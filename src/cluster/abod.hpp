@@ -35,7 +35,10 @@ std::vector<double> fast_abod(const linalg::Matrix& points,
 /// statistics run through the shared distance engine — each point's k
 /// neighbour-difference vectors are assembled once and their Gram matrix
 /// G(a,b) = ⟨pa, pb⟩ supplies every pairwise inner product and norm, so the
-/// O(k²) angle loop does O(1) work per pair instead of O(d).
+/// O(k²) angle loop does O(1) work per pair instead of O(d). Each score
+/// depends on its own point alone, so the points run in bands on the
+/// shared pool (embed::graph_loop_pool, honouring `opts.allow_parallel`)
+/// and the scores have the same bits at any pool size.
 std::vector<double> fast_abod(const linalg::Matrix& points,
                               const AbodConfig& config,
                               linalg::Workspace& ws,

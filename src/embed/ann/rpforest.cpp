@@ -26,12 +26,19 @@
 // (sub-tree rebuild over its members only), so the index stays warm across
 // streaming snapshots instead of being rebuilt from scratch.
 //
-// Determinism: all traversal/selection is serial with explicit index
-// tie-breaks; the GEMM core's parallel partition is bit-identical to its
-// serial path — so a fixed config.seed gives bitwise-identical results
-// regardless of thread count.
+// Parallelism and determinism: above embed::graph_loop_pool's threshold
+// the trees build concurrently (each from its own stream, into its own
+// nodes and direction rows, numbered afterwards as the serial build numbers
+// them), and within each tree the leaves, which hold disjoint rows, seed
+// their members' rows in parallel, each row receiving the sequence the
+// serial loop gives it. Queries and insert() stay serial with explicit
+// index tie-breaks, and the GEMM core's parallel partition is bit-identical
+// to its serial path — so a fixed config.seed gives bitwise-identical
+// results regardless of thread count (tests/rpforest_serial_reference.hpp
+// keeps the serial graph path as the oracle).
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -47,6 +54,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/workspace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
@@ -67,27 +75,49 @@ class RpForestSearcher final : public PointStoreSearcher {
 
   void build(const linalg::Matrix& points, linalg::Workspace& ws,
              const DistanceOptions& opts) override {
-    (void)opts;
+    (void)ws;
     Stopwatch timer;
     store_points(points);
     const std::size_t n = size();
-    trees_.assign(config_.num_trees, Tree{});
-    dirs_.reshape(0, dim());
-    dirs_count_ = 0;
-    order_.resize(n);
+    const std::size_t num_trees = config_.num_trees;
+    trees_.assign(num_trees, Tree{});
     visit_mark_.assign(n, 0);
     visit_epoch_ = 0;
+    // Tree t draws from its own stream and writes only its own nodes and
+    // scratch, so the trees build concurrently.
+    std::vector<SubtreeBuild> builds(num_trees);
     const Rng root(config_.seed);
-    for (std::size_t t = 0; t < trees_.size(); ++t) {
-      std::iota(order_.begin(), order_.end(), std::size_t{0});
+    const auto build_tree = [&](std::size_t t) {
+      std::vector<std::size_t> order(n);
+      std::iota(order.begin(), order.end(), std::size_t{0});
       Rng rng = root.split(t + 1);
-      fill_subtree(trees_[t], alloc_node(trees_[t]), order_, 0, n, rng, ws);
+      fill_subtree(trees_[t], alloc_node(trees_[t]), order, 0, n, rng,
+                   builds[t]);
+    };
+    parallel::ThreadPool* pool =
+        graph_loop_pool(opts.allow_parallel, n * num_trees);
+    if (pool == nullptr) {
+      for (std::size_t t = 0; t < num_trees; ++t) build_tree(t);
+    } else {
+      pool->parallel_for(num_trees, build_tree);
+    }
+    // Directions in tree order, node ids shifted by the trees before: the
+    // numbering the serial build gives.
+    dirs_.reshape(0, dim());
+    dirs_count_ = 0;
+    for (std::size_t t = 0; t < num_trees; ++t) {
+      const auto base = static_cast<std::int32_t>(dirs_count_);
+      for (Node& node : trees_[t].nodes) {
+        if (node.dir >= 0) node.dir += base;
+      }
+      append_dirs(builds[t]);
     }
     note_build(timer.seconds());
   }
 
   void insert(linalg::MatrixView rows, linalg::Workspace& ws,
               const DistanceOptions& opts) override {
+    (void)ws;
     (void)opts;
     Stopwatch timer;
     const std::size_t old_rows = size();
@@ -109,7 +139,7 @@ class RpForestSearcher final : public PointStoreSearcher {
             tree.leaves[static_cast<std::size_t>(leaf_node.leaf)];
         members.push_back(i);
         if (members.size() > 2 * config_.leaf_size) {
-          resplit_leaf(tree, t, nid, ws);
+          resplit_leaf(tree, t, nid);
         }
       }
     }
@@ -140,59 +170,16 @@ class RpForestSearcher final : public PointStoreSearcher {
 
   void query_graph(std::size_t k, linalg::Workspace& ws, KnnGraph& out,
                    const DistanceOptions& opts) override {
+    (void)ws;
     check_k(k, /*self_excluded=*/true);
     Stopwatch timer;
     const std::size_t n = size();
-    const std::size_t d = dim();
     const double inf = std::numeric_limits<double>::infinity();
     seed_d2_.assign(n * k, inf);
     seed_idx_.assign(n * k, kNoSelf);
-    long scored = 0;
-
-    // Leaf co-membership: every pair sharing a leaf in any tree is a
-    // candidate edge, scored once per leaf through a Gram block.
-    for (const Tree& tree : trees_) {
-      for (const std::vector<std::size_t>& members : tree.leaves) {
-        const std::size_t c = members.size();
-        if (c < 2) continue;  // tombstoned or singleton leaf
-        const bool use_gram = opts.use_gemm && c >= kGramCutoff;
-        linalg::Matrix* gram = nullptr;
-        if (use_gram) {
-          linalg::Matrix& gathered =
-              ws.mat(linalg::wslot::kAnnGather, c, d);
-          gather_rows(points_, members, gathered);
-          gram = &ws.mat(linalg::wslot::kAnnGram, c, c);
-          linalg::gram_rows(gathered, *gram);
-        }
-        for (std::size_t a = 0; a < c; ++a) {
-          for (std::size_t b = a + 1; b < c; ++b) {
-            const double d2 =
-                use_gram
-                    ? std::max(0.0, (*gram)(a, a) + (*gram)(b, b) -
-                                        2.0 * (*gram)(a, b))
-                    : sq_dist(points_.row(members[a]),
-                              points_.row(members[b]));
-            seed_insert(members[a], k, d2, members[b]);
-            seed_insert(members[b], k, d2, members[a]);
-            ++scored;
-          }
-        }
-      }
-    }
-
-    // Points that never shared a leaf with k distinct others (tiny inputs,
-    // heavy duplicates) get deterministic sequential probes so the seed
-    // graph handed to the refiner is always fully populated.
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t step = 1;
-      while (seed_idx_[i * k + k - 1] == kNoSelf) {
-        const std::size_t j = (i + step) % n;
-        ++step;
-        if (j == i) continue;
-        seed_insert(i, k, sq_dist(points_.row(i), points_.row(j)), j);
-        ++scored;
-      }
-    }
+    const long scored =
+        seed_graph(k, graph_loop_pool(opts.allow_parallel, n * k),
+                   opts.use_gemm);
 
     out.n = n;
     out.k = k;
@@ -203,7 +190,7 @@ class RpForestSearcher final : public PointStoreSearcher {
     }
 
     Rng refine_rng(config_.seed ^ 0x9e3779b97f4a7c15ULL);
-    nn_descent_refine(points_, refine_rng, ws, out, config_.refine_iters,
+    nn_descent_refine(points_, refine_rng, out, config_.refine_iters,
                       /*sample_rate=*/1.0, opts);
     note_query(timer.seconds(), n, scored);
   }
@@ -236,22 +223,38 @@ class RpForestSearcher final : public PointStoreSearcher {
     }
   };
 
+  /// What building one subtree writes besides its nodes: the split
+  /// directions, dim() doubles each, which its nodes number from
+  /// `dir_base`, plus its scratch.
+  struct SubtreeBuild {
+    std::size_t dir_base = 0;
+    std::vector<double> dirs;
+    std::vector<double> dir;  ///< the split direction being drawn
+    std::vector<std::pair<double, std::size_t>> pairs;
+    linalg::Matrix gathered;
+    linalg::Matrix proj;
+  };
+
   std::int32_t alloc_node(Tree& tree) {
     tree.nodes.emplace_back();
     return static_cast<std::int32_t>(tree.nodes.size() - 1);
   }
 
-  std::int32_t append_dir(std::span<const double> dir) {
-    dirs_.reshape(dirs_count_ + 1, dim());
-    dirs_.set_row(dirs_count_, dir);
-    return static_cast<std::int32_t>(dirs_count_++);
+  /// Appends a build's directions to dirs_ (their ids must start at
+  /// dirs_count_).
+  void append_dirs(const SubtreeBuild& b) {
+    const std::size_t d = dim();
+    const std::size_t count = b.dirs.size() / d;
+    dirs_.reshape(dirs_count_ + count, d);
+    std::copy(b.dirs.begin(), b.dirs.end(), dirs_.data() + dirs_count_ * d);
+    dirs_count_ += count;
   }
 
   /// Builds the subtree over arr[lo, hi) into the (already allocated) node
   /// `id`. Consumes rng draws in a fixed order (left subtree first).
   void fill_subtree(Tree& tree, std::int32_t id, std::vector<std::size_t>& arr,
                     std::size_t lo, std::size_t hi, Rng& rng,
-                    linalg::Workspace& ws) {
+                    SubtreeBuild& b) {
     const std::size_t m = hi - lo;
     const std::size_t d = dim();
     tree.nodes[static_cast<std::size_t>(id)] = Node{};
@@ -263,7 +266,7 @@ class RpForestSearcher final : public PointStoreSearcher {
     // Split direction: difference of two distinct random members
     // (Annoy-style). A few retries dodge coincident picks; an all-duplicate
     // subset cannot be split and becomes an oversized leaf.
-    dir_scratch_.resize(d);
+    b.dir.resize(d);
     double norm2 = 0.0;
     for (int attempt = 0; attempt < 4 && norm2 == 0.0; ++attempt) {
       const std::size_t ia = rng.uniform_index(m);
@@ -273,26 +276,28 @@ class RpForestSearcher final : public PointStoreSearcher {
       const std::span<const double> pb = points_.row(arr[lo + ib]);
       norm2 = 0.0;
       for (std::size_t j = 0; j < d; ++j) {
-        dir_scratch_[j] = pa[j] - pb[j];
-        norm2 += dir_scratch_[j] * dir_scratch_[j];
+        b.dir[j] = pa[j] - pb[j];
+        norm2 += b.dir[j] * b.dir[j];
       }
     }
     if (norm2 == 0.0) {
       make_leaf(tree, id, arr, lo, hi);
       return;
     }
-    const std::int32_t dir_id = append_dir(dir_scratch_);
+    const auto dir_id =
+        static_cast<std::int32_t>(b.dir_base + b.dirs.size() / d);
+    b.dirs.insert(b.dirs.end(), b.dir.begin(), b.dir.end());
 
     // Blocked projections: gather the members once, one tall-skinny GEMM
     // against the direction. The (projection, index) pairs are consumed
-    // before recursing, so the kAnn* scratch slots can be reused below.
-    linalg::Matrix& gathered = ws.mat(linalg::wslot::kAnnGather, m, d);
+    // before recursing, so the scratch can be reused below.
     gather_rows(points_, std::span<const std::size_t>(arr).subspan(lo, m),
-                gathered);
-    linalg::Matrix& proj = ws.mat(linalg::wslot::kAnnProj, m, 1);
-    linalg::matmul_nt(gathered, linalg::MatrixView(dir_scratch_.data(), 1, d),
-                      proj);
-    std::vector<std::pair<double, std::size_t>> pairs(m);
+                b.gathered);
+    linalg::matmul_nt(b.gathered, linalg::MatrixView(b.dir.data(), 1, d),
+                      b.proj);
+    std::vector<std::pair<double, std::size_t>>& pairs = b.pairs;
+    pairs.resize(m);
+    const linalg::Matrix& proj = b.proj;
     for (std::size_t j = 0; j < m; ++j) {
       pairs[j] = {proj(j, 0), arr[lo + j]};
     }
@@ -314,8 +319,8 @@ class RpForestSearcher final : public PointStoreSearcher {
       node.left = left;
       node.right = right;
     }
-    fill_subtree(tree, left, arr, lo, lo + mid, rng, ws);
-    fill_subtree(tree, right, arr, lo + mid, hi, rng, ws);
+    fill_subtree(tree, left, arr, lo, lo + mid, rng, b);
+    fill_subtree(tree, right, arr, lo + mid, hi, rng, b);
   }
 
   void make_leaf(Tree& tree, std::int32_t id, const std::vector<std::size_t>& arr,
@@ -329,8 +334,7 @@ class RpForestSearcher final : public PointStoreSearcher {
   /// Re-splits an over-full leaf in place: its members become a fresh
   /// subtree rooted at the same node id. The old leaf slot is tombstoned
   /// (cleared, never referenced again) so leaf ids stay stable.
-  void resplit_leaf(Tree& tree, std::size_t tree_index, std::int32_t nid,
-                    linalg::Workspace& ws) {
+  void resplit_leaf(Tree& tree, std::size_t tree_index, std::int32_t nid) {
     Node& node = tree.nodes[static_cast<std::size_t>(nid)];
     std::vector<std::size_t> members =
         std::move(tree.leaves[static_cast<std::size_t>(node.leaf)]);
@@ -338,7 +342,10 @@ class RpForestSearcher final : public PointStoreSearcher {
     Rng rng = Rng(config_.seed ^ 0x5eedb0b5c0ffee11ULL)
                   .split(tree_index)
                   .split(tree.resplits++);
-    fill_subtree(tree, nid, members, 0, members.size(), rng, ws);
+    SubtreeBuild b;
+    b.dir_base = dirs_count_;
+    fill_subtree(tree, nid, members, 0, members.size(), rng, b);
+    append_dirs(b);
   }
 
   /// Best-first margin traversal across all trees; appends deduplicated
@@ -419,6 +426,81 @@ class RpForestSearcher final : public PointStoreSearcher {
     return static_cast<long>(c);
   }
 
+  /// Seeds the graph arrays from leaf co-membership: every pair sharing a
+  /// leaf in any tree is a candidate edge. Returns the candidates scored.
+  ///
+  /// What seed_insert leaves in row i depends only on the (d², j) sequence
+  /// row i receives: tree by tree, the other members of i's leaf in leaf
+  /// order. Within a tree the leaves hold disjoint rows, so they run in
+  /// parallel, each forming its pair d² once and then replaying its
+  /// members' rows; the trees follow one another. Last, each row short of
+  /// k neighbours gets its fill-in probes.
+  long seed_graph(std::size_t k, parallel::ThreadPool* pool, bool use_gemm) {
+    const std::size_t n = size();
+    long scored = 0;
+    for (const Tree& tree : trees_) {
+      const auto seed_leaves = [&](std::size_t l0, std::size_t l1) {
+        linalg::Matrix gathered;
+        linalg::Matrix gram;
+        std::vector<double> d2;
+        for (std::size_t l = l0; l < l1; ++l) {
+          const std::vector<std::size_t>& members = tree.leaves[l];
+          const std::size_t c = members.size();
+          if (c < 2) continue;  // tombstoned or singleton leaf
+          // The serial loop's arithmetic: through the leaf's Gram block,
+          // or per pair below the cutoff.
+          const bool use_gram = use_gemm && c >= kGramCutoff;
+          if (use_gram) {
+            gather_rows(points_, members, gathered);
+            linalg::gram_rows(gathered, gram);
+          }
+          d2.resize(c * c);
+          for (std::size_t a = 0; a < c; ++a) {
+            for (std::size_t b = a + 1; b < c; ++b) {
+              const double v =
+                  use_gram ? std::max(0.0, gram(a, a) + gram(b, b) -
+                                               2.0 * gram(a, b))
+                           : sq_dist(points_.row(members[a]),
+                                     points_.row(members[b]));
+              d2[a * c + b] = v;
+              d2[b * c + a] = v;
+            }
+          }
+          for (std::size_t x = 0; x < c; ++x) {
+            for (std::size_t y = 0; y < c; ++y) {
+              if (y != x) seed_insert(members[x], k, d2[x * c + y], members[y]);
+            }
+          }
+        }
+      };
+      parallel::for_bands(pool, tree.leaves.size(), seed_leaves);
+      for (const std::vector<std::size_t>& members : tree.leaves) {
+        const std::size_t c = members.size();
+        if (c >= 2) scored += static_cast<long>(c * (c - 1) / 2);
+      }
+    }
+
+    // Points that never shared a leaf with k distinct others (tiny inputs,
+    // heavy duplicates) get deterministic sequential probes so the seed
+    // graph handed to the refiner is always fully populated.
+    std::atomic<long> probes{0};
+    parallel::for_bands(pool, n, [&](std::size_t i0, std::size_t i1) {
+      long band_probes = 0;
+      for (std::size_t i = i0; i < i1; ++i) {
+        std::size_t step = 1;
+        while (seed_idx_[i * k + k - 1] == kNoSelf) {
+          const std::size_t j = (i + step) % n;
+          ++step;
+          if (j == i) continue;
+          seed_insert(i, k, sq_dist(points_.row(i), points_.row(j)), j);
+          ++band_probes;
+        }
+      }
+      probes += band_probes;
+    });
+    return scored + probes.load();
+  }
+
   /// Bounded sorted insert of candidate edge (i → j, d2) into the seed
   /// arrays: O(1) reject against the row's current worst, O(k) duplicate
   /// scan + shift otherwise.
@@ -443,8 +525,6 @@ class RpForestSearcher final : public PointStoreSearcher {
   linalg::Matrix dirs_;         ///< split directions, one row per internal node
   std::size_t dirs_count_ = 0;  ///< rows of dirs_ in use
   // Grow-only scratch (members so steady-state queries stay heap-free).
-  std::vector<std::size_t> order_;       ///< build: member permutation
-  std::vector<double> dir_scratch_;      ///< build: current split direction
   std::vector<std::size_t> cand_;        ///< query: candidate union
   std::vector<HeapEntry> heap_;          ///< query: traversal frontier
   std::vector<std::uint64_t> visit_mark_;  ///< query: dedup epochs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -92,7 +93,17 @@ void select_row(std::size_t n, std::size_t self, std::size_t k,
 // entries (the same order of work as the engine's fix-up threshold).
 constexpr std::size_t kSelectParallelThreshold = std::size_t{1} << 18;
 
+// The per-point graph loops fan out from this many units of work.
+constexpr std::size_t kGraphLoopParallelWork = std::size_t{1} << 14;
+
 }  // namespace
+
+parallel::ThreadPool* graph_loop_pool(bool allow_parallel, std::size_t work) {
+  if (!allow_parallel || work < kGraphLoopParallelWork) return nullptr;
+  parallel::ThreadPool& pool = parallel::shared_pool();
+  if (pool.thread_count() < 2 || pool.on_worker_thread()) return nullptr;
+  return &pool;
+}
 
 namespace {
 
@@ -167,14 +178,7 @@ void exact_knn(const Matrix& points, std::size_t k, linalg::Workspace& ws,
       parallel::ThreadPool& shared = parallel::shared_pool();
       if (shared.thread_count() >= 2) pool = &shared;
     }
-    if (pool == nullptr) {
-      select_band(0, rows);
-    } else {
-      const std::size_t bands = std::min(rows, pool->thread_count() * 4);
-      pool->parallel_for(bands, [&](std::size_t t) {
-        select_band(rows * t / bands, rows * (t + 1) / bands);
-      });
-    }
+    parallel::for_bands(pool, rows, select_band);
   }
   knn_seconds().observe(timer.seconds());
 }
@@ -188,11 +192,80 @@ KnnGraph exact_knn(const Matrix& points, std::size_t k) {
 
 namespace {
 
+/// One try_insert call of the serial join that the scoring pass keeps:
+/// (d2, j) offered to list `target`. Indices fit 32 bits (checked in
+/// nn_descent_refine), which keeps a kept call at 16 bytes.
+struct JoinCall {
+  std::uint32_t target;
+  std::uint32_t j;
+  double d2;
+};
+
+/// One band of anchors in a pass's scoring: its candidate scratch, and the
+/// calls it keeps in the serial join's order, bucketed by the replay band
+/// their target falls in.
+struct JoinBand {
+  std::vector<std::size_t> new_c, old_c, union_idx;
+  Matrix gathered, gram;
+  std::vector<std::vector<JoinCall>> calls;  ///< per replay band
+};
+
+/// The lists as a pass starts, flat: per list its worst and its k
+/// (index, d²) members. A call try_insert(d2, j) is rejected wherever it
+/// falls in the pass, with no side effect, if d2 is not below the list's
+/// worst at the start, since the worst only falls during a pass, or if j
+/// was a member at a distance d2 does not beat: while j stays the call is
+/// a duplicate, and an evicted j was the worst when it went, so it left a
+/// worst no larger than its own distance.
+struct PassStart {
+  explicit PassStart(std::size_t list_size) : k(list_size) {}
+
+  std::size_t k;
+  std::vector<double> worst;
+  std::vector<std::uint32_t> index;
+  std::vector<double> dist;
+
+  void capture(const std::vector<NeighborList>& lists) {
+    const std::size_t n = lists.size();
+    worst.resize(n);
+    index.resize(n * k);
+    dist.resize(n * k);
+    for (std::size_t t = 0; t < n; ++t) {
+      worst[t] = lists[t].worst();
+      for (std::size_t s = 0; s < k; ++s) {
+        const NeighborList::Item& it = lists[t].items[s];
+        index[t * k + s] = static_cast<std::uint32_t>(it.index);
+        dist[t * k + s] = it.dist;
+      }
+    }
+  }
+
+  /// False when the call is rejected wherever it falls (see above).
+  [[nodiscard]] bool can_change(std::size_t target, std::size_t j,
+                                double d2) const {
+    if (d2 >= worst[target]) return false;
+    const std::uint32_t* idx = index.data() + target * k;
+    for (std::size_t s = 0; s < k; ++s) {
+      if (idx[s] == j) return d2 < dist[target * k + s];
+    }
+    return true;
+  }
+};
+
 /// The NN-descent local-join iterations (Dong et al. 2011) behind
 /// nn_descent_refine. Distances in `lists` are squared Euclidean.
+///
+/// A list's state depends only on the sequence of try_insert calls it
+/// receives, and a rejected call leaves no trace. Each pass therefore
+/// scores its joins in bands of anchor points, keeping only the calls
+/// PassStart::can_change admits, each in a bucket for the band of lists
+/// its target falls in. A replay band then replays its buckets through
+/// try_insert, anchor bands in order and each bucket in order, so every
+/// list receives its kept calls in the serial loop's order; calls to
+/// different lists may interleave, which changes nothing. The lists, their
+/// is_new flags and the update count equal the serial loop's.
 void descent_iterations(const Matrix& points, std::vector<NeighborList>& lists,
-                        std::size_t k, Rng& rng, linalg::Workspace& ws,
-                        int iters, double sample_rate,
+                        std::size_t k, Rng& rng, int iters, double sample_rate,
                         const DistanceOptions& opts) {
   const std::size_t n = points.rows();
   // Candidate Gram scoring: the union of a join's candidates is gathered
@@ -201,12 +274,23 @@ void descent_iterations(const Matrix& points, std::vector<NeighborList>& lists,
   // G(a,a) + G(b,b) − 2·G(a,b). Unions smaller than this stay on the
   // scalar path (the Gram's extra old–old entries would not amortize).
   constexpr std::size_t kGramCutoff = 8;
-  Matrix& gathered = ws.mat(linalg::wslot::kDistGather, 1, points.cols());
-  Matrix& gram = ws.mat(linalg::wslot::kDistGram, 1, 1);
+  parallel::ThreadPool* pool = graph_loop_pool(opts.allow_parallel, n * k);
+  const std::size_t bands =
+      pool == nullptr ? 1 : std::min(n, pool->thread_count() * 4);
+  std::vector<JoinBand> band(bands);
+  for (JoinBand& jb : band) jb.calls.resize(bands);
+  const auto run_bands = [&](const auto& fn) {
+    if (pool == nullptr) {
+      fn(std::size_t{0});
+    } else {
+      pool->parallel_for(bands, fn);
+    }
+  };
 
   std::vector<std::vector<std::size_t>> fwd_new(n), fwd_old(n), rev_new(n),
       rev_old(n);
-  std::vector<std::size_t> union_idx;
+  PassStart pass_start(k);
+  std::vector<long> band_updates(bands);
   for (int iter = 0; iter < iters; ++iter) {
     for (auto& v : fwd_new) v.clear();
     for (auto& v : fwd_old) v.clear();
@@ -229,53 +313,79 @@ void descent_iterations(const Matrix& points, std::vector<NeighborList>& lists,
       }
     }
 
-    long updates = 0;
-    std::vector<std::size_t> new_c, old_c;
-    for (std::size_t i = 0; i < n; ++i) {
-      new_c = fwd_new[i];
-      new_c.insert(new_c.end(), rev_new[i].begin(), rev_new[i].end());
-      old_c = fwd_old[i];
-      old_c.insert(old_c.end(), rev_old[i].begin(), rev_old[i].end());
-      if (new_c.empty()) continue;
-
-      const std::size_t u = new_c.size() + old_c.size();
-      const bool use_gram = opts.use_gemm && u >= kGramCutoff;
-      if (use_gram) {
-        union_idx.assign(new_c.begin(), new_c.end());
-        union_idx.insert(union_idx.end(), old_c.begin(), old_c.end());
-        gather_rows(points, union_idx, gathered);
-        linalg::gram_rows(gathered, gram);
-      }
-      // Candidate (a, b) positions within the union: new entries first,
-      // old entries after, matching union_idx.
-      const auto pair_dist = [&](std::size_t pa, std::size_t pb, std::size_t a,
-                                 std::size_t b) {
-        if (use_gram) {
-          return gram_sq_dist(gram(pa, pa), gram(pb, pb), gram(pa, pb));
-        }
-        return sq_dist(points.row(a), points.row(b));
+    // 1. Score every anchor's joins; keep the calls that can change a list.
+    pass_start.capture(lists);
+    run_bands([&](std::size_t bi) {
+      JoinBand& jb = band[bi];
+      for (std::vector<JoinCall>& bucket : jb.calls) bucket.clear();
+      const auto offer = [&](std::size_t target, std::size_t j, double d2) {
+        if (!pass_start.can_change(target, j, d2)) return;
+        jb.calls[target * bands / n].push_back(
+            {static_cast<std::uint32_t>(target), static_cast<std::uint32_t>(j),
+             d2});
       };
+      std::vector<std::size_t>& new_c = jb.new_c;
+      std::vector<std::size_t>& old_c = jb.old_c;
+      const Matrix& gram = jb.gram;
+      for (std::size_t i = n * bi / bands; i < n * (bi + 1) / bands; ++i) {
+        new_c = fwd_new[i];
+        new_c.insert(new_c.end(), rev_new[i].begin(), rev_new[i].end());
+        old_c = fwd_old[i];
+        old_c.insert(old_c.end(), rev_old[i].begin(), rev_old[i].end());
+        if (new_c.empty()) continue;
 
-      // new-new pairs and new-old pairs share an anchor at i; each pair is
-      // a candidate edge.
-      for (std::size_t a = 0; a < new_c.size(); ++a) {
-        const std::size_t pu = new_c[a];
-        for (std::size_t b = a + 1; b < new_c.size(); ++b) {
-          const std::size_t pv = new_c[b];
-          if (pu == pv) continue;
-          const double dd = pair_dist(a, b, pu, pv);
-          updates += lists[pu].try_insert(dd, pv) ? 1 : 0;
-          updates += lists[pv].try_insert(dd, pu) ? 1 : 0;
+        const std::size_t u = new_c.size() + old_c.size();
+        const bool use_gram = opts.use_gemm && u >= kGramCutoff;
+        if (use_gram) {
+          jb.union_idx.assign(new_c.begin(), new_c.end());
+          jb.union_idx.insert(jb.union_idx.end(), old_c.begin(), old_c.end());
+          gather_rows(points, jb.union_idx, jb.gathered);
+          linalg::gram_rows(jb.gathered, jb.gram);
         }
-        for (std::size_t b = 0; b < old_c.size(); ++b) {
-          const std::size_t pv = old_c[b];
-          if (pu == pv) continue;
-          const double dd = pair_dist(a, new_c.size() + b, pu, pv);
-          updates += lists[pu].try_insert(dd, pv) ? 1 : 0;
-          updates += lists[pv].try_insert(dd, pu) ? 1 : 0;
+        // Candidate (a, b) positions within the union: new entries first,
+        // old entries after, matching union_idx.
+        const auto pair_dist = [&](std::size_t pa, std::size_t pb,
+                                   std::size_t a, std::size_t b) {
+          if (use_gram) {
+            return gram_sq_dist(gram(pa, pa), gram(pb, pb), gram(pa, pb));
+          }
+          return sq_dist(points.row(a), points.row(b));
+        };
+
+        // new-new pairs and new-old pairs share an anchor at i; each pair
+        // is a candidate edge, offered to both lists.
+        for (std::size_t a = 0; a < new_c.size(); ++a) {
+          const std::size_t pu = new_c[a];
+          for (std::size_t b = a + 1; b < new_c.size(); ++b) {
+            const std::size_t pv = new_c[b];
+            if (pu == pv) continue;
+            const double dd = pair_dist(a, b, pu, pv);
+            offer(pu, pv, dd);
+            offer(pv, pu, dd);
+          }
+          for (std::size_t b = 0; b < old_c.size(); ++b) {
+            const std::size_t pv = old_c[b];
+            if (pu == pv) continue;
+            const double dd = pair_dist(a, new_c.size() + b, pu, pv);
+            offer(pu, pv, dd);
+            offer(pv, pu, dd);
+          }
         }
       }
-    }
+    });
+
+    // 2. Replay: each replay band takes its buckets in anchor-band order.
+    run_bands([&](std::size_t ri) {
+      long hits = 0;
+      for (const JoinBand& jb : band) {
+        for (const JoinCall& call : jb.calls[ri]) {
+          hits += lists[call.target].try_insert(call.d2, call.j) ? 1 : 0;
+        }
+      }
+      band_updates[ri] = hits;
+    });
+    long updates = 0;
+    for (const long hits : band_updates) updates += hits;
     if (updates <= static_cast<long>(0.001 * static_cast<double>(n * k))) {
       break;  // converged early
     }
@@ -306,12 +416,15 @@ void lists_to_graph(const std::vector<NeighborList>& lists, std::size_t k,
 
 }  // namespace
 
-void nn_descent_refine(const Matrix& points, Rng& rng, linalg::Workspace& ws,
-                       KnnGraph& g, int iters, double sample_rate,
+void nn_descent_refine(const Matrix& points, Rng& rng, KnnGraph& g,
+                       int iters, double sample_rate,
                        const DistanceOptions& opts) {
   const std::size_t n = points.rows();
   const std::size_t k = g.k;
   check_graph_args(n, k);
+  ARAMS_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+              "nn_descent_refine: " + std::to_string(n) +
+                  " points exceed 32-bit indices");
   ARAMS_CHECK(g.n == n, "nn_descent_refine: graph covers " +
                             std::to_string(g.n) + " points, expected " +
                             std::to_string(n));
@@ -334,7 +447,7 @@ void nn_descent_refine(const Matrix& points, Rng& rng, linalg::Workspace& ws,
     lists[i].refresh_worst();
   }
 
-  descent_iterations(points, lists, k, rng, ws, iters, sample_rate, opts);
+  descent_iterations(points, lists, k, rng, iters, sample_rate, opts);
   lists_to_graph(lists, k, g);
   knn_seconds().observe(timer.seconds());
 }

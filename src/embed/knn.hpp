@@ -10,12 +10,11 @@
 // leaf-co-membership seed graph. Both record their wall time in the
 // "embed.knn_seconds" histogram.
 //
-// The workspace overloads draw every scratch block (distance block, row
-// norms, gathered candidate Gram) from a caller-owned linalg::Workspace and
-// reuse the output graph's storage, so a snapshot loop that rebuilds the
-// graph at a fixed shape performs no steady-state heap allocations on the
-// serial path. The plain overloads are conveniences that own a local
-// workspace per call.
+// The exact_knn workspace overload draws its distance block and row norms
+// from a caller-owned linalg::Workspace and reuses the output graph's
+// storage, so a snapshot loop that rebuilds the graph at a fixed shape
+// performs no steady-state heap allocations on the serial path. The plain
+// overload is a convenience that owns a local workspace per call.
 
 #include <cstddef>
 #include <utility>
@@ -25,6 +24,10 @@
 #include "linalg/matrix.hpp"
 #include "linalg/workspace.hpp"
 #include "rng/rng.hpp"
+
+namespace arams::parallel {
+class ThreadPool;
+}  // namespace arams::parallel
 
 namespace arams::embed {
 
@@ -95,12 +98,21 @@ void exact_knn(const linalg::Matrix& points, std::size_t k,
 /// Euclidean distance, in any order; the refined graph comes back sorted
 /// ascending. The rpforest searcher seeds it from leaf co-membership,
 /// which converges in far fewer passes than a random graph. Candidate
-/// pairs are scored through gathered Gram blocks drawn from `ws` when
-/// `opts.use_gemm`, by per-pair scalar loops otherwise.
+/// pairs are scored through gathered Gram blocks when `opts.use_gemm`, by
+/// per-pair scalar loops otherwise. A pass scores its joins in bands of
+/// points on the shared pool (see graph_loop_pool), keeps only the calls
+/// that can change a list, and replays those list by list in the serial
+/// join's order, so the graph has the same bits at any pool size
+/// (docs/ALGORITHMS.md).
 void nn_descent_refine(const linalg::Matrix& points, Rng& rng,
-                       linalg::Workspace& ws, KnnGraph& graph, int iters,
-                       double sample_rate = 1.0,
+                       KnnGraph& graph, int iters, double sample_rate = 1.0,
                        const DistanceOptions& opts = {});
+
+/// The shared pool for a per-point graph loop of `work` units (n·k for the
+/// kNN graph and its consumers, n·num_trees for a forest build), or nullptr
+/// to run it on the caller: nullptr unless `allow_parallel`, work >= 2^14,
+/// the pool has two or more threads and the caller is not one of them.
+parallel::ThreadPool* graph_loop_pool(bool allow_parallel, std::size_t work);
 
 /// Fraction of true kNN edges recovered (test / diagnostic helper).
 double knn_recall(const KnnGraph& approx, const KnnGraph& exact);

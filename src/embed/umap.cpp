@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -41,56 +42,62 @@ SmoothKnn smooth_knn_distances(const KnnGraph& graph,
   out.sigma.resize(n, 1.0);
   const double target = std::log2(static_cast<double>(k));
 
-  for (std::size_t i = 0; i < n; ++i) {
-    // ρᵢ: distance to the ⌈local_connectivity⌉-th non-zero neighbour
-    // (interpolated; with the default 1.0 this is simply the nearest).
+  // Each point's ρ and σ depend on its own row alone.
+  parallel::for_bands(graph_loop_pool(true, n * k), n, [&](std::size_t i0,
+                                                           std::size_t i1) {
     std::vector<double> nonzero;
     nonzero.reserve(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      const double d = graph.distance(i, j);
-      if (d > 0.0) nonzero.push_back(d);
-    }
-    if (!nonzero.empty()) {
-      const auto idx = static_cast<std::size_t>(
-          std::floor(local_connectivity)) ;
-      if (idx >= 1 && idx <= nonzero.size()) {
-        const double frac = local_connectivity - std::floor(local_connectivity);
-        out.rho[i] = nonzero[idx - 1];
-        if (frac > 0.0 && idx < nonzero.size()) {
-          out.rho[i] += frac * (nonzero[idx] - nonzero[idx - 1]);
-        }
-      } else {
-        out.rho[i] = *std::max_element(nonzero.begin(), nonzero.end());
-      }
-    }
-
-    // Binary search σᵢ so that Σⱼ exp(−max(0, dᵢⱼ−ρᵢ)/σᵢ) = log₂(k).
-    double lo = 0.0;
-    double hi = std::numeric_limits<double>::infinity();
-    double mid = 1.0;
-    for (int it = 0; it < iterations; ++it) {
-      double sum = 0.0;
+    for (std::size_t i = i0; i < i1; ++i) {
+      // ρᵢ: distance to the ⌈local_connectivity⌉-th non-zero neighbour
+      // (interpolated; with the default 1.0 this is simply the nearest).
+      nonzero.clear();
       for (std::size_t j = 0; j < k; ++j) {
-        const double d = graph.distance(i, j) - out.rho[i];
-        sum += (d <= 0.0) ? 1.0 : std::exp(-d / mid);
+        const double d = graph.distance(i, j);
+        if (d > 0.0) nonzero.push_back(d);
       }
-      if (std::abs(sum - target) < 1e-5) break;
-      if (sum > target) {
-        hi = mid;
-        mid = (lo + hi) / 2.0;
-      } else {
-        lo = mid;
-        mid = std::isinf(hi) ? mid * 2.0 : (lo + hi) / 2.0;
+      if (!nonzero.empty()) {
+        const auto idx = static_cast<std::size_t>(
+            std::floor(local_connectivity));
+        if (idx >= 1 && idx <= nonzero.size()) {
+          const double frac =
+              local_connectivity - std::floor(local_connectivity);
+          out.rho[i] = nonzero[idx - 1];
+          if (frac > 0.0 && idx < nonzero.size()) {
+            out.rho[i] += frac * (nonzero[idx] - nonzero[idx - 1]);
+          }
+        } else {
+          out.rho[i] = *std::max_element(nonzero.begin(), nonzero.end());
+        }
       }
+
+      // Binary search σᵢ so that Σⱼ exp(−max(0, dᵢⱼ−ρᵢ)/σᵢ) = log₂(k).
+      double lo = 0.0;
+      double hi = std::numeric_limits<double>::infinity();
+      double mid = 1.0;
+      for (int it = 0; it < iterations; ++it) {
+        double sum = 0.0;
+        for (std::size_t j = 0; j < k; ++j) {
+          const double d = graph.distance(i, j) - out.rho[i];
+          sum += (d <= 0.0) ? 1.0 : std::exp(-d / mid);
+        }
+        if (std::abs(sum - target) < 1e-5) break;
+        if (sum > target) {
+          hi = mid;
+          mid = (lo + hi) / 2.0;
+        } else {
+          lo = mid;
+          mid = std::isinf(hi) ? mid * 2.0 : (lo + hi) / 2.0;
+        }
+      }
+      // Bandwidth floor relative to the mean neighbour distance, as in the
+      // reference implementation.
+      double mean_d = 0.0;
+      for (std::size_t j = 0; j < k; ++j) mean_d += graph.distance(i, j);
+      mean_d /= static_cast<double>(k);
+      out.sigma[i] = std::max(mid, 1e-3 * mean_d);
+      if (out.sigma[i] <= 0.0) out.sigma[i] = 1.0;
     }
-    // Bandwidth floor relative to the mean neighbour distance, as in the
-    // reference implementation.
-    double mean_d = 0.0;
-    for (std::size_t j = 0; j < k; ++j) mean_d += graph.distance(i, j);
-    mean_d /= static_cast<double>(k);
-    out.sigma[i] = std::max(mid, 1e-3 * mean_d);
-    if (out.sigma[i] <= 0.0) out.sigma[i] = 1.0;
-  }
+  });
   return out;
 }
 
@@ -98,62 +105,69 @@ FuzzyGraph fuzzy_simplicial_set(const KnnGraph& graph,
                                 const SmoothKnn& smooth) {
   const std::size_t n = graph.n;
   const std::size_t k = graph.k;
-  // Directed membership strengths, sorted by (i, j): row i's targets sit
-  // ascending in directed[row_start[i], row_start[i + 1]).
+  parallel::ThreadPool* pool = graph_loop_pool(true, n * k);
+  // Directed membership strengths: row i's targets sit ascending in
+  // directed[i·k, i·k + row_size[i]).
   struct Directed {
     std::size_t j;
     double w;
   };
-  std::vector<Directed> directed;
-  directed.reserve(n * k);
-  std::vector<std::size_t> row_start(n + 1, 0);
-  std::vector<std::pair<std::size_t, std::size_t>> row(k);  // (target, slot)
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t slot = 0; slot < k; ++slot) {
-      const std::size_t t = graph.neighbor(i, slot);
-      ARAMS_CHECK(t < n, "kNN graph neighbour " + std::to_string(t) +
-                             " out of range for " + std::to_string(n) +
-                             " points");
-      row[slot] = {t, slot};
+  std::vector<Directed> directed(n * k);
+  std::vector<std::size_t> row_size(n);
+  parallel::for_bands(pool, n, [&](std::size_t i0, std::size_t i1) {
+    std::vector<std::pair<std::size_t, std::size_t>> row(k);  // (target, slot)
+    for (std::size_t i = i0; i < i1; ++i) {
+      for (std::size_t slot = 0; slot < k; ++slot) {
+        const std::size_t t = graph.neighbor(i, slot);
+        ARAMS_CHECK(t < n, "kNN graph neighbour " + std::to_string(t) +
+                               " out of range for " + std::to_string(n) +
+                               " points");
+        row[slot] = {t, slot};
+      }
+      std::sort(row.begin(), row.end());
+      std::size_t size = 0;
+      for (std::size_t r = 0; r < k; ++r) {
+        // A target listed twice keeps the weight of its last listing.
+        if (r + 1 < k && row[r + 1].first == row[r].first) continue;
+        const auto [t, slot] = row[r];
+        const double d = graph.distance(i, slot) - smooth.rho[i];
+        const double w = (d <= 0.0) ? 1.0 : std::exp(-d / smooth.sigma[i]);
+        directed[i * k + size++] = {t, w};
+      }
+      row_size[i] = size;
     }
-    std::sort(row.begin(), row.end());
-    row_start[i] = directed.size();
-    for (std::size_t r = 0; r < k; ++r) {
-      // A target listed twice keeps the weight of its last listing.
-      if (r + 1 < k && row[r + 1].first == row[r].first) continue;
-      const auto [t, slot] = row[r];
-      const double d = graph.distance(i, slot) - smooth.rho[i];
-      const double w = (d <= 0.0) ? 1.0 : std::exp(-d / smooth.sigma[i]);
-      directed.push_back({t, w});
-    }
-  }
-  row_start[n] = directed.size();
+  });
   const auto weight = [&](std::size_t i, std::size_t j) {
-    const auto first = directed.begin() +
-                       static_cast<std::ptrdiff_t>(row_start[i]);
-    const auto last = directed.begin() +
-                      static_cast<std::ptrdiff_t>(row_start[i + 1]);
+    const auto first = directed.begin() + static_cast<std::ptrdiff_t>(i * k);
+    const auto last = first + static_cast<std::ptrdiff_t>(row_size[i]);
     const auto it = std::lower_bound(
         first, last, j,
         [](const Directed& e, std::size_t t) { return e.j < t; });
     return (it != last && it->j == j) ? it->w : 0.0;
   };
 
-  // w = a + b − ab per canonical (u < v) pair. Both directions of a mutual
-  // pair give the same bits (IEEE + and × commute), so after sorting the
-  // duplicates are dropped.
+  // w = a + b − ab per canonical (u < v) pair, row i's edges at
+  // edges[edge_start[i], …) in the serial loop's order. Both directions of
+  // a mutual pair give the same bits (IEEE + and × commute), so after
+  // sorting the duplicates are dropped.
+  std::vector<std::size_t> edge_start(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    edge_start[i + 1] = edge_start[i] + row_size[i];
+  }
   FuzzyGraph out;
   out.n = n;
   std::vector<FuzzyGraph::Edge>& edges = out.edges;
-  edges.reserve(directed.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t e = row_start[i]; e < row_start[i + 1]; ++e) {
-      const auto [j, w] = directed[e];
-      const double wr = weight(j, i);
-      const auto [u, v] = std::minmax(i, j);
-      edges.push_back({u, v, w + wr - w * wr});
+  edges.resize(edge_start[n]);
+  parallel::for_bands(pool, n, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      for (std::size_t r = 0; r < row_size[i]; ++r) {
+        const auto [j, w] = directed[i * k + r];
+        const double wr = weight(j, i);
+        const auto [u, v] = std::minmax(i, j);
+        edges[edge_start[i] + r] = {u, v, w + wr - w * wr};
+      }
     }
-  }
+  });
   const auto key_less = [](const FuzzyGraph::Edge& a,
                            const FuzzyGraph::Edge& b) {
     return a.u != b.u ? a.u < b.u : a.v < b.v;
@@ -297,7 +311,21 @@ struct LayoutChunk {
   std::size_t e0 = 0, e1 = 0;  ///< edge range [e0, e1)
   std::size_t lo = 0, hi = 0;  ///< owned rows [lo, hi)
   Matrix delta;                ///< tail moves for rows hi + i
+  std::vector<std::size_t> moved;    ///< delta rows written this wave
+  std::vector<std::uint8_t> marked;  ///< per delta row: listed in `moved`
   Rng rng;                     ///< this epoch's negative-sample stream
+
+  /// Tail v's move target (v > u >= lo): y itself when this chunk owns
+  /// v, else its delta row, listed for the fold on first use.
+  std::span<double> tail(Matrix& y, std::size_t v) {
+    if (v < hi) return y.row(v);
+    const std::size_t r = v - hi;
+    if (marked[r] == 0) {
+      marked[r] = 1;
+      moved.push_back(r);
+    }
+    return delta.row(r);
+  }
 };
 
 /// Cuts the edge list into kChunks chunks of about m / kChunks edges, each
@@ -317,6 +345,7 @@ std::vector<LayoutChunk> cut_chunks(const FuzzyGraph& graph, std::size_t dim) {
     chunks[c].e1 = last ? m : chunks[c + 1].e0;
     chunks[c].hi = last ? graph.n : chunks[c + 1].lo;
     chunks[c].delta = Matrix(graph.n - chunks[c].hi, dim);
+    chunks[c].marked.assign(graph.n - chunks[c].hi, 0);
   }
   return chunks;
 }
@@ -419,8 +448,7 @@ class Layout {
       const auto& edge = graph_.edges[e];
       auto yu = y_.row(edge.u);
       const auto yv = read(edge.v);
-      auto dv = (edge.v < ch.hi) ? y_.row(edge.v)
-                                 : ch.delta.row(edge.v - ch.hi);
+      auto dv = ch.tail(y_, edge.v);
 
       // Attractive move along the edge.
       double d2 = 0.0;
@@ -468,15 +496,23 @@ class Layout {
     ch.rng = rng;
   }
 
-  /// Adds the deltas into y in chunk order and refreshes the snapshot.
+  /// Adds the delta rows each chunk moved into y, chunks in order, and
+  /// refreshes the snapshot. A row a chunk did not move would only get
+  /// +0.0 from it, which changes nothing: y never holds −0.0, because the
+  /// init adds nonzero jitter (or draws lo + (hi − lo)·u) and an exactly
+  /// zero IEEE sum rounds to +0.0.
   void fold() {
     for (LayoutChunk& ch : chunks_) {
-      double* dst = y_.data() + ch.hi * y_.cols();
-      double* src = ch.delta.data();
-      for (std::size_t i = 0; i < ch.delta.size(); ++i) {
-        dst[i] += src[i];
-        src[i] = 0.0;
+      for (const std::size_t r : ch.moved) {
+        const std::span<double> src = ch.delta.row(r);
+        const std::span<double> dst = y_.row(ch.hi + r);
+        for (std::size_t c = 0; c < src.size(); ++c) {
+          dst[c] += src[c];
+          src[c] = 0.0;
+        }
+        ch.marked[r] = 0;
       }
+      ch.moved.clear();
     }
     std::copy(y_.data(), y_.data() + y_.size(), snap_.data());
   }
@@ -615,14 +651,7 @@ Matrix umap_transform(NeighborSearcher& reference_index,
     parallel::ThreadPool& shared = parallel::shared_pool();
     if (shared.thread_count() >= 2) pool = &shared;
   }
-  if (pool == nullptr) {
-    place_band(0, n_new);
-  } else {
-    const std::size_t bands = std::min(n_new, pool->thread_count() * 4);
-    pool->parallel_for(bands, [&](std::size_t t) {
-      place_band(n_new * t / bands, n_new * (t + 1) / bands);
-    });
-  }
+  parallel::for_bands(pool, n_new, place_band);
   return y;
 }
 

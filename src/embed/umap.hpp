@@ -65,6 +65,9 @@ struct FuzzyGraph {
 };
 
 /// Binary-searches σᵢ for every point (Algorithm 3 of the UMAP paper).
+/// Points run in bands on the shared pool above embed::graph_loop_pool's
+/// size; each point's ρ and σ depend on its row alone, so the bits do not
+/// depend on the pool size.
 SmoothKnn smooth_knn_distances(const KnnGraph& graph,
                                double local_connectivity = 1.0,
                                int iterations = 64);
@@ -74,7 +77,9 @@ SmoothKnn smooth_knn_distances(const KnnGraph& graph,
 /// (a neighbour listed twice in a row keeps its last weight), reverse
 /// weights are found by binary search within row j, and the canonical
 /// pairs are deduplicated after one sort. Edges come out in ascending
-/// (u, v) order. Throws CheckError on a neighbour index >= graph.n.
+/// (u, v) order. The per-row passes run in bands on the shared pool, with
+/// the same bits at any pool size. Throws CheckError on a neighbour index
+/// >= graph.n.
 FuzzyGraph fuzzy_simplicial_set(const KnnGraph& graph,
                                 const SmoothKnn& smooth);
 

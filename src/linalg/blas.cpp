@@ -100,10 +100,13 @@ std::vector<double>& pack_b_scratch() {
   return buf;
 }
 
+/// The pool a call of `flops` dispatches to, or nullptr for the serial
+/// path: below the threshold, on a one-thread pool, and on one of the
+/// pool's own workers, where parallel_for would run the tasks inline.
 parallel::ThreadPool* maybe_pool(double flops) {
   if (flops < kParallelFlopThreshold) return nullptr;
   parallel::ThreadPool& pool = parallel::shared_pool();
-  if (pool.thread_count() < 2) return nullptr;
+  if (pool.thread_count() < 2 || pool.on_worker_thread()) return nullptr;
   return &pool;
 }
 

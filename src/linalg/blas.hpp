@@ -15,7 +15,9 @@
 // sequential paths produce identical results at any pool size.
 // Packing scratch is thread-local and grow-only: steady-state calls do not
 // touch the heap. Dispatches are counted in the
-// "linalg.gemm_parallel_count" metric.
+// "linalg.gemm_parallel_count" metric. A call made on one of the pool's own
+// workers takes the serial path (parallel_for would run its tasks inline
+// there anyway) and is not counted.
 //
 // All kernels take MatrixView, so they accept an owning Matrix or a
 // zero-copy row-range view (MatrixView::rows_of) interchangeably. The

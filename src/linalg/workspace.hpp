@@ -54,22 +54,18 @@ inline constexpr std::size_t kTrdTau = 3;      ///< vec slot: Householder taus
 inline constexpr std::size_t kTrdScratch = 4;  ///< vec slot: reflector scratch
 inline constexpr std::size_t kTrdScratch2 = 5; ///< vec slot: panel corrections
 // Downstream distance engine (embed/distance.cpp) and its consumers
-// (exact kNN, NN-descent scoring, UMAP transform, OPTICS, ABOD, k-means).
-// The engine nests inside snapshot paths that also run the SVD/eig stack
-// above, so it claims disjoint ids.
+// (exact kNN, UMAP transform, OPTICS, k-means). The engine nests inside
+// snapshot paths that also run the SVD/eig stack above, so it claims
+// disjoint ids.
 inline constexpr std::size_t kDistBlock = 8;    ///< pairwise d² block
-inline constexpr std::size_t kDistGather = 9;   ///< gathered candidate rows
-inline constexpr std::size_t kDistGram = 10;    ///< candidate Gram matrix
 inline constexpr std::size_t kDistXNorms = 6;   ///< vec slot: query ‖·‖²
 inline constexpr std::size_t kDistYNorms = 7;   ///< vec slot: reference ‖·‖²
 // Approximate-NN layer (embed/ann/). Searcher queries nest on top of the
-// distance engine (whose kernels consume the kDist* ids above) and inside
-// consumers that hold live kDist* references of their own (ABOD keeps a
-// neighbour Gram), so the ANN scratch claims fresh ids at every arena.
+// distance engine (whose kernels consume the kDist* ids above), so the ANN
+// scratch claims fresh ids at every arena. The forest's build and graph
+// run on the pool with scratch of their own.
 inline constexpr std::size_t kAnnBlock = 11;   ///< query-vs-index d²/Gram block
 inline constexpr std::size_t kAnnGather = 12;  ///< gathered candidate rows
-inline constexpr std::size_t kAnnGram = 13;    ///< leaf/candidate Gram matrix
-inline constexpr std::size_t kAnnProj = 14;    ///< rp-tree projection column
 inline constexpr std::size_t kAnnQNorms = 8;   ///< vec slot: query ‖·‖²
 inline constexpr std::size_t kAnnDists = 9;    ///< vec slot: candidate d²
 inline constexpr std::size_t kAnnOrder = 1;    ///< idx slot: candidate indices

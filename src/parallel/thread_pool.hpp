@@ -13,6 +13,7 @@
 // Pools share these names; in practice the long-lived recorder is
 // shared_pool().
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -71,6 +72,22 @@ class ThreadPool {
   std::atomic<long> busy_workers_{0};
   bool stopping_ = false;
 };
+
+/// Runs fn(lo, hi) over contiguous bands that cover [0, count): as one
+/// band on the calling thread when `pool` is null, otherwise as
+/// min(count, 4·thread_count()) bands through pool->parallel_for. Only for
+/// loops whose result does not depend on where the bands fall.
+template <typename Fn>
+void for_bands(ThreadPool* pool, std::size_t count, const Fn& fn) {
+  if (pool == nullptr) {
+    fn(std::size_t{0}, count);
+    return;
+  }
+  const std::size_t bands = std::min(count, pool->thread_count() * 4);
+  pool->parallel_for(bands, [&](std::size_t t) {
+    fn(count * t / bands, count * (t + 1) / bands);
+  });
+}
 
 /// Process-wide shared pool, created lazily on first use and joined at
 /// process exit. This is the executor the blocked linalg kernels dispatch

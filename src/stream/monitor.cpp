@@ -295,10 +295,23 @@ SnapshotResult StreamingMonitor::snapshot() {
                                 snapshot_ws_);
   out.latent = project_reservoir(pca, out.shot_ids);
 
+  // One index over the latent gives this snapshot's kNN graph (what
+  // umap_embed would build and query) and then stays warm for the
+  // incremental refreshes — the only full index build until the next full
+  // snapshot; they grow it with insert(). It is held here until the
+  // snapshot succeeds, so a failure leaves no index over a latent the
+  // reference does not hold.
   embed::UmapConfig umap_config = config_.pipeline.umap;
   umap_config.n_neighbors =
       std::min(umap_config.n_neighbors, out.latent.rows() - 1);
-  out.embedding = embed::umap_embed(out.latent, umap_config, snapshot_ws_);
+  std::unique_ptr<embed::NeighborSearcher> index = std::move(ann_index_);
+  if (!index) {
+    index = embed::make_searcher(embed::umap_knn_config(umap_config));
+  }
+  index->build(out.latent, snapshot_ws_);
+  embed::KnnGraph graph;
+  index->query_graph(umap_config.n_neighbors, snapshot_ws_, graph);
+  out.embedding = embed::umap_embed_graph(out.latent, graph, umap_config);
 
   cluster_snapshot(out);
   out.report.set_seconds("snapshot", timer.seconds());
@@ -306,17 +319,11 @@ SnapshotResult StreamingMonitor::snapshot() {
                                 static_cast<std::uint32_t>(out.latent.rows()),
                                 out.report.seconds("snapshot"));
 
-  // Keep this snapshot as the reference for incremental refreshes, and
-  // (re)build the warm index over it — the only full index build until the
-  // next full snapshot; incremental refreshes grow it with insert().
+  // Keep this snapshot as the reference for incremental refreshes.
   reference_latent_ = out.latent;
   reference_embedding_ = out.embedding;
   reference_shots_ = out.shot_ids;
-  if (!ann_index_) {
-    ann_index_ =
-        embed::make_searcher(embed::umap_knn_config(config_.pipeline.umap));
-  }
-  ann_index_->build(reference_latent_, snapshot_ws_);
+  ann_index_ = std::move(index);
   return out;
 }
 

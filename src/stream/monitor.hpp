@@ -105,7 +105,9 @@ class StreamingMonitor {
   void flush();
 
   /// Projects the reservoir through the current sketch, embeds and
-  /// clusters it — the operator-facing picture of the run so far.
+  /// clusters it — the operator-facing picture of the run so far. The
+  /// embedding's kNN graph comes from the reference index, built once over
+  /// the latent, so the embedding equals embed::umap_embed's bit for bit.
   /// (Non-const: compresses the sketch buffer before projecting.)
   SnapshotResult snapshot();
 

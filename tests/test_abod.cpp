@@ -5,9 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <set>
 
 #include "cluster/abod.hpp"
+#include "parallel/thread_pool.hpp"
+#include "rerun_self.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -129,6 +133,42 @@ TEST(TopOutliers, OrderedAscendingByScore) {
 TEST(TopOutliers, CountClampedToSize) {
   const std::vector<double> scores{1.0, 2.0};
   EXPECT_EQ(top_outliers(scores, 10).size(), 2u);
+}
+
+TEST(Abod, SameBitsAtAnyPoolSize) {
+  // 2048 2-D points at k = 10, above the size at which the forest graph
+  // and the per-point loop go to the pool. The scores equal the
+  // allow_parallel = false run and the run from a pool worker bit for bit;
+  // a child process repeats this at pool sizes 1 and 4 and must print the
+  // same digest.
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  Matrix pts(2048, 2);
+  Rng rng(71);
+  for (std::size_t i = 0; i < pts.rows(); ++i) {
+    const double cx = 6.0 * static_cast<double>(i % 5);
+    pts(i, 0) = cx + rng.normal();
+    pts(i, 1) = rng.normal();
+  }
+  AbodConfig config;
+  config.knn.backend = "rpforest";
+  linalg::Workspace ws;
+  const std::vector<double> scores = fast_abod(pts, config, ws);
+  const std::vector<double> serial =
+      fast_abod(pts, config, ws, {.allow_parallel = false});
+  std::vector<double> on_worker;
+  parallel::shared_pool()
+      .submit([&] { on_worker = fast_abod(pts, config); })
+      .get();
+  const auto digest = [](const std::vector<double>& v) {
+    return test::fnv1a(v.data(), v.size() * sizeof(double));
+  };
+  EXPECT_EQ(digest(serial), digest(scores));
+  EXPECT_EQ(digest(on_worker), digest(scores));
+  test::print_pool_digest(threads, digest(scores));
+  if (std::getenv("ARAMS_ABOD_CHILD") != nullptr) return;
+  test::expect_digest_at_pool_sizes("ARAMS_ABOD_CHILD",
+                                    "Abod.SameBitsAtAnyPoolSize",
+                                    digest(scores));
 }
 
 }  // namespace

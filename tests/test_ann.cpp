@@ -6,7 +6,8 @@
 //   * rpforest recall >= 0.95 @ k = 15 on the beam-profile and diffraction
 //     generators, against the exact searcher as ground truth
 //   * bitwise determinism under a fixed seed, independent of
-//     DistanceOptions::allow_parallel
+//     DistanceOptions::allow_parallel and of the pool size; the rpforest
+//     graph equals the serial oracle in rpforest_serial_reference.hpp
 //   * allocation-free steady-state query()/query_batch()
 //   * insert() grows a built index: exact stays bitwise-equal to a full
 //     rebuild, rpforest keeps its recall floor without rebuilding
@@ -21,6 +22,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <new>
@@ -33,7 +35,10 @@
 #include "embed/ann/searcher.hpp"
 #include "embed/knn.hpp"
 #include "image/image.hpp"
+#include "parallel/thread_pool.hpp"
+#include "rerun_self.hpp"
 #include "rng/rng.hpp"
+#include "rpforest_serial_reference.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -402,7 +407,9 @@ TEST(RpForest, ScoresFarFewerCandidatesThanExact) {
 // Determinism
 
 TEST(AnnDeterminism, GraphBitwiseStableAcrossParallelModes) {
-  const Matrix pts = random_points(500, 8, 22);
+  // 2048 points at k = 12: above the size at which the forest's build,
+  // seeding and join go to the pool.
+  const Matrix pts = random_points(2048, 8, 22);
   for (const auto& name : registered_searchers()) {
     KnnGraph serial, parallel;
     {
@@ -422,6 +429,81 @@ TEST(AnnDeterminism, GraphBitwiseStableAcrossParallelModes) {
     EXPECT_EQ(serial.neighbors, parallel.neighbors) << name;
     EXPECT_EQ(serial.distances, parallel.distances) << name;
   }
+}
+
+/// n points in 8 Gaussian classes; `grid` > 0 rounds every coordinate to a
+/// multiple of it, so that many distances tie and the order in which a
+/// neighbour list receives its candidates shows in the graph.
+Matrix class_points(std::size_t n, std::size_t d, std::uint64_t seed,
+                    double grid) {
+  Rng rng(seed);
+  Matrix centers(8, d);
+  for (std::size_t c = 0; c < 8; ++c) {
+    for (auto& v : centers.row(c)) v = 4.0 * rng.normal();
+  }
+  Matrix pts(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      double v = centers(i % 8, j) + rng.normal();
+      if (grid > 0.0) v = grid * std::round(v / grid);
+      pts(i, j) = v;
+    }
+  }
+  return pts;
+}
+
+std::uint64_t graph_digest(const KnnGraph& g, std::uint64_t h) {
+  h = test::fnv1a(g.neighbors.data(), g.neighbors.size() * sizeof(std::size_t),
+                  h);
+  return test::fnv1a(g.distances.data(), g.distances.size() * sizeof(double),
+                     h);
+}
+
+TEST(AnnDeterminism, ForestGraphMatchesSerialOracleAtAnyPoolSize) {
+  // Shapes above the size at which the forest's build, leaf seeding and
+  // join go to the pool: the monitor's latent (d = 10, k = 15), ABOD's
+  // 2-D embedding on a grid (k = 10) and the scalar arithmetic on a grid.
+  // The graph equals the serial oracle's, neighbour indices and distance
+  // bits, also when called from a pool worker, where it all runs on the
+  // caller; a child process repeats this at pool sizes 1 and 4 and must
+  // print the same digest.
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  struct Shape {
+    std::size_t d, k;
+    double grid;
+    bool use_gemm;
+  };
+  std::uint64_t digest = test::fnv1a(nullptr, 0);
+  for (const Shape& s : {Shape{10, 15, 0.0, true}, Shape{2, 10, 0.25, true},
+                         Shape{3, 8, 0.5, false}}) {
+    const Matrix pts = class_points(2048, s.d, 30 + s.d, s.grid);
+    AnnConfig config;
+    config.backend = "rpforest";
+    config.seed = 33;
+    const DistanceOptions opts{.use_gemm = s.use_gemm};
+    const KnnGraph want = test::serial_forest_graph(pts, config, s.k, opts);
+    const auto forest_graph = [&] {
+      Workspace ws;
+      const auto searcher = make_searcher(config);
+      searcher->build(pts, ws, opts);
+      KnnGraph g;
+      searcher->query_graph(s.k, ws, g, opts);
+      return g;
+    };
+    const KnnGraph got = forest_graph();
+    KnnGraph on_worker;
+    parallel::shared_pool().submit([&] { on_worker = forest_graph(); }).get();
+    const std::uint64_t want_digest = graph_digest(want, 0);
+    EXPECT_EQ(got.neighbors, want.neighbors) << "d = " << s.d;
+    EXPECT_EQ(graph_digest(got, 0), want_digest) << "d = " << s.d;
+    EXPECT_EQ(graph_digest(on_worker, 0), want_digest) << "d = " << s.d;
+    digest = graph_digest(got, digest);
+  }
+  test::print_pool_digest(threads, digest);
+  if (std::getenv("ARAMS_ANN_ORACLE_CHILD") != nullptr) return;
+  test::expect_digest_at_pool_sizes(
+      "ARAMS_ANN_ORACLE_CHILD",
+      "AnnDeterminism.ForestGraphMatchesSerialOracleAtAnyPoolSize", digest);
 }
 
 TEST(AnnDeterminism, RepeatedBuildsReproduceBitwise) {

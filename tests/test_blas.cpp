@@ -293,6 +293,26 @@ TEST(BlasParallel, LargeGramDispatchesToPoolAndMatchesNaive) {
   EXPECT_EQ(Matrix::max_abs_diff(g, g.transposed()), 0.0);
 }
 
+TEST(BlasParallel, DispatchIsCountedOnlyOffThePoolWorkers) {
+  ASSERT_TRUE(kPoolEnvForced);
+  // On a pool worker parallel_for would run the tasks inline, so the call
+  // takes the serial path, with the same bits, and is not a dispatch.
+  const std::size_t n = 192;
+  Rng rng(4243);
+  const Matrix a = random_matrix(n, n, rng);
+  const Matrix b = random_matrix(n, n, rng);
+  obs::Counter& dispatches =
+      obs::metrics().counter("linalg.gemm_parallel_count");
+  long before = dispatches.value();
+  const Matrix caller = matmul(a, b);
+  EXPECT_EQ(dispatches.value(), before + 1);
+  Matrix worker;
+  before = dispatches.value();
+  parallel::shared_pool().submit([&] { worker = matmul(a, b); }).get();
+  EXPECT_EQ(dispatches.value(), before);
+  EXPECT_EQ(Matrix::max_abs_diff(caller, worker), 0.0);
+}
+
 TEST(BlasParallel, BelowThresholdStaysSequential) {
   Rng rng(31);
   const Matrix a = random_matrix(16, 16, rng);

@@ -249,11 +249,10 @@ TEST(Distance, NnDescentGramScoringTracksScalarRecall) {
   exact_knn(pts, 10, ws, exact, {});
   Rng rng_a(47);
   KnnGraph gram_graph = arams::test::random_knn_graph(pts, 10, rng_a);
-  nn_descent_refine(pts, rng_a, ws, gram_graph, 8, 1.0, {.use_gemm = true});
+  nn_descent_refine(pts, rng_a, gram_graph, 8, 1.0, {.use_gemm = true});
   Rng rng_b(47);
   KnnGraph scalar_graph = arams::test::random_knn_graph(pts, 10, rng_b);
-  nn_descent_refine(pts, rng_b, ws, scalar_graph, 8, 1.0,
-                    {.use_gemm = false});
+  nn_descent_refine(pts, rng_b, scalar_graph, 8, 1.0, {.use_gemm = false});
   const double gram_recall = knn_recall(gram_graph, exact);
   const double scalar_recall = knn_recall(scalar_graph, exact);
   EXPECT_NEAR(gram_recall, scalar_recall, 0.02);

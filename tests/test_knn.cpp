@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 
 #include "embed/knn.hpp"
+#include "parallel/thread_pool.hpp"
 #include "random_knn_graph.hpp"
+#include "rerun_self.hpp"
 #include "rng/rng.hpp"
+#include "rpforest_serial_reference.hpp"
 #include "util/check.hpp"
 
 namespace arams::embed {
@@ -69,8 +74,7 @@ TEST(NnDescent, HighRecallOnRandomPoints) {
   const KnnGraph exact = exact_knn(pts, 10);
   Rng rng(5);
   KnnGraph approx = test::random_knn_graph(pts, 10, rng);
-  linalg::Workspace ws;
-  nn_descent_refine(pts, rng, ws, approx, 8);
+  nn_descent_refine(pts, rng, approx, 8);
   EXPECT_GT(knn_recall(approx, exact), 0.85);
 }
 
@@ -87,8 +91,7 @@ TEST(NnDescent, PerfectRecallOnWellSeparatedClusters) {
   const KnnGraph exact = exact_knn(pts, 5);
   Rng rng2(7);
   KnnGraph approx = test::random_knn_graph(pts, 5, rng2);
-  linalg::Workspace ws;
-  nn_descent_refine(pts, rng2, ws, approx, 10);
+  nn_descent_refine(pts, rng2, approx, 10);
   EXPECT_GT(knn_recall(approx, exact), 0.95);
 }
 
@@ -118,7 +121,7 @@ TEST(NnDescent, ScalarPathRecallRegression) {
     exact_knn(pts, 10, ws, exact, scalar);
     Rng rng(c.descent_seed);
     KnnGraph approx = test::random_knn_graph(pts, 10, rng);
-    nn_descent_refine(pts, rng, ws, approx, 8, 1.0, scalar);
+    nn_descent_refine(pts, rng, approx, 8, 1.0, scalar);
     EXPECT_DOUBLE_EQ(knn_recall(approx, exact), c.expected_recall)
         << "n=" << c.n << " d=" << c.d;
   }
@@ -135,6 +138,73 @@ TEST(KnnRecall, IncomparableGraphsThrow) {
   const KnnGraph a = exact_knn(pts, 3);
   const KnnGraph b = exact_knn(pts, 4);
   EXPECT_THROW(knn_recall(a, b), CheckError);
+}
+
+TEST(NnDescent, JoinMatchesSerialOracleAtAnyPoolSize) {
+  // 2048 points: the pooled join scores in bands and replays the calls
+  // that can change a list, and must leave every list as the serial join
+  // does. On a grid many distances tie, and a squared seed distance can sit
+  // an ulp above the join's own value for the same pair, so the order each
+  // list receives its calls in, and re-offered start members, show in the
+  // graph. Checked against the oracle here, from a pool worker, and in
+  // child processes at pool sizes 1 and 4.
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  struct Case {
+    std::size_t d;
+    double grid;
+    double sample_rate;
+    bool use_gemm;
+  };
+  std::uint64_t digest = test::fnv1a(nullptr, 0);
+  for (const Case& c : {Case{6, 0.0, 1.0, true}, Case{2, 0.25, 1.0, true},
+                        Case{2, 0.25, 0.6, true}, Case{3, 0.5, 1.0, false}}) {
+    Matrix pts(2048, c.d);
+    Rng fill(40 + c.d);
+    for (std::size_t i = 0; i < pts.rows(); ++i) {
+      for (auto& v : pts.row(i)) {
+        v = 3.0 * fill.normal();
+        if (c.grid > 0.0) v = c.grid * std::round(v / c.grid);
+      }
+    }
+    const DistanceOptions opts{.use_gemm = c.use_gemm};
+    // The seed: a random graph after two serial passes, its lists close to
+    // final, with many entries at tied distances.
+    Rng seed_rng(41);
+    KnnGraph seed = test::random_knn_graph(pts, 10, seed_rng);
+    test::serial_nn_descent(pts, seed_rng, seed, 2, 1.0, opts);
+    const auto refine = [&](const auto& run) {
+      KnnGraph g = seed;
+      Rng rng(42);
+      run(rng, g);
+      return g;
+    };
+    const KnnGraph want = refine([&](Rng& rng, KnnGraph& g) {
+      test::serial_nn_descent(pts, rng, g, 4, c.sample_rate, opts);
+    });
+    const auto pooled = [&](Rng& rng, KnnGraph& g) {
+      nn_descent_refine(pts, rng, g, 4, c.sample_rate, opts);
+    };
+    KnnGraph got = refine(pooled);
+    KnnGraph on_worker;
+    parallel::shared_pool()
+        .submit([&] { on_worker = refine(pooled); })
+        .get();
+    for (const KnnGraph* g : {&got, &on_worker}) {
+      EXPECT_EQ(g->neighbors, want.neighbors) << "d = " << c.d;
+      EXPECT_EQ(test::fnv1a(g->distances.data(),
+                            g->distances.size() * sizeof(double)),
+                test::fnv1a(want.distances.data(),
+                            want.distances.size() * sizeof(double)))
+          << "d = " << c.d;
+    }
+    digest = test::fnv1a(got.neighbors.data(),
+                         got.neighbors.size() * sizeof(std::size_t), digest);
+  }
+  test::print_pool_digest(threads, digest);
+  if (std::getenv("ARAMS_NN_DESCENT_CHILD") != nullptr) return;
+  test::expect_digest_at_pool_sizes(
+      "ARAMS_NN_DESCENT_CHILD",
+      "NnDescent.JoinMatchesSerialOracleAtAnyPoolSize", digest);
 }
 
 }  // namespace

@@ -4,9 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -271,20 +269,11 @@ TEST(Pipeline, RangeShardsAreBitwiseTreeMergedSketches) {
   EXPECT_EQ(result.embedding.rows(), 160u);
 }
 
-/// FNV-1a over the bytes of a matrix.
-std::uint64_t digest(const linalg::Matrix& m, std::uint64_t h) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
-  for (std::size_t i = 0; i < m.size() * sizeof(double); ++i) {
-    h = (h ^ bytes[i]) * 0x100000001b3ull;
-  }
-  return h;
-}
-
 /// One digest over everything a pipeline run computes.
 std::uint64_t digest(const PipelineResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = test::fnv1a(nullptr, 0);
   for (const linalg::Matrix* m : {&r.sketch, &r.latent, &r.embedding}) {
-    h = digest(*m, h);
+    h = test::fnv1a(m->data(), m->size() * sizeof(double), h);
   }
   for (const int label : r.labels) {
     h = (h ^ static_cast<std::uint64_t>(label + 1)) * 0x100000001b3ull;
@@ -353,29 +342,19 @@ TEST(Pipeline, ConcurrentRangeShardsSameBitsAtAnyPoolSize) {
       .get();
   expect_same_run(on_worker, result);
 
-  const std::size_t threads = parallel::shared_pool().thread_count();
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016" PRIx64, digest(result));
-  std::printf("pool threads %zu digest %s\n", threads, hex);
+  test::print_pool_digest(parallel::shared_pool().thread_count(),
+                          digest(result));
   if (std::getenv("ARAMS_RANGE_SHARDS_CHILD") != nullptr) return;
-  for (const std::string size : {"1", "4"}) {
-    const test::ChildRun run = test::rerun_self(
-        "ARAMS_RANGE_SHARDS_CHILD=1 ARAMS_POOL_THREADS=" + size,
-        "Pipeline.ConcurrentRangeShardsSameBitsAtAnyPoolSize");
-    EXPECT_EQ(run.status, 0) << run.output;
-    EXPECT_NE(
-        run.output.find("pool threads " + size + " digest " + hex + "\n"),
-        std::string::npos)
-        << run.output;
-  }
+  test::expect_digest_at_pool_sizes(
+      "ARAMS_RANGE_SHARDS_CHILD",
+      "Pipeline.ConcurrentRangeShardsSameBitsAtAnyPoolSize", digest(result));
 }
 
 TEST(Pipeline, SingleRangeKeepsItsGemmsOnThePool) {
   // num_cores = 1 sketches on the calling thread, so the shrink GEMMs at
   // d = 4096 still fan out. Run on a pool worker they would run inline and
   // the pipeline would send one task where the sketch alone sends many.
-  // Tasks, not linalg.gemm_parallel_count: an inline GEMM counts a
-  // dispatch too.
+  // Counted in pool tasks, the work the pool actually ran.
   if (parallel::shared_pool().thread_count() < 2) {
     GTEST_SKIP() << "needs a pool of at least two threads";
   }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "embed/umap.hpp"
 #include "obs/metrics.hpp"
 #include "stream/monitor.hpp"
 #include "stream/source.hpp"
@@ -241,6 +244,40 @@ TEST(Monitor, WarmIndexInsertsInsteadOfRebuilding) {
   EXPECT_EQ(monitor.reference_index()->stats().builds, 1);
   EXPECT_EQ(monitor.reference_index()->stats().inserted_rows, 0);
   EXPECT_EQ(monitor.reference_index()->size(), 128u);
+}
+
+TEST(Monitor, FullSnapshotBuildsOneForestAndEmbedsAsUmapEmbed) {
+  // A full snapshot takes its kNN graph from the reference index it then
+  // keeps warm: one forest build per full snapshot (counted by the
+  // build-time histogram), and the embedding equals umap_embed's over the
+  // same latent bit for bit, also on a later full snapshot that rebuilds
+  // the kept index.
+  MonitorConfig config = small_monitor();
+  config.pipeline.umap.knn.backend = "rpforest";
+  BeamProfileSource source(small_beam(), 200, 120.0, 24);
+  const auto events = drain(source, 200);
+  StreamingMonitor monitor(config);
+  const obs::Histogram& builds =
+      obs::metrics().histogram("embed.ann_build_seconds");
+  for (std::size_t round = 0; round < 2; ++round) {
+    for (std::size_t i = 100 * round; i < 100 * (round + 1); ++i) {
+      monitor.ingest(events[i]);
+    }
+    monitor.flush();
+    const long before = builds.count();
+    const SnapshotResult snap = monitor.snapshot();
+    EXPECT_EQ(builds.count(), before + 1) << "round " << round;
+    EXPECT_EQ(monitor.reference_index()->stats().builds,
+              static_cast<long>(round + 1));
+    embed::UmapConfig umap = config.pipeline.umap;
+    umap.n_neighbors = std::min(umap.n_neighbors, snap.latent.rows() - 1);
+    const linalg::Matrix want = embed::umap_embed(snap.latent, umap);
+    ASSERT_EQ(snap.embedding.size(), want.size());
+    EXPECT_EQ(std::memcmp(snap.embedding.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "round " << round;
+  }
 }
 
 TEST(Monitor, ReusedProjectionBlockMatchesAFreshMonitor) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -64,6 +63,39 @@ TEST(SmoothKnn, RhoIsNearestNeighborDistance) {
   for (std::size_t i = 0; i < g.n; ++i) {
     EXPECT_DOUBLE_EQ(smooth.rho[i], g.distance(i, 0));
   }
+}
+
+TEST(FuzzyGraph, SmoothAndFuzzySameBitsAtAnyPoolSize) {
+  // 2048 points at k = 15, above the size at which both per-point loops go
+  // to the pool. ρ, σ and the fuzzy edges equal the run from a pool worker,
+  // where both run on the caller, bit for bit; a child process repeats this
+  // at pool sizes 1 and 4 and must print the same digest.
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  const Matrix pts = two_gaussian_clusters(1024, 6.0, 5);
+  const KnnGraph g = exact_knn(pts, 15);
+  const auto digest = [&] {
+    const SmoothKnn smooth = smooth_knn_distances(g);
+    const FuzzyGraph fuzzy = fuzzy_simplicial_set(g, smooth);
+    std::uint64_t h = test::fnv1a(smooth.rho.data(),
+                                  smooth.rho.size() * sizeof(double));
+    h = test::fnv1a(smooth.sigma.data(), smooth.sigma.size() * sizeof(double),
+                    h);
+    for (const FuzzyGraph::Edge& e : fuzzy.edges) {
+      h = test::fnv1a(&e.u, sizeof e.u, h);
+      h = test::fnv1a(&e.v, sizeof e.v, h);
+      h = test::fnv1a(&e.weight, sizeof e.weight, h);
+    }
+    return h;
+  };
+  const std::uint64_t here = digest();
+  std::uint64_t on_worker = 0;
+  parallel::shared_pool().submit([&] { on_worker = digest(); }).get();
+  EXPECT_EQ(on_worker, here);
+  test::print_pool_digest(threads, here);
+  if (std::getenv("ARAMS_FUZZY_CHILD") != nullptr) return;
+  test::expect_digest_at_pool_sizes(
+      "ARAMS_FUZZY_CHILD", "FuzzyGraph.SmoothAndFuzzySameBitsAtAnyPoolSize",
+      here);
 }
 
 TEST(FuzzyGraph, WeightsInUnitInterval) {
@@ -452,18 +484,6 @@ Matrix latent_classes(std::size_t n, std::size_t dim, std::size_t classes,
   return pts;
 }
 
-/// FNV-1a over the embedding's bytes.
-std::uint64_t digest(const Matrix& y) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    std::uint64_t bits;
-    std::memcpy(&bits, y.data() + i, sizeof bits);
-    for (int byte = 0; byte < 8; ++byte) {
-      h = (h ^ ((bits >> (8 * byte)) & 0xffu)) * 0x100000001b3ull;
-    }
-  }
-  return h;
-}
 
 TEST(UmapLayout, SameBitsAtAnyPoolSize) {
   // 2048 points: the layout sends every epoch's chunks to the pool when
@@ -495,20 +515,13 @@ TEST(UmapLayout, SameBitsAtAnyPoolSize) {
   EXPECT_EQ(std::memcmp(on_worker.data(), y.data(), y.size() * sizeof(double)),
             0);
 
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016" PRIx64, digest(y));
-  std::printf("pool threads %zu digest %s\n", threads, hex);
+  const std::uint64_t digest =
+      test::fnv1a(y.data(), y.size() * sizeof(double));
+  test::print_pool_digest(threads, digest);
   if (std::getenv("ARAMS_UMAP_LAYOUT_CHILD") != nullptr) return;
-  for (const std::string size : {"1", "4"}) {
-    const test::ChildRun run =
-        test::rerun_self("ARAMS_UMAP_LAYOUT_CHILD=1 ARAMS_POOL_THREADS=" + size,
-                         "UmapLayout.SameBitsAtAnyPoolSize");
-    EXPECT_EQ(run.status, 0) << run.output;
-    EXPECT_NE(run.output.find("pool threads " + size + " digest " + hex +
-                              "\n"),
-              std::string::npos)
-        << run.output;
-  }
+  test::expect_digest_at_pool_sizes("ARAMS_UMAP_LAYOUT_CHILD",
+                                    "UmapLayout.SameBitsAtAnyPoolSize",
+                                    digest);
 }
 
 TEST(UmapLayout, QualityWithinSerialReferenceSpread) {
