@@ -40,9 +40,10 @@ class ShardedSketcher final : public Sketcher {
  public:
   /// Builds `shards` inner backends from `inner` (which must name a plain,
   /// non-sharded backend). Shard i seeds with inner.seed + i (and
-  /// inner.arams.seed + i for "arams"), matching the historical
-  /// run_stages sharding convention. `pool` executes shard ingest and the
-  /// merge groups; nullptr runs everything inline on the calling thread.
+  /// inner.arams.seed + i for "arams"), the same convention as the
+  /// pipeline's num_cores row ranges (range c seeds with seed + c). `pool`
+  /// executes shard ingest and the merge groups; nullptr runs everything
+  /// inline on the calling thread.
   ShardedSketcher(const SketcherConfig& inner, std::size_t shards,
                   parallel::ThreadPool* pool);
 

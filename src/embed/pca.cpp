@@ -48,7 +48,7 @@ void PcaProjector::init(const Matrix& sketch, std::size_t k,
   ARAMS_CHECK(basis_.rows() > 0, "sketch had numerical rank zero");
 }
 
-Matrix PcaProjector::project(const Matrix& x) const {
+Matrix PcaProjector::project(linalg::MatrixView x) const {
   ARAMS_CHECK(x.cols() == basis_.cols(), "data dimension mismatch");
   return linalg::matmul_nt(x, basis_);
 }

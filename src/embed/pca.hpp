@@ -34,7 +34,7 @@ class PcaProjector {
                linalg::Workspace& ws);
 
   /// Projects rows of x (n×d) into the latent space (n×components()).
-  [[nodiscard]] linalg::Matrix project(const linalg::Matrix& x) const;
+  [[nodiscard]] linalg::Matrix project(linalg::MatrixView x) const;
 
   /// project() of the n×dim() matrix whose i-th row is row(i), without
   /// building or gathering that matrix: one GEMM reads the rows in place

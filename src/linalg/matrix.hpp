@@ -121,8 +121,9 @@ class MatrixView {
   // NOLINTNEXTLINE(google-explicit-constructor): by-design implicit.
   MatrixView(const Matrix& m) : data_(m.data()), rows_(m.rows()), cols_(m.cols()) {}
 
-  /// Views rows [r0, r1) of m. No copy; valid while m's storage is.
-  static MatrixView rows_of(const Matrix& m, std::size_t r0, std::size_t r1) {
+  /// Views rows [r0, r1) of m (a Matrix or a view). No copy; valid while
+  /// m's storage is.
+  static MatrixView rows_of(MatrixView m, std::size_t r0, std::size_t r1) {
     ARAMS_CHECK(r0 <= r1 && r1 <= m.rows(), "bad row view");
     return {m.data() + r0 * m.cols(), r1 - r0, m.cols()};
   }

@@ -329,13 +329,8 @@ SnapshotResult StreamingMonitor::snapshot() {
 
 void StreamingMonitor::cluster_snapshot(SnapshotResult& out) {
   cluster::OpticsConfig optics_config = config_.pipeline.optics;
-  if (config_.pipeline.scale_min_pts) {
-    optics_config.min_pts = std::max<std::size_t>(
-        optics_config.min_pts,
-        std::min<std::size_t>(out.embedding.rows() / 10, 30));
-  }
-  optics_config.min_pts =
-      std::min<std::size_t>(optics_config.min_pts, out.embedding.rows());
+  optics_config.min_pts = config_.pipeline.min_pts_for(
+      optics_config.min_pts, out.embedding.rows());
   const cluster::OpticsResult optics_result =
       cluster::optics(out.embedding, optics_config, snapshot_ws_);
   out.labels = cluster::extract_auto(optics_result,

@@ -2,15 +2,21 @@
 // MonitoringPipeline — the Fig. 4 schematic as one public API.
 //
 // Stage 1  preprocess   threshold / center / normalize each frame straight
-//                       into its row, bands of frames across the pool
-// Stage 2  sketch       ARAMS per row range, the ranges concurrently on the
-//                       pool over views of the rows, then tree-merged
+//                       into its row, bands of frames across the pool (frame
+//                       input only; the matrix entry points skip it)
+// Stage 2  sketch       fp64 "arams" with one shard: ARAMS per row range,
+//                       the ranges concurrently on the pool over views of
+//                       the rows, then tree-merged; otherwise one factory
+//                       sketcher over all rows
 // Stage 3  project      PCA latent projection from the global sketch
-// Stage 4  visualize    UMAP to 2-D
-// Stage 5  analyze      OPTICS clustering + FastABOD outlier scores
+// Stage 4  embed        UMAP to 2-D
+// Stage 5  cluster      OPTICS / HDBSCAN / k-means + FastABOD outlier scores
+//
+// Each stage that completes feeds four sinks once: the `pipeline.<stage>`
+// span, its StageReport entry, the `pipeline.<stage>_seconds_window`
+// histogram and a stage_complete flight event (docs/TELEMETRY.md).
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,7 +31,6 @@
 #include "image/preprocess.hpp"
 #include "obs/stage_report.hpp"
 #include "stream/event.hpp"
-#include "util/stopwatch.hpp"
 
 namespace arams::stream {
 
@@ -76,7 +81,7 @@ struct PipelineConfig {
   cluster::KmeansConfig kmeans;
   /// Scale optics.min_pts / hdbscan sizes up to ~n/10 (capped at 30) so
   /// density estimates smooth over UMAP's local clumping on larger
-  /// embeddings.
+  /// embeddings (min_pts_for).
   bool scale_min_pts = true;
   double cluster_quantile = 0.9;     ///< extract_auto reachability quantile
   std::size_t abod_k = 10;           ///< 0 disables outlier scoring
@@ -90,6 +95,13 @@ struct PipelineConfig {
   /// the backend, the nested AramsConfig carried whole, and its ell/seed
   /// mirrored into the scalar knobs the simple backends read.
   [[nodiscard]] core::SketcherConfig sketcher_config() const;
+
+  /// The density neighbourhood a clusterer uses on n embedded points:
+  /// `min_pts`, raised to min(n/10, 30) when scale_min_pts is set, capped
+  /// at n. The pipeline's OPTICS and HDBSCAN branches and the streaming
+  /// monitor's snapshot clustering all size theirs here.
+  [[nodiscard]] std::size_t min_pts_for(std::size_t min_pts,
+                                        std::size_t n) const;
 };
 
 struct PipelineResult {
@@ -103,8 +115,10 @@ struct PipelineResult {
   cluster::OpticsResult optics;
   std::size_t final_ell = 0;
 
-  /// Per-stage timings ("preprocess", "sketch", "project", "embed",
-  /// "cluster", "merge") plus the sketch/merge operation counters.
+  /// Stage seconds in pipeline order — "preprocess" (frame input only),
+  /// "sketch", "project", "embed", "cluster" — with the sketcher's own
+  /// entries ("shrink", "fd", "merge", ...; "ingest_widen" on the fp32
+  /// lane) after "sketch", plus the sketch/merge operation counters.
   obs::StageReport report;
 };
 
@@ -141,36 +155,6 @@ class MonitoringPipeline {
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
 
  private:
-  /// The fp64 entry point: stages 2–5 over pre-flattened rows, tagging the
-  /// result with the optional shot ids.
-  PipelineResult run_stages(const linalg::Matrix& rows,
-                            std::vector<std::uint64_t> shot_ids) const;
-
-  /// The fp32 lane twin: stage 2 consumes the float rows through
-  /// Sketcher's fp32 seam, then the rows are widened once for the shared
-  /// fp64 tail (PCA reads the raw rows).
-  PipelineResult run_stages_f32(linalg::MatrixViewF rows,
-                                std::vector<std::uint64_t> shot_ids) const;
-
-  /// Stages 3–5 (project / embed / cluster), shared by both lanes.
-  void run_tail_stages(const linalg::Matrix& rows, PipelineResult& result,
-                       Stopwatch& timer) const;
-
-  /// Frame i of an fp64 input, read where it lies (a frame vector or the
-  /// events).
-  using FrameRef = std::function<const image::ImageF&(std::size_t)>;
-
-  /// Stage 1 + run_stages over n fp64 frames — shared by the fp64 frame
-  /// and event adapters. With IngestPrecision::kF32 each frame is narrowed
-  /// inside the pooled stage 1 loop and the fp32 lane takes over.
-  PipelineResult analyze_frames(std::size_t n, const FrameRef& frame,
-                                std::vector<std::uint64_t> shot_ids) const;
-
-  /// fp32 stage 1 + run_stages_f32.
-  PipelineResult analyze_frames_f32(
-      std::size_t n, const image::FrameAt<float>& frame,
-      std::vector<std::uint64_t> shot_ids) const;
-
   PipelineConfig config_;
 };
 

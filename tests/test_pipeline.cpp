@@ -4,16 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "cluster/metrics.hpp"
 #include "embed/metrics.hpp"
 #include "image/image.hpp"
 #include "linalg/blas.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "obs/window.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rerun_self.hpp"
 #include "stream/pipeline.hpp"
@@ -418,9 +423,35 @@ TEST(Pipeline, AnalyzeEventsIsAnalyzeMatrixOfPreprocessedRows) {
   EXPECT_EQ(r32.report.counter("rows_ingested_f32"), 150);
 }
 
+/// Samples in the stage's pipeline.<stage>_seconds_window, read without
+/// registering a window that does not exist yet (that one reads 0).
+long window_samples(const std::string& stage) {
+  const std::string name = "pipeline." + stage + "_seconds_window";
+  long samples = 0;
+  obs::MetricsRegistry::Visitor visitor;
+  visitor.on_sliding = [&](const std::string& metric,
+                           const obs::SlidingHistogram& window) {
+    if (metric == name) samples = window.stats().count;
+  };
+  obs::metrics().visit(visitor);
+  return samples;
+}
+
+/// The stage_complete events journaled at or after steady time `since`.
+std::vector<obs::FlightEvent> stage_events_since(double since) {
+  std::vector<obs::FlightEvent> out;
+  for (const obs::FlightEvent& e : obs::flight_recorder().drain()) {
+    if (e.code == obs::FlightCode::kStageComplete && e.t_seconds >= since) {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
 TEST(Pipeline, MisShapedFrameThrowsAndPipelineRecovers) {
   // Frame 300 of 600 has one column too few: its band throws, every other
   // band finishes, and the same pipeline then analyzes the mended batch.
+  // The preprocess stage that threw feeds no sink.
   data::BeamProfileConfig beam;
   beam.height = 16;
   beam.width = 16;
@@ -430,6 +461,8 @@ TEST(Pipeline, MisShapedFrameThrowsAndPipelineRecovers) {
   const image::ImageF good = frames[300];
   frames[300] = image::ImageF(16, 15);
   const MonitoringPipeline pipeline(fast_pipeline());
+  const long samples = window_samples("preprocess");
+  const double since = obs::steady_seconds();
   try {
     (void)pipeline.analyze(frames);
     ADD_FAILURE() << "a mis-shaped frame was accepted";
@@ -438,6 +471,8 @@ TEST(Pipeline, MisShapedFrameThrowsAndPipelineRecovers) {
               std::string::npos)
         << e.what();
   }
+  EXPECT_TRUE(stage_events_since(since).empty());
+  EXPECT_EQ(window_samples("preprocess"), samples);
   frames[300] = good;
   const PipelineResult result = pipeline.analyze(frames);
   EXPECT_EQ(result.embedding.rows(), 600u);
@@ -537,6 +572,143 @@ TEST(Pipeline, RankAdaptiveModeRunsEndToEnd) {
       MonitoringPipeline(config).analyze_matrix(rows);
   EXPECT_GE(result.final_ell, 8u);
   EXPECT_EQ(result.embedding.rows(), 150u);
+}
+
+/// Checks that `report` lists the Fig. 4 stages `fig4` in that order and
+/// that every other entry, which a stage's own work adds, sits between
+/// "sketch" and "project".
+void expect_pipeline_order(const obs::StageReport& report,
+                           const std::vector<std::string>& fig4) {
+  const std::array<std::string, 5> stages = {"preprocess", "sketch",
+                                             "project", "embed", "cluster"};
+  std::vector<std::string> names;
+  std::vector<std::string> seen;
+  for (const obs::StageTiming& t : report.stages()) {
+    names.push_back(t.stage);
+    if (std::find(stages.begin(), stages.end(), t.stage) != stages.end()) {
+      seen.push_back(t.stage);
+    }
+  }
+  EXPECT_EQ(seen, fig4);
+  ASSERT_GT(names.size(), fig4.size()) << "the sketcher reported nothing";
+  const auto sketch = std::find(names.begin(), names.end(), "sketch");
+  const auto project = std::find(names.begin(), names.end(), "project");
+  for (auto it = names.begin(); it != names.end(); ++it) {
+    if (std::find(stages.begin(), stages.end(), *it) != stages.end()) {
+      continue;
+    }
+    EXPECT_TRUE(sketch < it && it < project) << *it << " out of place";
+  }
+}
+
+TEST(Pipeline, ReportListsStagesInPipelineOrder) {
+  // Each stage reserves its report entry as it opens, so the report reads
+  // in pipeline order, and what the sketch stage's own work reports (the
+  // sketcher's "shrink", "fd" and "merge_*" entries, the fp32 lane's
+  // "ingest_widen") follows "sketch" instead of preceding it.
+  data::BeamProfileConfig beam;
+  beam.height = 16;
+  beam.width = 16;
+  BeamProfileSource source(beam, 60, 120.0, 9);
+  std::vector<image::ImageF> frames;
+  std::vector<image::ImageF32> narrowed;
+  for (const auto& e : drain(source, 60)) {
+    frames.push_back(e.frame);
+    narrowed.push_back(image::narrow(e.frame));
+  }
+  PipelineConfig config = fast_pipeline();
+  const linalg::Matrix rows = image::preprocess_rows(frames, config.preprocess);
+  const linalg::MatrixF rows32 =
+      image::preprocess_rows(narrowed, config.preprocess);
+  for (const auto precision : {PipelineConfig::IngestPrecision::kF64,
+                               PipelineConfig::IngestPrecision::kF32}) {
+    config.ingest_precision = precision;
+    SCOPED_TRACE(precision == PipelineConfig::IngestPrecision::kF64 ? "kF64"
+                                                                    : "kF32");
+    const MonitoringPipeline pipeline(config);
+    expect_pipeline_order(pipeline.analyze(frames).report,
+                          {"preprocess", "sketch", "project", "embed",
+                           "cluster"});
+    const PipelineResult from_rows =
+        precision == PipelineConfig::IngestPrecision::kF64
+            ? pipeline.analyze_matrix(rows)
+            : pipeline.analyze_matrix(linalg::MatrixViewF(rows32));
+    expect_pipeline_order(from_rows.report,
+                          {"sketch", "project", "embed", "cluster"});
+  }
+}
+
+TEST(Pipeline, EveryStageFeedsEverySink) {
+  // Each stage that runs feeds every sink once: one sample in its
+  // pipeline.<stage>_seconds_window, one stage_complete event in pipeline
+  // order carrying its stage id and the report's seconds, and, with the
+  // tracer on, a pipeline.<stage> span nested under pipeline.analyze.
+  data::BeamProfileConfig beam;
+  beam.height = 16;
+  beam.width = 16;
+  BeamProfileSource source(beam, 60, 120.0, 10);
+  const std::vector<ShotEvent> events = drain(source, 60);
+  std::vector<image::ImageF> frames;
+  for (const auto& e : events) frames.push_back(e.frame);
+  PipelineConfig config = fast_pipeline();
+  const linalg::Matrix rows = image::preprocess_rows(frames, config.preprocess);
+  constexpr std::array<obs::FlightStage, 5> kStages = {
+      obs::FlightStage::kPreprocess, obs::FlightStage::kSketch,
+      obs::FlightStage::kProject, obs::FlightStage::kEmbed,
+      obs::FlightStage::kCluster};
+  struct Case {
+    const char* what;
+    bool frames;
+    PipelineConfig::IngestPrecision precision;
+  };
+  for (const Case& c :
+       {Case{"analyze_events kF64", true, PipelineConfig::IngestPrecision::kF64},
+        Case{"analyze_events kF32", true, PipelineConfig::IngestPrecision::kF32},
+        Case{"analyze_matrix", false, PipelineConfig::IngestPrecision::kF64}}) {
+    SCOPED_TRACE(c.what);
+    config.ingest_precision = c.precision;
+    const MonitoringPipeline pipeline(config);
+    const std::vector<obs::FlightStage> ran(kStages.begin() + (c.frames ? 0 : 1),
+                                            kStages.end());
+    std::vector<long> samples;
+    for (const obs::FlightStage stage : ran) {
+      samples.push_back(window_samples(obs::flight_stage_name(stage)));
+    }
+    obs::tracer().clear();
+    obs::tracer().enable(true);
+    const double since = obs::steady_seconds();
+    const PipelineResult result = c.frames ? pipeline.analyze_events(events)
+                                           : pipeline.analyze_matrix(rows);
+    obs::tracer().enable(false);
+
+    const std::vector<obs::FlightEvent> journaled = stage_events_since(since);
+    ASSERT_EQ(journaled.size(), ran.size());
+    const std::vector<obs::SpanRecord> spans = obs::tracer().spans();
+    const auto named = [&](const std::string& name) {
+      std::vector<obs::SpanRecord> out;
+      for (const obs::SpanRecord& s : spans) {
+        if (s.name == name) out.push_back(s);
+      }
+      return out;
+    };
+    const std::vector<obs::SpanRecord> analyze = named("pipeline.analyze");
+    ASSERT_EQ(analyze.size(), 1u);
+    for (std::size_t i = 0; i < ran.size(); ++i) {
+      const std::string stage = obs::flight_stage_name(ran[i]);
+      SCOPED_TRACE(stage);
+      EXPECT_EQ(window_samples(stage), samples[i] + 1);
+      EXPECT_EQ(journaled[i].detail, static_cast<std::uint32_t>(ran[i]));
+      EXPECT_EQ(journaled[i].value, result.report.seconds(stage));
+      const std::vector<obs::SpanRecord> span = named("pipeline." + stage);
+      ASSERT_EQ(span.size(), 1u);
+      EXPECT_EQ(span[0].thread_id, analyze[0].thread_id);
+      EXPECT_EQ(span[0].depth, analyze[0].depth + 1);
+      EXPECT_GE(span[0].start_us, analyze[0].start_us);
+      EXPECT_LE(span[0].start_us + span[0].duration_us,
+                analyze[0].start_us + analyze[0].duration_us);
+    }
+  }
+  obs::tracer().clear();
 }
 
 }  // namespace

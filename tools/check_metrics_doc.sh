@@ -5,11 +5,13 @@
 # src/ emits, so the operator-facing catalogue cannot silently rot.
 #
 # Scans for literal first arguments to counter/gauge/histogram/ewma/
-# sliding_histogram (and the pipeline's stage_window helper). StageReport
-# reads (`report.counter(...)`) are per-run outputs, not registry names,
-# and are excluded. Dynamically composed names — `pool.worker.<i>.*`, the
-# BoundedQueue `<prefix>.*` family — can't be greped for; they are
-# documented as patterns and covered by the exporter tests instead.
+# sliding_histogram. StageReport reads (`report.counter(...)`) are per-run
+# outputs, not registry names, and are excluded. The pipeline composes its
+# per-stage names from the FlightStage table in src/obs/flight_recorder.cpp,
+# so they are read from there (see the stage check below). Other dynamically
+# composed names — `pool.worker.<i>.*`, the BoundedQueue `<prefix>.*` family
+# — can't be greped for; they are documented as patterns and covered by the
+# exporter tests instead.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -17,10 +19,10 @@ DOC="$ROOT/docs/TELEMETRY.md"
 test -r "$DOC" || { echo "missing $DOC" >&2; exit 1; }
 
 names="$(
-  grep -rhE '(counter|gauge|histogram|ewma|sliding_histogram|stage_window)\(\s*"' \
+  grep -rhE '(counter|gauge|histogram|ewma|sliding_histogram)\(\s*"' \
       "$ROOT/src" "$ROOT/tools" --include='*.cpp' --include='*.hpp' \
     | grep -vE 'report(\.|->)' \
-    | grep -oE '(counter|gauge|histogram|ewma|sliding_histogram|stage_window)\(\s*"[^"]+"' \
+    | grep -oE '(counter|gauge|histogram|ewma|sliding_histogram)\(\s*"[^"]+"' \
     | sed -E 's/.*"([^"]+)"$/\1/' \
     | sort -u
 )"
@@ -52,18 +54,39 @@ while IFS= read -r code; do
   fi
 done <<< "$codes"
 
-# Trace spans, checked in both directions: every literal ScopedSpan name in
-# src/ is listed under "Trace spans" in TELEMETRY.md, and every name listed
-# there still exists in src/. A `<N>`/`<i>` suffix in the doc stands for a
-# runtime suffix appended to a literal prefix in the code
-# ("merge.level" + std::to_string(level) ↔ `merge.level<N>`); both sides
-# normalise it to `<>` before comparing.
-code_spans="$(
-  grep -rlE 'ScopedSpan' "$ROOT/src" --include='*.cpp' --include='*.hpp' \
-    | xargs perl -0777 -ne \
-        'print $1, ($2 ? "<>" : ""), "\n"
-           while /ScopedSpan\s+\w+\(\s*"([^"]+)"(\s*\+)?/g' \
+# The Fig. 4 stages: the pipeline's StageScope composes each stage's span
+# `pipeline.<stage>` and sliding window `pipeline.<stage>_seconds_window`
+# from the FlightStage names, so every stage must have its window in the
+# metrics table and (below) its span under "Trace spans".
+stages="$(
+  grep -oE 'case FlightStage::k[A-Za-z]+: return "[^"]+"' \
+      "$ROOT/src/obs/flight_recorder.cpp" \
+    | sed -E 's/.*return "([^"]+)"$/\1/' \
     | sort -u
+)"
+test -n "$stages" || { echo "no FlightStage names found" >&2; exit 1; }
+while IFS= read -r stage; do
+  [ -n "$stage" ] || continue
+  if ! grep -qE "^\| \`pipeline\.${stage}_seconds_window\` \|" "$DOC"; then
+    echo "undocumented metric: pipeline.${stage}_seconds_window — add it to the metrics table in docs/TELEMETRY.md" >&2
+    missing=1
+  fi
+done <<< "$stages"
+
+# Trace spans, checked in both directions: every literal ScopedSpan name in
+# src/, plus every stage's `pipeline.<stage>`, is listed under "Trace spans"
+# in TELEMETRY.md, and every name listed there is still emitted. A
+# `<N>`/`<i>` suffix in the doc stands for a runtime suffix appended to a
+# literal prefix in the code ("merge.level" + std::to_string(level) ↔
+# `merge.level<N>`); both sides normalise it to `<>` before comparing.
+code_spans="$(
+  {
+    grep -rlE 'ScopedSpan' "$ROOT/src" --include='*.cpp' --include='*.hpp' \
+      | xargs perl -0777 -ne \
+          'print $1, ($2 ? "<>" : ""), "\n"
+             while /ScopedSpan\s+\w+\(\s*"([^"]+)"(\s*\+)?/g'
+    sed 's/^/pipeline./' <<< "$stages"
+  } | sort -u
 )"
 test -n "$code_spans" || { echo "no ScopedSpan names found in src/" >&2; exit 1; }
 doc_spans="$(
@@ -88,4 +111,4 @@ done < <(comm -13 <(echo "$code_spans") <(echo "$doc_spans"))
 if [ "$missing" -ne 0 ]; then
   exit 1
 fi
-echo "metrics doc lint OK ($(wc -l <<< "$names") registered names, $(wc -l <<< "$codes") flight codes, $(wc -l <<< "$code_spans") trace spans documented)"
+echo "metrics doc lint OK ($(wc -l <<< "$names") registered names, $(wc -l <<< "$codes") flight codes, $(wc -l <<< "$stages") pipeline stages, $(wc -l <<< "$code_spans") trace spans documented)"
