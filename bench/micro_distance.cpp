@@ -1,6 +1,6 @@
 // Downstream distance-engine benchmarks (google-benchmark): the pairwise
 // block primitive, exact kNN, OPTICS, the snapshot's reservoir projection,
-// and UMAP embeds — each engine path next to the per-pair scalar
+// and UMAP embeds and layouts — each engine path next to the per-pair scalar
 // implementation it replaced, so BENCH_downstream.json records the
 // before/after directly. Shapes follow the Section VI-B snapshot sizes (a
 // few thousand latent points, d = 32 after PCA) and the monitor's own
@@ -297,6 +297,47 @@ void BM_UmapEmbed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UmapEmbed)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// A 10-D latent of four Gaussian classes with per-class spreads, the
+/// shape of the monitor's PCA latent.
+Matrix class_latent(std::size_t n, std::uint64_t seed) {
+  constexpr std::size_t kDim = 10;
+  constexpr std::size_t kClasses = 4;
+  Rng rng(seed);
+  Matrix centers(kClasses, kDim);
+  for (std::size_t k = 0; k < kClasses; ++k) {
+    for (auto& v : centers.row(k)) v = 4.0 * rng.normal();
+  }
+  Matrix pts(n, kDim);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = i % kClasses;
+    const double spread = 0.6 + 0.3 * static_cast<double>(k);
+    for (std::size_t c = 0; c < kDim; ++c) {
+      pts(i, c) = centers(k, c) + spread * rng.normal();
+    }
+  }
+  return pts;
+}
+
+/// The layout alone: umap_embed_graph at the Fig. 6 config's 200 epochs on
+/// a k = 15 exact kNN graph built before timing, so no forest build is in
+/// the row (unlike BM_UmapEmbed). 4608 is the snapshot reservoir.
+void BM_UmapLayout(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix pts = class_latent(n, 61);
+  embed::UmapConfig config;
+  config.n_epochs = 200;
+  const embed::KnnGraph graph = embed::exact_knn(pts, config.n_neighbors);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        embed::umap_embed_graph(pts, graph, config).data());
+  }
+}
+BENCHMARK(BM_UmapLayout)
+    ->Arg(2048)
+    ->Arg(4608)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

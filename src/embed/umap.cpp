@@ -1,13 +1,15 @@
 #include "embed/umap.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 
 #include "embed/pca.hpp"
 #include "linalg/blas.hpp"
@@ -28,8 +30,10 @@ constexpr double kRepulsionStrength = 1.0;
 // The layout's partition: fixed, so that no bit depends on the pool size.
 constexpr std::size_t kChunks = 16;
 constexpr std::size_t kWaves = 2;
-// Below this many edges an epoch's chunks run inline on the caller.
+// Below this many edges the layout runs inline on the caller.
 constexpr std::size_t kPoolMinEdges = 2048;
+// How long an idle member of the layout's team spins before it blocks.
+constexpr std::chrono::microseconds kSpin{200};
 
 }  // namespace
 
@@ -301,6 +305,126 @@ Matrix initialize_embedding(const Matrix& points, const UmapConfig& config,
 
 double clip4(double v) { return std::clamp(v, -4.0, 4.0); }
 
+/// Spins while `word` holds `seen`, for up to kSpin, then blocks until it
+/// changes; returns the value that ended the wait.
+template <typename T>
+T await_change(const std::atomic<T>& word, T seen) {
+  const auto until = std::chrono::steady_clock::now() + kSpin;
+  for (unsigned i = 1;; ++i) {
+    const T now = word.load(std::memory_order_acquire);
+    if (now != seen) return now;
+    if (i % 64 == 0 && std::chrono::steady_clock::now() >= until) break;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  word.wait(seen, std::memory_order_acquire);
+  return word.load(std::memory_order_acquire);
+}
+
+/// The team of one layout run: the caller plus thread_count() − 1 pool
+/// helpers, submitted once, that run each phase's items. Every claim goes
+/// through one atomic word holding (phase, item count, next item). The
+/// caller opens a phase only after every item of the previous one is done,
+/// and it waits for items, never for a helper: a helper that starts late,
+/// or wakes after its phase closed, finds nothing to claim and touches only
+/// the state it co-owns. Idle helpers spin for kSpin, then block on the
+/// word; they keep their workers until the team's destructor stops them.
+/// Without a pool every phase runs inline on the caller.
+class LayoutTeam {
+ public:
+  explicit LayoutTeam(parallel::ThreadPool* pool) {
+    if (pool == nullptr) return;
+    shared_ = std::make_shared<Shared>();
+    try {
+      for (std::size_t t = 1; t < pool->thread_count(); ++t) {
+        (void)pool->submit([shared = shared_] { shared->help(); });
+      }
+    } catch (...) {
+      stop();
+      throw;
+    }
+  }
+  LayoutTeam(const LayoutTeam&) = delete;
+  LayoutTeam& operator=(const LayoutTeam&) = delete;
+  ~LayoutTeam() { stop(); }
+
+  /// Runs fn(i) once for every i in [0, items), items < 2¹⁶, on the team
+  /// and returns when all are done. An item that throws would strand the
+  /// phase, so fn must be noexcept.
+  template <typename Fn>
+  void run(std::size_t items, const Fn& fn) {
+    static_assert(std::is_nothrow_invocable_v<const Fn&, std::size_t>);
+    if (shared_ == nullptr) {
+      for (std::size_t i = 0; i < items; ++i) fn(i);
+      return;
+    }
+    Shared& s = *shared_;
+    s.fn = &fn;
+    s.call = [](const void* f, std::size_t i) {
+      (*static_cast<const Fn*>(f))(i);
+    };
+    s.done.store(0, std::memory_order_relaxed);
+    const std::uint64_t open = (++phase_ << 32) | (items << 16);
+    s.word.store(open, std::memory_order_release);
+    s.word.notify_all();
+    s.claim_from(open);
+    for (std::uint32_t d;
+         (d = s.done.load(std::memory_order_acquire)) < items;) {
+      await_change(s.done, d);
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kStopped = ~std::uint64_t{0};
+
+  /// Releases the helpers. No item is in flight: run() returns only after
+  /// all of its items are done.
+  void stop() {
+    if (shared_ == nullptr) return;
+    shared_->word.store(kStopped, std::memory_order_release);
+    shared_->word.notify_all();
+  }
+
+  struct Shared {
+    std::atomic<std::uint64_t> word{0};  ///< phase << 32 | items << 16 | next
+    std::atomic<std::uint32_t> done{0};  ///< items of the open phase done
+    // The open phase's items; set before the phase opens, read only by a
+    // member that has claimed one of them.
+    const void* fn = nullptr;
+    void (*call)(const void*, std::size_t) = nullptr;
+
+    /// Claims and runs items while the word shows any left; returns the
+    /// last word read.
+    std::uint64_t claim_from(std::uint64_t seen) {
+      const auto next = [](std::uint64_t w) { return w & 0xffff; };
+      const auto count = [](std::uint64_t w) { return (w >> 16) & 0xffff; };
+      while (seen != kStopped && next(seen) < count(seen)) {
+        if (!word.compare_exchange_weak(seen, seen + 1,
+                                        std::memory_order_acquire)) {
+          continue;
+        }
+        call(fn, next(seen));
+        if (done.fetch_add(1, std::memory_order_release) + 1 == count(seen)) {
+          done.notify_one();
+        }
+        seen = word.load(std::memory_order_acquire);
+      }
+      return seen;
+    }
+
+    void help() {
+      for (std::uint64_t seen = word.load(std::memory_order_acquire);
+           (seen = claim_from(seen)) != kStopped;) {
+        seen = await_change(word, seen);
+      }
+    }
+  };
+
+  std::shared_ptr<Shared> shared_;
+  std::uint64_t phase_ = 0;
+};
+
 /// One chunk of the owned-chunk layout: a contiguous run of the
 /// (u, v)-sorted edge list, cut at a change of head u, whose heads all fall
 /// in the rows [lo, hi) it owns. It is the only one that writes those rows,
@@ -311,26 +435,33 @@ struct LayoutChunk {
   std::size_t e0 = 0, e1 = 0;  ///< edge range [e0, e1)
   std::size_t lo = 0, hi = 0;  ///< owned rows [lo, hi)
   Matrix delta;                ///< tail moves for rows hi + i
-  std::vector<std::size_t> moved;    ///< delta rows written this wave
-  std::vector<std::uint8_t> marked;  ///< per delta row: listed in `moved`
+  /// Delta rows written this wave, filed by the chunk that owns the row.
+  /// Each list is reserved to its owner's row count, so filing never
+  /// allocates.
+  std::array<std::vector<std::size_t>, kChunks> moved;
+  std::vector<std::uint8_t> marked;  ///< per delta row: filed in `moved`
   Rng rng;                     ///< this epoch's negative-sample stream
 
   /// Tail v's move target (v > u >= lo): y itself when this chunk owns
-  /// v, else its delta row, listed for the fold on first use.
-  std::span<double> tail(Matrix& y, std::size_t v) {
+  /// v, else its delta row, filed under v's owner on first use.
+  std::span<double> tail(Matrix& y, const std::vector<std::uint8_t>& owner,
+                         std::size_t v) {
     if (v < hi) return y.row(v);
     const std::size_t r = v - hi;
     if (marked[r] == 0) {
       marked[r] = 1;
-      moved.push_back(r);
+      moved[owner[v]].push_back(r);
     }
     return delta.row(r);
   }
 };
 
 /// Cuts the edge list into kChunks chunks of about m / kChunks edges, each
-/// cut moved forward to the next change of head u (some may be empty).
-std::vector<LayoutChunk> cut_chunks(const FuzzyGraph& graph, std::size_t dim) {
+/// cut moved forward to the next change of head u (some may be empty), and
+/// sets owner[r] to the chunk whose rows [lo, hi) hold row r.
+std::vector<LayoutChunk> cut_chunks(const FuzzyGraph& graph, std::size_t dim,
+                                    std::vector<std::uint8_t>& owner) {
+  static_assert(kChunks <= 256, "owner entries are bytes");
   const auto& edges = graph.edges;
   const std::size_t m = edges.size();
   std::vector<LayoutChunk> chunks(kChunks);
@@ -340,56 +471,36 @@ std::vector<LayoutChunk> cut_chunks(const FuzzyGraph& graph, std::size_t dim) {
     chunks[c].e0 = e;
     chunks[c].lo = (e < m) ? edges[e].u : graph.n;
   }
+  owner.resize(graph.n);
   for (std::size_t c = 0; c < kChunks; ++c) {
+    LayoutChunk& ch = chunks[c];
     const bool last = c + 1 == kChunks;
-    chunks[c].e1 = last ? m : chunks[c + 1].e0;
-    chunks[c].hi = last ? graph.n : chunks[c + 1].lo;
-    chunks[c].delta = Matrix(graph.n - chunks[c].hi, dim);
-    chunks[c].marked.assign(graph.n - chunks[c].hi, 0);
+    ch.e1 = last ? m : chunks[c + 1].e0;
+    ch.hi = last ? graph.n : chunks[c + 1].lo;
+    ch.delta = Matrix(graph.n - ch.hi, dim);
+    ch.marked.assign(graph.n - ch.hi, 0);
+    std::fill(owner.begin() + static_cast<std::ptrdiff_t>(ch.lo),
+              owner.begin() + static_cast<std::ptrdiff_t>(ch.hi),
+              static_cast<std::uint8_t>(c));
+    for (std::size_t p = 0; p < c; ++p) {
+      chunks[p].moved[c].reserve(ch.hi - ch.lo);
+    }
   }
   return chunks;
 }
 
-/// Runs fn(i) for i in [0, kChunks): inline without a pool, otherwise on
-/// the caller and thread_count() − 1 helpers that all take indices from
-/// one counter. The caller waits for the indices, not for the helpers: one
-/// that wakes after the work is claimed finds nothing left and touches only
-/// the shared counter. Which thread runs an index changes no bit.
-void for_each_chunk(parallel::ThreadPool* pool,
-                    const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < kChunks; ++i) fn(i);
-    return;
-  }
-  struct Claims {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-  };
-  const auto claims = std::make_shared<Claims>();
-  const auto drain = [claims, work = &fn] {
-    for (std::size_t i; (i = claims->next++) < kChunks;) {
-      (*work)(i);
-      if (++claims->done == kChunks) claims->done.notify_one();
-    }
-  };
-  for (std::size_t t = 1; t < pool->thread_count(); ++t) {
-    (void)pool->submit(drain);
-  }
-  drain();
-  for (std::size_t d; (d = claims->done) < kChunks;) claims->done.wait(d);
-}
-
 /// Negative-sampling SGD on the fuzzy graph's cross-entropy, as owned
-/// chunks. Each epoch runs in kWaves waves: wave w moves the w-th slice of
-/// every chunk's edges with the reference per-edge rule, then the deltas
-/// are added into y in chunk order and the snapshot is refreshed from y.
-/// During a wave no chunk reads a row another chunk writes, so the chunks
-/// are independent and the result does not depend on who runs them.
+/// chunks. Each epoch runs in kWaves waves, and each wave in two phases on
+/// one team: first every chunk moves the w-th slice of its edges with the
+/// reference per-edge rule, then every chunk folds the rows it owns (the
+/// other chunks' deltas, in chunk order) and refreshes them in the
+/// snapshot. Within a phase no item reads a row another item writes, so
+/// the result does not depend on who runs them.
 class Layout {
  public:
   Layout(Matrix& y, const FuzzyGraph& graph, double a, double b)
       : y_(y), snap_(y), graph_(graph), a_(a), b_(b),
-        chunks_(cut_chunks(graph, y.cols())) {
+        chunks_(cut_chunks(graph, y.cols(), owner_)) {
     const std::size_t m = graph.edges.size();
     double w_max = 0.0;
     for (const auto& e : graph.edges) w_max = std::max(w_max, e.weight);
@@ -405,11 +516,11 @@ class Layout {
 
   void run(int n_epochs, const Rng& rng) {
     parallel::ThreadPool& shared = parallel::shared_pool();
-    parallel::ThreadPool* pool =
+    LayoutTeam team(
         (graph_.edges.size() >= kPoolMinEdges && shared.thread_count() >= 2 &&
          !shared.on_worker_thread())
             ? &shared
-            : nullptr;
+            : nullptr);
     for (int epoch = 1; epoch <= n_epochs; ++epoch) {
       const double alpha =
           kLearningRate *
@@ -419,13 +530,13 @@ class Layout {
             rng.split(static_cast<std::uint64_t>(epoch) * kChunks + c);
       }
       for (std::size_t wave = 0; wave < kWaves; ++wave) {
-        for_each_chunk(pool, [&](std::size_t c) {
+        team.run(kChunks, [&](std::size_t c) noexcept {
           LayoutChunk& ch = chunks_[c];
           const std::size_t len = ch.e1 - ch.e0;
           move_edges(ch, ch.e0 + len * wave / kWaves,
                      ch.e0 + len * (wave + 1) / kWaves, epoch, alpha);
         });
-        fold();
+        team.run(kChunks, [&](std::size_t b) noexcept { fold(b); });
       }
     }
   }
@@ -448,7 +559,7 @@ class Layout {
       const auto& edge = graph_.edges[e];
       auto yu = y_.row(edge.u);
       const auto yv = read(edge.v);
-      auto dv = ch.tail(y_, edge.v);
+      auto dv = ch.tail(y_, owner_, edge.v);
 
       // Attractive move along the edge.
       double d2 = 0.0;
@@ -496,25 +607,30 @@ class Layout {
     ch.rng = rng;
   }
 
-  /// Adds the delta rows each chunk moved into y, chunks in order, and
-  /// refreshes the snapshot. A row a chunk did not move would only get
-  /// +0.0 from it, which changes nothing: y never holds −0.0, because the
-  /// init adds nonzero jitter (or draws lo + (hi − lo)·u) and an exactly
-  /// zero IEEE sum rounds to +0.0.
-  void fold() {
-    for (LayoutChunk& ch : chunks_) {
-      for (const std::size_t r : ch.moved) {
+  /// Fold item b: adds into the rows chunk b owns the delta rows the
+  /// chunks before it moved there, chunks in order, then copies those rows
+  /// into the snapshot. Only chunks c < b hold deltas for them, so every
+  /// row gets its additions in chunk order whoever runs the item. A row a
+  /// chunk did not move would only get +0.0 from it, which changes nothing:
+  /// y never holds −0.0, because the init adds nonzero jitter (or draws
+  /// lo + (hi − lo)·u) and an exactly zero IEEE sum rounds to +0.0.
+  void fold(std::size_t b) {
+    for (std::size_t c = 0; c < b; ++c) {
+      LayoutChunk& ch = chunks_[c];
+      for (const std::size_t r : ch.moved[b]) {
         const std::span<double> src = ch.delta.row(r);
         const std::span<double> dst = y_.row(ch.hi + r);
-        for (std::size_t c = 0; c < src.size(); ++c) {
-          dst[c] += src[c];
-          src[c] = 0.0;
+        for (std::size_t i = 0; i < src.size(); ++i) {
+          dst[i] += src[i];
+          src[i] = 0.0;
         }
         ch.marked[r] = 0;
       }
-      ch.moved.clear();
+      ch.moved[b].clear();
     }
-    std::copy(y_.data(), y_.data() + y_.size(), snap_.data());
+    const std::size_t dim = y_.cols();
+    std::copy(y_.data() + chunks_[b].lo * dim, y_.data() + chunks_[b].hi * dim,
+              snap_.data() + chunks_[b].lo * dim);
   }
 
   Matrix& y_;
@@ -522,6 +638,7 @@ class Layout {
   const FuzzyGraph& graph_;
   const double a_;
   const double b_;
+  std::vector<std::uint8_t> owner_;  ///< row → the chunk that owns it
   std::vector<LayoutChunk> chunks_;
   std::vector<double> epochs_per_sample_;
   std::vector<double> epoch_of_next_;

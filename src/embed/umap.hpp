@@ -10,8 +10,10 @@
 //
 // The SGD layout runs on the shared pool as owned edge chunks with the
 // reference per-edge rule (learning rate 1, 5 negative samples per visit,
-// repulsion 1, all fixed) and gives the same bits at any pool size;
-// docs/ALGORITHMS.md describes it.
+// repulsion 1, all fixed) and gives the same bits at any pool size. It
+// enters the pool once per call: the caller and thread_count() − 1 helpers
+// run every wave as a chunk phase and a fold phase, and the caller never
+// waits for a helper to start. docs/ALGORITHMS.md describes it.
 //
 // Deviations from the reference implementation (documented in DESIGN.md):
 // spectral initialization is replaced by PCA initialization (deterministic,

@@ -9,10 +9,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
+#include <latch>
 #include <limits>
 #include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "embed/metrics.hpp"
 #include "embed/umap.hpp"
@@ -485,28 +488,64 @@ Matrix latent_classes(std::size_t n, std::size_t dim, std::size_t classes,
 }
 
 
+/// Holds every shared-pool worker at once, so every task queued before the
+/// call has been taken, and its wait observed, when it returns.
+void fence_pool() {
+  parallel::ThreadPool& pool = parallel::shared_pool();
+  std::latch all(static_cast<std::ptrdiff_t>(pool.thread_count()));
+  std::vector<std::future<void>> held;
+  for (std::size_t t = 0; t < pool.thread_count(); ++t) {
+    held.push_back(pool.submit([&all] { all.arrive_and_wait(); }));
+  }
+  for (auto& f : held) f.get();
+}
+
+/// The number of pool tasks fn() submits, counted between two fences.
+template <typename Fn>
+long tasks_submitted_by(const Fn& fn) {
+  const obs::Histogram& tasks =
+      obs::metrics().histogram("pool.task_wait_seconds");
+  fence_pool();
+  const long before = tasks.count();
+  fn();
+  fence_pool();
+  return tasks.count() - before -
+         static_cast<long>(parallel::shared_pool().thread_count());
+}
+
+/// The helpers one pooled layout run submits: thread_count() − 1, or none
+/// on a one-thread pool, where the layout runs inline.
+long layout_helpers() {
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  return threads >= 2 ? static_cast<long>(threads) - 1 : 0;
+}
+
 TEST(UmapLayout, SameBitsAtAnyPoolSize) {
-  // 2048 points: the layout sends every epoch's chunks to the pool when
-  // it has two or more threads. The same call made from a pool worker,
-  // where the chunks run inline, gives the same bits; a child process
-  // re-runs this test at pool sizes 1 and 4 and must print the same digest.
+  // 2048 points: the layout runs on the pool when it has two or more
+  // threads, entering it once per call: its thread_count() − 1 helpers
+  // come on top of the smooth-kNN and fuzzy-set band tasks, and their
+  // number does not grow with the epochs. The same call made from a pool
+  // worker, where the layout runs inline, gives the same bits; a child
+  // process re-runs this test at pool sizes 1 and 4 and must print the
+  // same digest.
   const std::size_t threads = parallel::shared_pool().thread_count();
   const Matrix pts = latent_classes(2048, 10, 4, 61);
   UmapConfig config;
   config.n_epochs = 40;
   const KnnGraph graph = exact_knn(pts, config.n_neighbors);
 
-  // Counted before each task runs, so every count is in by the time the
-  // dispatching call returns.
-  const obs::Histogram& tasks =
-      obs::metrics().histogram("pool.task_wait_seconds");
-  const long before = tasks.count();
-  const Matrix y = umap_embed_graph(pts, graph, config);
-  if (threads >= 2) {
-    EXPECT_GE(tasks.count() - before, static_cast<long>(config.n_epochs));
-  } else {
-    EXPECT_EQ(tasks.count(), before);
-  }
+  const long graph_tasks = tasks_submitted_by(
+      [&] { (void)fuzzy_simplicial_set(graph, smooth_knn_distances(graph)); });
+  Matrix y;
+  const long tasks_40 =
+      tasks_submitted_by([&] { y = umap_embed_graph(pts, graph, config); });
+  UmapConfig longer = config;
+  longer.n_epochs = 80;
+  const long tasks_80 = tasks_submitted_by(
+      [&] { (void)umap_embed_graph(pts, graph, longer); });
+  EXPECT_EQ(tasks_40, graph_tasks + layout_helpers());
+  EXPECT_EQ(tasks_80, tasks_40);
+
   Matrix on_worker;
   parallel::shared_pool()
       .submit([&] { on_worker = umap_embed_graph(pts, graph, config); })
@@ -522,6 +561,54 @@ TEST(UmapLayout, SameBitsAtAnyPoolSize) {
   test::expect_digest_at_pool_sizes("ARAMS_UMAP_LAYOUT_CHILD",
                                     "UmapLayout.SameBitsAtAnyPoolSize",
                                     digest);
+}
+
+TEST(UmapLayout, FinishesAloneWhenThePoolIsBusy) {
+  // Every shared-pool worker is held on a latch while the test thread runs
+  // a 2048-point layout that goes to the pool, so its helpers wait in the
+  // queue until the run is over. The caller runs every item itself and
+  // returns the bits of an unblocked call. Once released, the helpers find
+  // the team stopped and leave without touching the finished run: the
+  // fence after them completes and the embedding keeps its bits. At k = 7
+  // the smooth-kNN and fuzzy-set loops (2048 · 7 units) stay on the caller,
+  // so nothing else waits on the held workers. On a one-thread pool a
+  // child process repeats the test at pool size 4.
+  parallel::ThreadPool& pool = parallel::shared_pool();
+  if (pool.thread_count() < 2 &&
+      std::getenv("ARAMS_UMAP_BUSY_CHILD") == nullptr) {
+    const test::ChildRun run =
+        test::rerun_self("ARAMS_UMAP_BUSY_CHILD=1 ARAMS_POOL_THREADS=4",
+                         "UmapLayout.FinishesAloneWhenThePoolIsBusy");
+    EXPECT_EQ(run.status, 0) << run.output;
+    return;
+  }
+  const Matrix pts = latent_classes(2048, 10, 4, 61);
+  UmapConfig config;
+  config.n_neighbors = 7;
+  config.n_epochs = 40;
+  const KnnGraph graph = exact_knn(pts, config.n_neighbors);
+  const Matrix unblocked = umap_embed_graph(pts, graph, config);
+  const auto digest_of = [](const Matrix& m) {
+    return test::fnv1a(m.data(), m.size() * sizeof(double));
+  };
+
+  Matrix y;
+  std::uint64_t returned = 0;
+  const long tasks = tasks_submitted_by([&] {
+    std::latch release(1);
+    std::vector<std::future<void>> held;
+    for (std::size_t t = 0; t < pool.thread_count(); ++t) {
+      held.push_back(pool.submit([&release] { release.wait(); }));
+    }
+    y = umap_embed_graph(pts, graph, config);
+    returned = digest_of(y);
+    release.count_down();
+    for (auto& f : held) f.get();
+  });
+  // The held tasks, then the helpers, which ran only after the release.
+  EXPECT_EQ(tasks, static_cast<long>(pool.thread_count()) + layout_helpers());
+  EXPECT_EQ(returned, digest_of(unblocked));
+  EXPECT_EQ(digest_of(y), returned);
 }
 
 TEST(UmapLayout, QualityWithinSerialReferenceSpread) {
