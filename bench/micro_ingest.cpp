@@ -1,8 +1,8 @@
 // Mixed-precision ingest lane benchmarks (google-benchmark): the fp32
 // frame path (narrow frames → fp32 preprocess → fp32 flatten → the
 // sketcher's fp32 entry point) head-to-head against the classic fp64 lane
-// at equal ℓ and d, plus the mixed-precision GEMM against its all-fp64
-// twin. The fp32 lane halves the memory traffic of everything before the
+// at equal ℓ and d, plus the fp64 GEMM of the Gaussian backend's update.
+// The fp32 lane halves the memory traffic of everything before the
 // sketch core while every accumulation stays fp64. The batch pipeline's
 // first two stages close the file: Fig. 6 frames preprocessed into rows,
 // and the num_cores range-sharded sketch of those rows.
@@ -121,7 +121,8 @@ Matrix random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
   return m;
 }
 
-// All-fp64 Aᵀ·B — the baseline the Gaussian backend's update used to pay.
+// All-fp64 Aᵀ·B — the shape of the Gaussian backend's update, which fp32
+// batches reach widened.
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Matrix a = random_matrix(n, n, 21);
@@ -135,31 +136,6 @@ void BM_Gemm(benchmark::State& state) {
                           static_cast<int64_t>(n * n * n));
 }
 BENCHMARK(BM_Gemm)->Arg(128)->Arg(256)->Arg(512);
-
-// Mixed Aᵀ(fp64)·B(fp32): the fp32 panel widens at pack time into the
-// fp64 micro-kernel, so B's streamed traffic halves while the arithmetic
-// (and its result, bit for bit) stays fp64.
-void BM_GemmMixed(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = random_matrix(n, n, 21);
-  const Matrix b64 = random_matrix(n, n, 22);
-  MatrixF b(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto src = b64.row(i);
-    auto dst = b.row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      dst[j] = static_cast<float>(src[j]);
-    }
-  }
-  Matrix out;
-  for (auto _ : state) {
-    linalg::matmul_tn(linalg::MatrixView(a), linalg::MatrixViewF(b), out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * n * n));
-}
-BENCHMARK(BM_GemmMixed)->Arg(128)->Arg(256)->Arg(512);
 
 /// n 64×64 diffraction frames with the Fig. 6 generator settings.
 std::vector<image::ImageF> fig6_frames(std::size_t n) {

@@ -122,26 +122,19 @@ void Arams::push_batch(linalg::MatrixView batch) {
 
 void Arams::push_batch(linalg::MatrixViewF batch) {
   if (batch.rows() == 0) return;
-  Stopwatch timer;
-  if (config_.use_sampling && config_.beta < 1.0) {
-    // The fp32 sampler overload widens only the ⌈βn⌉ survivors.
-    const Matrix& sampled = priority_sample(
-        batch, config_.beta, batch_sampler_config(), sampler_scratch_);
-    sample_seconds_ += timer.lap();
-    rows_sampled_total_ += sampled.rows();
-    append_rows(sampled);
+  if (!(config_.use_sampling && config_.beta < 1.0)) {
+    linalg::widen(batch, f32_widen_);
+    push_batch(f32_widen_);
     return;
   }
+  Stopwatch timer;
+  // The fp32 sampler overload widens only the ⌈βn⌉ survivors.
+  const Matrix& sampled = priority_sample(batch, config_.beta,
+                                          batch_sampler_config(),
+                                          sampler_scratch_);
   sample_seconds_ += timer.lap();
-  rows_sampled_total_ += batch.rows();
-  if (ra_fd_) {
-    // RankAdaptiveFd's recent-row ring shadows the float append path;
-    // widen once into grow-only scratch and reuse its fp64 entry point.
-    linalg::widen(batch, f32_widen_);
-    ra_fd_->append_batch(f32_widen_);
-  } else {
-    fixed_fd_->append_batch(batch);
-  }
+  rows_sampled_total_ += sampled.rows();
+  append_rows(sampled);
 }
 
 void Arams::append_rows(linalg::MatrixView rows) {

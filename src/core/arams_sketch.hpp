@@ -83,10 +83,8 @@ class Arams {
 
   /// fp32 streaming ingest. When sampling is on, the fp32 priority-sampler
   /// overload consumes the float rows directly (weights accumulate in
-  /// double, same RNG stream) and emits fp64 survivors; when sampling is
-  /// off the batch feeds fixed FD's float path, or is widened once into
-  /// grow-only scratch for the rank-adaptive FD (whose recent-row ring
-  /// is fp64). Bitwise identical to widening the batch up front.
+  /// double, same RNG stream) and widens only the survivors; otherwise the
+  /// batch is widened once into grow-only scratch and takes the fp64 path.
   void push_batch(linalg::MatrixViewF batch);
 
   /// Current sketch (compressed to ≤ ℓ rows).

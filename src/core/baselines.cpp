@@ -16,7 +16,7 @@ using linalg::Matrix;
 
 GaussianProjectionSketch::GaussianProjectionSketch(std::size_t ell,
                                                    std::uint64_t seed)
-    : ell_(ell), rng_(seed), coeffs_(ell) {
+    : ell_(ell), rng_(seed) {
   ARAMS_CHECK(ell >= 1, "sketch needs at least one row");
 }
 
@@ -45,35 +45,6 @@ void GaussianProjectionSketch::push_batch(linalg::MatrixView batch) {
   stats_.rows_processed += static_cast<long>(batch.rows());
 }
 
-void GaussianProjectionSketch::push_batch(linalg::MatrixViewF batch) {
-  if (batch.rows() == 0) return;
-  ensure_dim(batch.cols());
-  // Same draw order as the fp64 batch path; the mixed GEMM widens the
-  // float panel register-tile-wise inside the fp64 micro-kernel.
-  coeff_block_.reshape(batch.rows(), ell_);
-  for (std::size_t r = 0; r < batch.rows(); ++r) {
-    rng_.fill_normal(coeff_block_.row(r));
-  }
-  linalg::matmul_tn(linalg::MatrixView(coeff_block_), batch, update_);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(ell_));
-  for (std::size_t i = 0; i < ell_; ++i) {
-    linalg::axpy(scale, update_.row(i), sketch_.row(i));
-  }
-  stats_.rows_processed += static_cast<long>(batch.rows());
-  note_f32_rows(batch.rows());
-}
-
-void GaussianProjectionSketch::append(std::span<const double> row) {
-  ensure_dim(row.size());
-  // B += s·rowᵀ where s ~ N(0, 1/ℓ)·e — one Gaussian per sketch row.
-  const double scale = 1.0 / std::sqrt(static_cast<double>(ell_));
-  rng_.fill_normal(coeffs_);
-  for (std::size_t i = 0; i < ell_; ++i) {
-    linalg::axpy(coeffs_[i] * scale, row, sketch_.row(i));
-  }
-  ++stats_.rows_processed;
-}
-
 // ------------------------------------------------------------- CountSketch
 
 CountSketch::CountSketch(std::size_t ell, std::uint64_t seed)
@@ -89,46 +60,18 @@ void CountSketch::ensure_dim(std::size_t d) {
   ARAMS_CHECK(d == sketch_.cols(), "row dimension changed");
 }
 
-void CountSketch::scatter(std::span<const double> row) {
-  const std::uint64_t h = rng_.next_u64();
-  const std::size_t bucket = h % ell_;
-  const double sign = (h >> 63) ? 1.0 : -1.0;
-  linalg::axpy(sign, row, sketch_.row(bucket));
-}
-
-void CountSketch::scatter(std::span<const float> row) {
-  const std::uint64_t h = rng_.next_u64();
-  const std::size_t bucket = h % ell_;
-  const double sign = (h >> 63) ? 1.0 : -1.0;
-  linalg::axpy(sign, row, sketch_.row(bucket));
-}
-
 void CountSketch::push_batch(linalg::MatrixView batch) {
   if (batch.rows() == 0) return;
   ensure_dim(batch.cols());
-  // Single scatter pass; the hash stream matches the row loop exactly, so
-  // batch and per-row ingest are bitwise-identical.
+  // Single scatter pass, one hash per row in row order, so one-row batches
+  // and one batch of the same rows are bitwise-identical.
   for (std::size_t r = 0; r < batch.rows(); ++r) {
-    scatter(batch.row(r));
+    const std::uint64_t h = rng_.next_u64();
+    const std::size_t bucket = h % ell_;
+    const double sign = (h >> 63) ? 1.0 : -1.0;
+    linalg::axpy(sign, batch.row(r), sketch_.row(bucket));
   }
   stats_.rows_processed += static_cast<long>(batch.rows());
-}
-
-void CountSketch::push_batch(linalg::MatrixViewF batch) {
-  if (batch.rows() == 0) return;
-  ensure_dim(batch.cols());
-  // Same hash stream as the fp64 scatter; only the axpy reads floats.
-  for (std::size_t r = 0; r < batch.rows(); ++r) {
-    scatter(batch.row(r));
-  }
-  stats_.rows_processed += static_cast<long>(batch.rows());
-  note_f32_rows(batch.rows());
-}
-
-void CountSketch::append(std::span<const double> row) {
-  ensure_dim(row.size());
-  scatter(row);
-  ++stats_.rows_processed;
 }
 
 // ----------------------------------------------------------- NormSampling
@@ -140,11 +83,11 @@ NormSamplingSketch::NormSamplingSketch(std::size_t ell, std::uint64_t seed)
 
 void NormSamplingSketch::push_batch(linalg::MatrixView batch) {
   for (std::size_t r = 0; r < batch.rows(); ++r) {
-    append(batch.row(r));
+    sample_row(batch.row(r));
   }
 }
 
-void NormSamplingSketch::append(std::span<const double> row) {
+void NormSamplingSketch::sample_row(std::span<const double> row) {
   if (dim_ == 0) {
     dim_ = row.size();
     ARAMS_CHECK(dim_ > 0, "zero-dimensional rows");
@@ -197,11 +140,11 @@ TruncatedSvdSketch::TruncatedSvdSketch(std::size_t ell) : ell_(ell) {
 
 void TruncatedSvdSketch::push_batch(linalg::MatrixView batch) {
   for (std::size_t r = 0; r < batch.rows(); ++r) {
-    append(batch.row(r));
+    add_row(batch.row(r));
   }
 }
 
-void TruncatedSvdSketch::append(std::span<const double> row) {
+void TruncatedSvdSketch::add_row(std::span<const double> row) {
   if (dim_ == 0) {
     dim_ = row.size();
     ARAMS_CHECK(dim_ > 0, "zero-dimensional rows");

@@ -17,8 +17,8 @@
 // the streaming monitor, the stage runner, the CLI and the
 // ablation_baselines bench sweep them interchangeably with ARAMS/FD. The
 // ingest primitive is the batch (`push_batch` — one GEMM or scatter pass
-// per batch); `append` stays overridden where a genuine row primitive
-// exists so batch-vs-row parity is testable.
+// per batch); a one-row batch is the row primitive. fp32 batches take the
+// Sketcher default: widened once, then the fp64 path.
 
 #include <span>
 #include <string>
@@ -33,18 +33,15 @@
 namespace arams::core {
 
 /// Dense Gaussian (Johnson–Lindenstrauss) projection: B = S·A with S an
-/// ℓ×n iid N(0, 1/ℓ) matrix. push_batch draws the b×ℓ coefficient block
-/// and accumulates B += Sᵀ_batch·A_batch with one packed GEMM; append is
-/// the per-row reference path (same RNG draw order, so the two agree up to
-/// floating-point summation order).
+/// ℓ×n iid N(0, 1/ℓ) matrix. push_batch draws the b×ℓ coefficient block,
+/// ℓ normals per input row in row order, and accumulates
+/// B += Sᵀ_batch·A_batch with one packed GEMM. So one-row batches draw the
+/// same coefficients as one batch of those rows, and the two agree up to
+/// floating-point summation order.
 class GaussianProjectionSketch : public Sketcher {
  public:
   GaussianProjectionSketch(std::size_t ell, std::uint64_t seed);
   void push_batch(linalg::MatrixView batch) override;
-  /// fp32 lane: same coefficient draw order, mixed-precision GEMM (float
-  /// panels widened at pack time) — bitwise identical to widening first.
-  void push_batch(linalg::MatrixViewF batch) override;
-  void append(std::span<const double> row) override;
   linalg::Matrix sketch() override { return sketch_; }
   [[nodiscard]] std::size_t current_ell() const override { return ell_; }
   [[nodiscard]] std::size_t dim() const override { return sketch_.cols(); }
@@ -57,7 +54,6 @@ class GaussianProjectionSketch : public Sketcher {
   std::size_t ell_;
   Rng rng_;
   linalg::Matrix sketch_;
-  std::vector<double> coeffs_;
   SketchStats stats_;
   // Grow-only batch scratch — steady-state push_batch is allocation-free.
   linalg::Matrix coeff_block_;  ///< b×ℓ Gaussian coefficients
@@ -65,17 +61,13 @@ class GaussianProjectionSketch : public Sketcher {
 };
 
 /// CountSketch / sparse subspace embedding: each input row lands in one
-/// bucket with a random sign. push_batch is a single scatter pass (the hash
-/// stream is identical to the row loop, so batch and row ingest are
-/// bitwise-equal).
+/// bucket with a random sign. push_batch is a single scatter pass (one hash
+/// per row in row order, so one-row batches and one batch of the same rows
+/// are bitwise-equal).
 class CountSketch : public Sketcher {
  public:
   CountSketch(std::size_t ell, std::uint64_t seed);
   void push_batch(linalg::MatrixView batch) override;
-  /// fp32 lane: identical hash stream, float-axpy scatter (terms widen
-  /// before the add) — bitwise identical to widening first.
-  void push_batch(linalg::MatrixViewF batch) override;
-  void append(std::span<const double> row) override;
   linalg::Matrix sketch() override { return sketch_; }
   [[nodiscard]] std::size_t current_ell() const override { return ell_; }
   [[nodiscard]] std::size_t dim() const override { return sketch_.cols(); }
@@ -84,8 +76,6 @@ class CountSketch : public Sketcher {
 
  private:
   void ensure_dim(std::size_t d);
-  void scatter(std::span<const double> row);
-  void scatter(std::span<const float> row);
 
   std::size_t ell_;
   Rng rng_;
@@ -100,7 +90,6 @@ class NormSamplingSketch : public Sketcher {
  public:
   NormSamplingSketch(std::size_t ell, std::uint64_t seed);
   void push_batch(linalg::MatrixView batch) override;
-  void append(std::span<const double> row) override;
   linalg::Matrix sketch() override;
   [[nodiscard]] std::size_t current_ell() const override { return ell_; }
   [[nodiscard]] std::size_t dim() const override { return dim_; }
@@ -113,6 +102,9 @@ class NormSamplingSketch : public Sketcher {
     std::vector<double> row;
     double weight = 0.0;
   };
+  /// Offers one row to every reservoir slot.
+  void sample_row(std::span<const double> row);
+
   std::size_t ell_;
   Rng rng_;
   std::vector<Slot> slots_;
@@ -129,7 +121,6 @@ class TruncatedSvdSketch : public Sketcher {
  public:
   explicit TruncatedSvdSketch(std::size_t ell);
   void push_batch(linalg::MatrixView batch) override;
-  void append(std::span<const double> row) override;
   linalg::Matrix sketch() override;
   [[nodiscard]] std::size_t current_ell() const override { return ell_; }
   [[nodiscard]] std::size_t dim() const override { return dim_; }
@@ -137,6 +128,8 @@ class TruncatedSvdSketch : public Sketcher {
   [[nodiscard]] std::string name() const override { return "isvd"; }
 
  private:
+  /// Buffers one row, truncating first when the buffer is full.
+  void add_row(std::span<const double> row);
   void truncate();
 
   std::size_t ell_;

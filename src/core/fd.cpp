@@ -36,28 +36,7 @@ void FrequentDirections::append(std::span<const double> row) {
   ++stats_.rows_processed;
 }
 
-void FrequentDirections::append(std::span<const float> row) {
-  ensure_dim(row.size());
-  if (buffer_full()) {
-    shrink();
-  }
-  // Widen straight into the destination buffer row — the only fp32→fp64
-  // conversion this row ever sees.
-  auto dst = buffer_.row(next_zero_row_);
-  for (std::size_t j = 0; j < row.size(); ++j) {
-    dst[j] = static_cast<double>(row[j]);
-  }
-  ++next_zero_row_;
-  ++stats_.rows_processed;
-}
-
 void FrequentDirections::append_batch(linalg::MatrixView rows) {
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    append(rows.row(r));
-  }
-}
-
-void FrequentDirections::append_batch(linalg::MatrixViewF rows) {
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     append(rows.row(r));
   }

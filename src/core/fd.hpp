@@ -34,17 +34,10 @@ class FrequentDirections {
   /// subsequent rows must match it.
   void append(std::span<const double> row);
 
-  /// fp32 ingest lane: identical control flow, widening the row directly
-  /// into the buffer slot it lands in — no intermediate fp64 copy. All
-  /// downstream arithmetic (shrink SVD) is fp64, so the result is bitwise
-  /// identical to appending the widened row.
-  void append(std::span<const float> row);
-
-  /// Appends every row of a matrix or of a row range of one.
+  /// Appends every row of a matrix or of a row range of one. fp32 rows
+  /// arrive here widened (Sketcher::push_batch(MatrixViewF)); the shrink
+  /// is fp64 either way.
   void append_batch(linalg::MatrixView rows);
-
-  /// fp32 batch ingest (row loop over the float append).
-  void append_batch(linalg::MatrixViewF rows);
 
   /// Current sketch: the occupied (non-zero) buffer rows. May hold up to
   /// 2ℓ−1 rows mid-stream in the fast variant; call compress() first for a

@@ -1,6 +1,7 @@
 #include "core/sharded.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -57,7 +58,8 @@ void ShardedSketcher::pool_dispatch(
   pool_->parallel_for(shards_.size(), fn);
 }
 
-void ShardedSketcher::push_batch(linalg::MatrixView batch) {
+template <typename View>
+void ShardedSketcher::push_rows(View batch) {
   if (batch.rows() == 0) return;
   const obs::ScopedSpan span("sketch.sharded_ingest");
   const std::size_t p = shards_.size();
@@ -72,53 +74,32 @@ void ShardedSketcher::push_batch(linalg::MatrixView batch) {
       // One shard sees the whole batch: skip the gather copy entirely.
       shard.inner->push_batch(batch);
     } else {
-      Matrix& gathered =
-          shard.ws.mat(linalg::wslot::kShardGather, count, batch.cols());
+      auto& gathered = shard.gather(batch);
+      gathered.reshape(count, batch.cols());
       std::size_t at = 0;
       for (std::size_t j = first; j < n; j += p) {
         gathered.set_row(at++, batch.row(j));
       }
-      shard.inner->push_batch(gathered);
+      shard.inner->push_batch(View(gathered));
     }
     shard.rows += static_cast<long>(count);
   });
   row_cursor_ += n;
+  if constexpr (std::is_same_v<View, MatrixViewF>) {
+    // Credit the lane on the wrapper: report() reads this object's
+    // counters, and the inner sketchers account their own widen time.
+    note_f32_rows(n);
+  }
   for (auto& shard : shards_) {
     shard.rows_gauge->set(static_cast<double>(shard.rows));
   }
 }
 
-void ShardedSketcher::push_batch(MatrixViewF batch) {
-  if (batch.rows() == 0) return;
-  const obs::ScopedSpan span("sketch.sharded_ingest");
-  const std::size_t p = shards_.size();
-  const std::size_t n = batch.rows();
-  const std::size_t cursor = row_cursor_;
-  for_each_shard([&](std::size_t s) {
-    Shard& shard = shards_[s];
-    const std::size_t first = first_row_for(s, cursor, p);
-    const std::size_t count = rows_for(first, n, p);
-    if (count == 0) return;
-    if (p == 1) {
-      shard.inner->push_batch(batch);
-    } else {
-      shard.gather_f32.reshape(count, batch.cols());
-      std::size_t at = 0;
-      for (std::size_t j = first; j < n; j += p) {
-        shard.gather_f32.set_row(at++, batch.row(j));
-      }
-      shard.inner->push_batch(MatrixViewF(shard.gather_f32));
-    }
-    shard.rows += static_cast<long>(count);
-  });
-  row_cursor_ += n;
-  // Credit the lane on the wrapper: report() reads this object's counters,
-  // and the inner sketchers already account their own widen time.
-  note_f32_rows(n);
-  for (auto& shard : shards_) {
-    shard.rows_gauge->set(static_cast<double>(shard.rows));
-  }
+void ShardedSketcher::push_batch(linalg::MatrixView batch) {
+  push_rows(batch);
 }
+
+void ShardedSketcher::push_batch(MatrixViewF batch) { push_rows(batch); }
 
 Matrix ShardedSketcher::sketch() {
   const std::size_t d = dim();

@@ -10,13 +10,12 @@
 // independent of pool size or scheduling: results are bitwise identical
 // at any thread count (including pool == nullptr, fully inline).
 //
-// Concurrency/allocation contract: every shard owns its inner sketcher, a
-// private linalg::Workspace gather arena (wslot::kShardGather) and a
-// grow-only fp32 gather buffer, so concurrent shard tasks never share
-// mutable state (no locks on the data path) and steady-state ingest
-// performs no heap allocation in the shard work itself. Dispatching onto a
-// ThreadPool costs O(shards) small control allocations per batch; run with
-// pool == nullptr for strictly allocation-free inline ingest.
+// Concurrency/allocation contract: every shard owns its inner sketcher and
+// one grow-only gather matrix per precision, so concurrent shard tasks
+// never share mutable state (no locks on the data path) and steady-state
+// ingest performs no heap allocation in the shard work itself. Dispatching
+// onto a ThreadPool costs O(shards) small control allocations per batch;
+// run with pool == nullptr for strictly allocation-free inline ingest.
 
 #include <cstddef>
 #include <functional>
@@ -27,7 +26,6 @@
 #include "core/merge.hpp"
 #include "core/sketcher.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/workspace.hpp"
 #include "obs/metrics.hpp"
 
 namespace arams::parallel {
@@ -48,6 +46,8 @@ class ShardedSketcher final : public Sketcher {
                   parallel::ThreadPool* pool);
 
   void push_batch(linalg::MatrixView batch) override;
+  /// fp32 rows are gathered as floats, so each shard's inner sketcher
+  /// gets an fp32 batch and widens (or samples) it itself.
   void push_batch(linalg::MatrixViewF batch) override;
   linalg::Matrix sketch() override;
   [[nodiscard]] std::size_t current_ell() const override;
@@ -74,11 +74,20 @@ class ShardedSketcher final : public Sketcher {
  private:
   struct Shard {
     std::unique_ptr<Sketcher> inner;
-    linalg::Workspace ws;        ///< fp64 gather arena (wslot::kShardGather)
-    linalg::MatrixF gather_f32;  ///< fp32 lane gather, grow-only
+    linalg::Matrix gather_f64;   ///< gathered fp64 rows, grow-only
+    linalg::MatrixF gather_f32;  ///< gathered fp32 rows, grow-only
     obs::Gauge* rows_gauge = nullptr;  ///< "sketch.shard_rows.<s>"
     long rows = 0;
+
+    /// The gather matrix for rows read through a view of this type.
+    linalg::Matrix& gather(linalg::MatrixView) { return gather_f64; }
+    linalg::MatrixF& gather(linalg::MatrixViewF) { return gather_f32; }
   };
+
+  /// Both push_batch overloads: round-robins the batch's rows onto the
+  /// shards, each shard's rows gathered in `View`'s precision.
+  template <typename View>
+  void push_rows(View batch);
 
   /// True when shard work should go to the pool (>1 worker, >1 shard).
   [[nodiscard]] bool use_pool() const;

@@ -81,7 +81,8 @@ std::string joined_backend_names() {
 /// Adapter presenting the full ARAMS engine (priority sampling +
 /// rank-adaptive FD) through the Sketcher seam. Owns a core::Arams built
 /// from the exact AramsConfig handed in, so factory-built "arams" behaves
-/// bitwise-identically to direct core::Arams use.
+/// bitwise-identically to direct core::Arams use. Its fp32 push goes to
+/// Arams, whose priority sampler reads the float rows directly.
 class AramsSketcher final : public Sketcher {
  public:
   explicit AramsSketcher(const AramsConfig& config) : arams_(config) {}
@@ -119,15 +120,6 @@ class FdBackend final : public Sketcher {
   void push_batch(linalg::MatrixView batch) override {
     fd_.append_batch(batch);
   }
-  void push_batch(linalg::MatrixViewF batch) override {
-    fd_.append_batch(batch);
-    note_f32_rows(batch.rows());
-  }
-  void append(std::span<const double> row) override { fd_.append(row); }
-  void append(std::span<const float> row) override {
-    fd_.append(row);
-    note_f32_rows(1);
-  }
   Matrix sketch() override {
     fd_.compress();
     return fd_.sketch();
@@ -149,45 +141,19 @@ class FdBackend final : public Sketcher {
 
 // ----------------------------------------------------- interface defaults
 
-void Sketcher::append(std::span<const double> row) {
-  push_batch(linalg::MatrixView(row.data(), 1, row.size()));
-}
-
-const Matrix& Sketcher::widen_to_scratch(linalg::MatrixViewF batch) {
+void Sketcher::push_batch(linalg::MatrixViewF batch) {
+  if (batch.rows() == 0) return;
   // Resolved once; the per-batch cost is the cast loop plus one histogram
   // observation.
   static obs::Histogram& widen_hist =
       obs::metrics().histogram("ingest.widen_seconds");
   Stopwatch timer;
-  Matrix& wide =
-      ingest_ws_.mat(linalg::wslot::kIngestWiden, batch.rows(), batch.cols());
-  linalg::widen(batch, wide);
+  linalg::widen(batch, widened_);
   const double seconds = timer.seconds();
   widen_seconds_ += seconds;
   widen_hist.observe(seconds);
   note_f32_rows(batch.rows());
-  return wide;
-}
-
-void Sketcher::push_batch(linalg::MatrixViewF batch) {
-  if (batch.rows() == 0) return;
-  push_batch(widen_to_scratch(batch));
-}
-
-void Sketcher::append(std::span<const float> row) {
-  static obs::Histogram& widen_hist =
-      obs::metrics().histogram("ingest.widen_seconds");
-  Stopwatch timer;
-  const std::span<double> wide =
-      ingest_ws_.vec(linalg::wslot::kIngestRow, row.size());
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    wide[i] = static_cast<double>(row[i]);
-  }
-  const double seconds = timer.seconds();
-  widen_seconds_ += seconds;
-  widen_hist.observe(seconds);
-  note_f32_rows(1);
-  append(std::span<const double>(wide.data(), wide.size()));
+  push_batch(widened_);
 }
 
 Matrix Sketcher::basis(std::size_t k) {

@@ -35,7 +35,6 @@
 //    Check `dim() != 0` first.
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -48,11 +47,11 @@
 
 namespace arams::core {
 
-/// Streaming matrix-sketcher interface. Batch-first: `push_batch` is the
-/// primitive every backend implements (one GEMM/scatter/shrink cycle per
-/// batch); `append` is a per-row convenience on top of it. Long-lived
-/// instances are expected to be allocation-free at steady state in their
-/// ingest path (grow-only scratch, workspace-backed kernels).
+/// Streaming matrix-sketcher interface. Its whole ingest seam is
+/// `push_batch`, in fp64 and fp32: a row stream is a sequence of batches,
+/// and one row is a one-row batch (MatrixView::rows_of(m, r, r + 1)).
+/// Long-lived instances are expected to be allocation-free at steady state
+/// in their ingest path (grow-only scratch, workspace-backed kernels).
 class Sketcher {
  public:
   virtual ~Sketcher() = default;
@@ -62,23 +61,16 @@ class Sketcher {
   /// first non-empty batch fixes d.
   virtual void push_batch(linalg::MatrixView batch) = 0;
 
-  /// Per-row convenience; default pushes the row as a 1×d view. Backends
-  /// with a natural row primitive override it.
-  virtual void append(std::span<const double> row);
-
   /// fp32 ingest lane: accepts an fp32 batch directly. The default widens
-  /// into workspace scratch (grow-only — allocation-free at steady state),
-  /// charges the conversion to the "ingest.widen_seconds" histogram and
-  /// forwards to the fp64 primitive, so *every* backend accepts fp32
-  /// frames; backends with a native mixed-precision path (arams, fd,
-  /// gaussian, countsketch) override to defer or skip the widen. Results
-  /// are bitwise identical to widening the batch up front because all
-  /// native paths accumulate in double.
+  /// into grow-only scratch (allocation-free at steady state), charges the
+  /// conversion to the "ingest.widen_seconds" histogram and forwards to
+  /// the fp64 primitive, so *every* backend accepts fp32 frames. Two
+  /// backends override it: arams (its priority sampler reads the float
+  /// rows and widens only the survivors) and the sharded wrapper (it
+  /// gathers float rows per shard and hands each shard an fp32 batch).
+  /// Either way the result is bitwise identical to widening the batch up
+  /// front, because every accumulation runs in double.
   virtual void push_batch(linalg::MatrixViewF batch);
-
-  /// fp32 per-row convenience; default widens into vec scratch and calls
-  /// the fp64 append.
-  virtual void append(std::span<const float> row);
 
   /// Current sketch, ≤ current_ell() rows × dim(). May compress internal
   /// state but must be idempotent: two consecutive calls with no ingest in
@@ -115,27 +107,21 @@ class Sketcher {
     }
   }
 
-  /// fp32 rows ingested through the lane (either shim or native override).
+  /// fp32 rows ingested through the lane (the default or an override).
   [[nodiscard]] long rows_ingested_f32() const { return rows_f32_; }
 
   /// Canonical factory name; make_sketcher(name(), …) round-trips.
   [[nodiscard]] virtual std::string name() const = 0;
 
  protected:
-  /// Widens an fp32 batch into this sketcher's private ingest scratch
-  /// (slot wslot::kIngestWiden), timing the conversion into the
-  /// "ingest.widen_seconds" histogram and crediting the f32 row counter.
-  /// The reference stays valid until the next widen_to_scratch call.
-  const linalg::Matrix& widen_to_scratch(linalg::MatrixViewF batch);
-
-  /// Credits `rows` fp32 rows to the ingest counters — native fp32
-  /// overrides call this instead of going through widen_to_scratch.
+  /// Credits `rows` fp32 rows to the ingest counters — the fp32 overrides
+  /// call this, since they bypass the default's widen.
   void note_f32_rows(std::size_t rows) {
     rows_f32_ += static_cast<long>(rows);
   }
 
  private:
-  linalg::Workspace ingest_ws_;  ///< fp32 lane scratch (widen targets)
+  linalg::Matrix widened_;  ///< fp32 lane widen target, grow-only
   long rows_f32_ = 0;
   double widen_seconds_ = 0.0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -14,13 +13,6 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   ARAMS_DCHECK(x.size() == y.size(), "axpy size mismatch");
   for (std::size_t i = 0; i < x.size(); ++i) {
     y[i] += alpha * x[i];
-  }
-}
-
-void axpy(double alpha, std::span<const float> x, std::span<double> y) {
-  ARAMS_DCHECK(x.size() == y.size(), "axpy size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    y[i] += alpha * static_cast<double>(x[i]);
   }
 }
 
@@ -69,8 +61,6 @@ double norm2_squared(std::span<const float> x) { return dot(x, x); }
 
 double norm2(std::span<const double> x) { return std::sqrt(norm2_squared(x)); }
 
-double norm2(std::span<const float> x) { return std::sqrt(norm2_squared(x)); }
-
 namespace {
 
 // Blocking parameters. KC×NC is the packed B panel (≤ 1 MiB, resident in
@@ -117,29 +107,18 @@ void count_dispatch() {
 }
 
 /// Packs Bop[pc..pc+kb) × [jc..jc+jb) into dst, kb rows of jb contiguous
-/// doubles. Bop(p, j) = b[p·brs + j·bcs]. Templated on the source element
-/// type: fp32 operands are widened here, element by element as the panel
-/// streams through, so the micro-kernel sees the identical fp64 panel a
-/// pre-widened operand would produce (and the fp64 instantiation keeps the
-/// historical std::copy fast path — bit-for-bit the old code).
-template <typename T>
-void pack_b_panel(const T* b, std::size_t brs, std::size_t bcs,
+/// doubles. Bop(p, j) = b[p·brs + j·bcs].
+void pack_b_panel(const double* b, std::size_t brs, std::size_t bcs,
                   std::size_t pc, std::size_t jc, std::size_t kb,
                   std::size_t jb, double* dst) {
   for (std::size_t p = 0; p < kb; ++p) {
-    const T* src = b + (pc + p) * brs + jc * bcs;
+    const double* src = b + (pc + p) * brs + jc * bcs;
     double* out = dst + p * jb;
     if (bcs == 1) {
-      if constexpr (std::is_same_v<T, double>) {
-        std::copy(src, src + jb, out);
-      } else {
-        for (std::size_t j = 0; j < jb; ++j) {
-          out[j] = static_cast<double>(src[j]);
-        }
-      }
+      std::copy(src, src + jb, out);
     } else {
       for (std::size_t j = 0; j < jb; ++j) {
-        out[j] = static_cast<double>(src[j * bcs]);
+        out[j] = src[j * bcs];
       }
     }
   }
@@ -147,38 +126,30 @@ void pack_b_panel(const T* b, std::size_t brs, std::size_t bcs,
 
 /// Where the GEMM reads Aop: Aop(i, p) = a[i·rs + p·cs], or, when `rows`
 /// is set, rows[i][p·cs] (the rows of a matrix that is never formed).
-template <typename T>
 struct ASource {
-  const T* a;
+  const double* a;
   std::size_t rs;
   std::size_t cs;
-  const T* const* rows = nullptr;
+  const double* const* rows = nullptr;
 
-  [[nodiscard]] const T* row(std::size_t i) const {
+  [[nodiscard]] const double* row(std::size_t i) const {
     return rows != nullptr ? rows[i] : a + i * rs;
   }
 };
 
 /// Packs rows [i, i+mr) × cols [pc, pc+kb) of Aop into dst, mr rows of kb
-/// contiguous doubles. Same widening story as pack_b_panel.
-template <typename T>
-void pack_a_panel(const ASource<T>& a, std::size_t i, std::size_t pc,
+/// contiguous doubles.
+void pack_a_panel(const ASource& a, std::size_t i, std::size_t pc,
                   std::size_t mr, std::size_t kb, double* dst) {
   const std::size_t acs = a.cs;
   for (std::size_t r = 0; r < mr; ++r) {
-    const T* src = a.row(i + r) + pc * acs;
+    const double* src = a.row(i + r) + pc * acs;
     double* out = dst + r * kb;
     if (acs == 1) {
-      if constexpr (std::is_same_v<T, double>) {
-        std::copy(src, src + kb, out);
-      } else {
-        for (std::size_t p = 0; p < kb; ++p) {
-          out[p] = static_cast<double>(src[p]);
-        }
-      }
+      std::copy(src, src + kb, out);
     } else {
       for (std::size_t p = 0; p < kb; ++p) {
-        out[p] = static_cast<double>(src[p * acs]);
+        out[p] = src[p * acs];
       }
     }
   }
@@ -320,9 +291,7 @@ void micro_kernel(const double* am, std::size_t kb, const double* bp,
 /// Bop(p,j) = b[p·brs + j·bcs] (k×n). One strided entry point serves NN,
 /// TN and NT products — only the stride pairs differ — and products over
 /// rows given by pointer. A is only ever read by pack_a_panel, so where
-/// its rows live cannot change a result. Operand element
-/// types are template parameters: fp32 operands widen at packing time, the
-/// micro-kernel and accumulation order never change.
+/// its rows live cannot change a result.
 ///
 /// The parallel axis is chosen once per call from the shape:
 ///  * column blocks — when there are at least as many NC column blocks as
@@ -336,9 +305,8 @@ void micro_kernel(const double* am, std::size_t kb, const double* bp,
 ///    K-dominant 10×32, k = 16384 probe product).
 /// Every C element sees the same (jc, pc, p) accumulation sequence under
 /// all three, so results are bitwise identical at any pool size.
-template <typename TA, typename TB>
 void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
-                  const ASource<TA>& a, const TB* b, std::size_t brs,
+                  const ASource& a, const double* b, std::size_t brs,
                   std::size_t bcs, Matrix& out) {
   out.reshape(m, n);
   if (m == 0 || n == 0 || k == 0) {
@@ -411,11 +379,11 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
 }
 
 /// Aop(i,p) = a[i·ars + p·acs].
-template <typename TA, typename TB>
-void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const TA* a,
-                  std::size_t ars, std::size_t acs, const TB* b,
-                  std::size_t brs, std::size_t bcs, Matrix& out) {
-  gemm_strided(m, n, k, ASource<TA>{a, ars, acs}, b, brs, bcs, out);
+void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
+                  const double* a, std::size_t ars, std::size_t acs,
+                  const double* b, std::size_t brs, std::size_t bcs,
+                  Matrix& out) {
+  gemm_strided(m, n, k, ASource{a, ars, acs}, b, brs, bcs, out);
 }
 
 /// Symmetric product helper: fills the upper triangle of out (n×n) with
@@ -498,18 +466,6 @@ Matrix matmul(MatrixView a, MatrixView b) {
   return out;
 }
 
-void matmul(MatrixViewF a, MatrixViewF b, Matrix& out) {
-  ARAMS_CHECK(a.cols() == b.rows(), "matmul inner dimension mismatch");
-  gemm_strided(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
-               std::size_t{1}, b.data(), b.cols(), std::size_t{1}, out);
-}
-
-Matrix matmul(MatrixViewF a, MatrixViewF b) {
-  Matrix out;
-  matmul(a, b, out);
-  return out;
-}
-
 void matmul_tn(MatrixView a, MatrixView b, Matrix& out) {
   ARAMS_CHECK(a.rows() == b.rows(), "matmul_tn dimension mismatch");
   // Aop = Aᵀ: Aop(i,p) = a(p,i) → row stride 1, column stride a.cols().
@@ -518,30 +474,6 @@ void matmul_tn(MatrixView a, MatrixView b, Matrix& out) {
 }
 
 Matrix matmul_tn(MatrixView a, MatrixView b) {
-  Matrix out;
-  matmul_tn(a, b, out);
-  return out;
-}
-
-void matmul_tn(MatrixViewF a, MatrixViewF b, Matrix& out) {
-  ARAMS_CHECK(a.rows() == b.rows(), "matmul_tn dimension mismatch");
-  gemm_strided(a.cols(), b.cols(), a.rows(), a.data(), std::size_t{1},
-               a.cols(), b.data(), b.cols(), std::size_t{1}, out);
-}
-
-Matrix matmul_tn(MatrixViewF a, MatrixViewF b) {
-  Matrix out;
-  matmul_tn(a, b, out);
-  return out;
-}
-
-void matmul_tn(MatrixView a, MatrixViewF b, Matrix& out) {
-  ARAMS_CHECK(a.rows() == b.rows(), "matmul_tn dimension mismatch");
-  gemm_strided(a.cols(), b.cols(), a.rows(), a.data(), std::size_t{1},
-               a.cols(), b.data(), b.cols(), std::size_t{1}, out);
-}
-
-Matrix matmul_tn(MatrixView a, MatrixViewF b) {
   Matrix out;
   matmul_tn(a, b, out);
   return out;
@@ -563,7 +495,7 @@ Matrix matmul_nt(MatrixView a, MatrixView b) {
 void matmul_nt(std::span<const double* const> rows, MatrixView b,
                Matrix& out) {
   gemm_strided(rows.size(), b.rows(), b.cols(),
-               ASource<double>{nullptr, 0, 1, rows.data()}, b.data(), 1,
+               ASource{nullptr, 0, 1, rows.data()}, b.data(), 1,
                b.cols(), out);
 }
 

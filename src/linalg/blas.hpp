@@ -25,12 +25,11 @@
 // allocation-free reuse; the value-returning forms are conveniences that
 // allocate a fresh result.
 //
-// Mixed precision: the MatrixViewF overloads accept fp32 operands and
-// widen them to fp64 at panel-packing time, register tile by register
-// tile, so the 4×8 fp64 micro-kernel and its accumulation order are
-// untouched. Results are therefore bitwise identical to widening the
-// whole operand up front — only the pack/load bandwidth halves. The
-// fp32 vector kernels likewise accumulate in double.
+// Every matrix kernel is fp64: fp32 rows are widened before they reach
+// one (by the Sketcher's fp32 push_batch, or by the fp32 priority sampler
+// for its survivors). The only fp32 overloads are `dot` and
+// `norm2_squared`, which that sampler reads its row weights through; they
+// accumulate in double.
 
 #include <span>
 
@@ -40,9 +39,6 @@ namespace arams::linalg {
 
 /// y += alpha * x (sizes must match).
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
-/// y += alpha * x with fp32 x widened term-wise (fp64 accumulation).
-void axpy(double alpha, std::span<const float> x, std::span<double> y);
 
 /// x *= alpha.
 void scale(std::span<double> x, double alpha);
@@ -55,7 +51,6 @@ double dot(std::span<const float> x, std::span<const float> y);
 
 /// Euclidean norm of a vector.
 double norm2(std::span<const double> x);
-double norm2(std::span<const float> x);
 
 /// Squared Euclidean norm.
 double norm2_squared(std::span<const double> x);
@@ -65,22 +60,9 @@ double norm2_squared(std::span<const float> x);
 Matrix matmul(MatrixView a, MatrixView b);
 void matmul(MatrixView a, MatrixView b, Matrix& out);
 
-/// C = A * B with fp32 operands (fp64 accumulation, fp64 result).
-Matrix matmul(MatrixViewF a, MatrixViewF b);
-void matmul(MatrixViewF a, MatrixViewF b, Matrix& out);
-
 /// C = Aᵀ * B (A is k×m, B is k×n → result m×n).
 Matrix matmul_tn(MatrixView a, MatrixView b);
 void matmul_tn(MatrixView a, MatrixView b, Matrix& out);
-
-/// C = Aᵀ * B with fp32 operands.
-Matrix matmul_tn(MatrixViewF a, MatrixViewF b);
-void matmul_tn(MatrixViewF a, MatrixViewF b, Matrix& out);
-
-/// C = Aᵀ * B with fp64 A and fp32 B — the shape the Gaussian sketch's
-/// native fp32 ingest needs (fp64 coefficient panel times fp32 batch).
-Matrix matmul_tn(MatrixView a, MatrixViewF b);
-void matmul_tn(MatrixView a, MatrixViewF b, Matrix& out);
 
 /// C = A * Bᵀ (A is m×k, B is n×k → result m×n).
 Matrix matmul_nt(MatrixView a, MatrixView b);

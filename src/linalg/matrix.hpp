@@ -9,8 +9,8 @@
 //    expression templates — the hot kernels live in blas.hpp.
 //  * MatrixF/MatrixViewF are the fp32 siblings used by the ingest lane:
 //    detector frames arrive fp32, so the preprocessing → sketch path moves
-//    float rows and widens to double only at the accumulation boundary
-//    (panel packing in blas.cpp, or the Sketcher widening shim).
+//    float rows and widens to double only at the sketcher seam
+//    (Sketcher::push_batch(MatrixViewF), or the fp32 priority sampler).
 
 #include <cstddef>
 #include <initializer_list>
@@ -154,9 +154,9 @@ class MatrixView {
 
 /// Dense row-major matrix of floats — the fp32 ingest-lane storage type.
 /// Mirrors the Matrix surface the frame path needs (row spans, grow-only
-/// reshape, slicing); it deliberately has no arithmetic of its own — the
-/// mixed-precision kernels in blas.hpp widen per register tile so all
-/// accumulation stays fp64.
+/// reshape, slicing); it deliberately has no arithmetic of its own — rows
+/// are widened before any matrix kernel reads them, so all accumulation
+/// stays fp64.
 class MatrixF {
  public:
   MatrixF() = default;
@@ -237,7 +237,7 @@ class MatrixF {
 };
 
 /// Non-owning const view of contiguous fp32 rows — the shape the
-/// mixed-precision kernels and Sketcher::push_batch(MatrixViewF) consume.
+/// fp32 priority sampler and Sketcher::push_batch(MatrixViewF) consume.
 /// Converts implicitly from MatrixF, mirroring Matrix → MatrixView.
 class MatrixViewF {
  public:
@@ -280,8 +280,8 @@ class MatrixViewF {
 };
 
 /// Widens `src` into `dst` in place (grow-only reshape + one cast per
-/// element). The Sketcher widening shim funnels through this with a
-/// Workspace-held `dst` so steady-state fp32 ingest stays allocation-free.
+/// element). Sketcher::push_batch(MatrixViewF) widens into a kept `dst`,
+/// so steady-state fp32 ingest stays allocation-free.
 void widen(MatrixViewF src, Matrix& dst);
 
 }  // namespace arams::linalg

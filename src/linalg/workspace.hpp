@@ -69,16 +69,10 @@ inline constexpr std::size_t kAnnGather = 12;  ///< gathered candidate rows
 inline constexpr std::size_t kAnnQNorms = 8;   ///< vec slot: query ‖·‖²
 inline constexpr std::size_t kAnnDists = 9;    ///< vec slot: candidate d²
 inline constexpr std::size_t kAnnOrder = 1;    ///< idx slot: candidate indices
-// fp32 ingest lane (core/sketcher.cpp widening shim and native fp32
-// push_batch overrides). Widening an fp32 batch happens while sketch
-// scratch above may be live, so the lane claims fresh ids.
-inline constexpr std::size_t kIngestWiden = 15;  ///< widened fp32 batch
-inline constexpr std::size_t kIngestRow = 10;    ///< vec slot: widened row
-// Sharded ingest + parallel merge (core/sharded.cpp, core/merge.cpp).
-// Each merge group / ingest shard owns its own arena, but the merge stack
-// nests above sigma_vt_svd in the same arena, so it claims a fresh id.
+// Parallel merge (core/merge.cpp). Each merge group owns its own arena,
+// but the merge stack nests above sigma_vt_svd in the same arena, so it
+// claims a fresh id.
 inline constexpr std::size_t kMergeStack = 16;   ///< stacked group sketches
-inline constexpr std::size_t kShardGather = 17;  ///< gathered shard rows
 // Rank-adaptive FD (core/rank_adaptive.cpp) and the blocked Algorithm-1
 // estimator it calls (norms.cpp). The basis is written after a shrink, when
 // the SVD slots are free again, and stays live while the estimator fills

@@ -36,6 +36,13 @@ double orthogonality_residual(const Matrix& basis) {
   return std::sqrt(residual_sq);
 }
 
+/// `config` once its pipeline config passed PipelineConfig::validate, so
+/// a bad config throws before any sketcher is built or frame ingested.
+const MonitorConfig& validated(const MonitorConfig& config) {
+  config.pipeline.throw_if_invalid();
+  return config;
+}
+
 }  // namespace
 
 ThroughputMeter::ThroughputMeter(std::size_t window_records)
@@ -71,7 +78,7 @@ double ThroughputMeter::recent_frames_per_second() const {
 }
 
 StreamingMonitor::StreamingMonitor(const MonitorConfig& config)
-    : config_(config),
+    : config_(validated(config)),
       sketcher_(core::make_sketcher(config.pipeline.sketcher_config())),
       error_tracker_(core::ErrorTrackerConfig{}),
       health_(config.health) {

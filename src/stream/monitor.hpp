@@ -92,6 +92,8 @@ struct SnapshotResult {
 /// tree-merge on demand at snapshot/error-check time.
 class StreamingMonitor {
  public:
+  /// Throws CheckError on an invalid config, `config.pipeline` included
+  /// (PipelineConfig::throw_if_invalid), before any frame is ingested.
   explicit StreamingMonitor(const MonitorConfig& config);
 
   /// Preprocesses and absorbs one event into the current batch; when the

@@ -302,8 +302,8 @@ std::vector<std::string> PipelineConfig::validate() const {
   for (const std::string& e : umap.knn.validate()) {
     errors.push_back("umap.knn: " + e);
   }
-  if (!(cluster_quantile > 0.0 && cluster_quantile <= 1.0)) {
-    errors.push_back("cluster_quantile must be in (0, 1], got " +
+  if (!(cluster_quantile > 0.0 && cluster_quantile < 1.0)) {
+    errors.push_back("cluster_quantile must be in (0, 1), got " +
                      fmt(cluster_quantile));
   }
   if (abod_k == 1) {
@@ -330,9 +330,8 @@ std::size_t PipelineConfig::min_pts_for(std::size_t min_pts,
   return std::min(min_pts, n);
 }
 
-MonitoringPipeline::MonitoringPipeline(const PipelineConfig& config)
-    : config_(config) {
-  const std::vector<std::string> errors = config.validate();
+void PipelineConfig::throw_if_invalid() const {
+  const std::vector<std::string> errors = validate();
   if (!errors.empty()) {
     std::string joined;
     for (const auto& e : errors) {
@@ -341,6 +340,11 @@ MonitoringPipeline::MonitoringPipeline(const PipelineConfig& config)
     }
     ARAMS_CHECK(false, "invalid PipelineConfig: " + joined);
   }
+}
+
+MonitoringPipeline::MonitoringPipeline(const PipelineConfig& config)
+    : config_(config) {
+  config.throw_if_invalid();
 }
 
 PipelineResult MonitoringPipeline::analyze(

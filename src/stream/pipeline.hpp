@@ -52,13 +52,13 @@ struct PipelineConfig {
   std::size_t shards = 1;
   /// Ingest lane precision. kF64 (default) is the bitwise-unchanged
   /// classic path. kF32 narrows frames at the door, preprocesses at fp32,
-  /// and feeds the sketcher through its fp32 entry point (native
-  /// mixed-precision for arams/fd/gaussian/countsketch, widening shim for
-  /// the rest) — halving ingest memory traffic while every accumulation
-  /// stays fp64. The fp32 lane runs one streaming sketcher instance
-  /// (`num_cores` is ignored; the arams range-shard tree merge is an
-  /// fp64-batch construct), but `shards` still applies: the sharded
-  /// wrapper gathers and fans out fp32 rows natively.
+  /// and feeds the sketcher through its fp32 entry point: arams with
+  /// sampling on reads the float rows and widens only the survivors, every
+  /// other backend widens the batch once — halving the frame path's memory
+  /// traffic while every accumulation stays fp64. The fp32 lane runs one
+  /// streaming sketcher instance (`num_cores` is ignored; the arams
+  /// range-shard tree merge is an fp64-batch construct), but `shards`
+  /// still applies: the sharded wrapper gathers and fans out fp32 rows.
   enum class IngestPrecision { kF64, kF32 };
   IngestPrecision ingest_precision = IngestPrecision::kF64;
   /// Contiguous row ranges [c·n/P, (c+1)·n/P) of the default "arams" fp64
@@ -83,13 +83,17 @@ struct PipelineConfig {
   /// density estimates smooth over UMAP's local clumping on larger
   /// embeddings (min_pts_for).
   bool scale_min_pts = true;
-  double cluster_quantile = 0.9;     ///< extract_auto reachability quantile
+  double cluster_quantile = 0.9;  ///< extract_auto quantile, in (0, 1)
   std::size_t abod_k = 10;           ///< 0 disables outlier scoring
 
   /// Human-readable configuration errors (including the nested sketch
-  /// config's), empty when usable. Called at MonitoringPipeline
-  /// construction so a bad config fails at the API boundary.
+  /// config's), empty when usable.
   [[nodiscard]] std::vector<std::string> validate() const;
+
+  /// Throws util::CheckError listing every validate() error, joined by
+  /// "; ". MonitoringPipeline and StreamingMonitor call it at
+  /// construction, so a bad config fails at the API boundary.
+  void throw_if_invalid() const;
 
   /// The core::SketcherConfig this pipeline config selects: `sketcher` as
   /// the backend, the nested AramsConfig carried whole, and its ell/seed

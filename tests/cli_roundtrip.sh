@@ -45,9 +45,10 @@ head -c 2 "$DIR/mean.pgm" | grep -q "P5"
   --center=false --csv="$DIR/k.csv"
 grep -q "shot,x,y,label" "$DIR/k.csv"
 
-# every factory-registered sketcher backend must run the sketch command and
-# the full DAQ replay (`monitor`) end-to-end; the listing leads with a
-# '#'-prefixed build-info stamp that name consumers must skip
+# every factory-registered sketcher backend must run the sketch command in
+# both ingest lanes and the full DAQ replay (`monitor`) end-to-end; the
+# listing leads with a '#'-prefixed build-info stamp that name consumers
+# must skip
 "$BIN" backends | grep -q "rangefinder"
 "$BIN" backends | head -1 | grep -q "^# arams version="
 test "$("$BIN" backends | grep -vc '^#')" -ge 7
@@ -55,6 +56,10 @@ for sk in $("$BIN" backends | grep -v '^#' | cut -f1); do
   "$BIN" sketch --in="$DIR/beam.frames" --ell=12 --sketcher="$sk" \
     --out="$DIR/sk_$sk.npy" >/dev/null
   test -s "$DIR/sk_$sk.npy"
+  "$BIN" sketch --in="$DIR/beam.frames" --ell=12 --sketcher="$sk" \
+    --ingest-precision=fp32 --out="$DIR/sk32_$sk.npy" \
+    | grep -q "fp32 lane, 80 fp32 rows"
+  test -s "$DIR/sk32_$sk.npy"
   "$BIN" monitor --in="$DIR/beam.frames" --batch=16 --ell=8 --queue=32 \
     --fps=20000 --sketcher="$sk" | grep -q "monitored 80 shots"
 done

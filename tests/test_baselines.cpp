@@ -193,10 +193,10 @@ TEST(Isvd, StatsCountTruncations) {
 TEST(Baselines, DimensionChangeThrows) {
   for (const char* name : {"gaussian", "countsketch", "normsample", "isvd"}) {
     const auto sketcher = make_sketcher(name, 4, 17);
-    const std::vector<double> row3{1.0, 2.0, 3.0};
-    const std::vector<double> row2{1.0, 2.0};
-    sketcher->append(row3);
-    EXPECT_THROW(sketcher->append(row2), CheckError) << name;
+    const Matrix row3{{1.0, 2.0, 3.0}};
+    const Matrix row2{{1.0, 2.0}};
+    sketcher->push_batch(row3);
+    EXPECT_THROW(sketcher->push_batch(row2), CheckError) << name;
   }
 }
 

@@ -458,7 +458,7 @@ TEST(Blas, MatmulAssociativityProperty) {
   EXPECT_LT(Matrix::max_abs_diff(left, right), 1e-10);
 }
 
-// ------------------------------------------ mixed-precision (fp32) lane
+// ------------------------------------------------ fp32 vector kernels
 
 MatrixF narrow_matrix(const Matrix& m) { return MatrixF::from_matrix(m); }
 
@@ -474,62 +474,6 @@ TEST(BlasMixed, F32DotAndNormsTrackF64) {
               dot(widened.row(0), widened.row(1)), 1e-10);
   EXPECT_NEAR(norm2_squared(narrow.row(0)), norm2_squared(widened.row(0)),
               1e-10);
-  EXPECT_NEAR(norm2(narrow.row(0)), norm2(widened.row(0)), 1e-12);
-}
-
-TEST(BlasMixed, AxpyWidensExactly) {
-  const std::vector<float> x{1.5F, -2.25F, 0.5F};
-  std::vector<double> y{1.0, 2.0, 3.0};
-  axpy(2.0, x, y);
-  EXPECT_DOUBLE_EQ(y[0], 4.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.5);
-  EXPECT_DOUBLE_EQ(y[2], 4.0);
-}
-
-// The lane's core guarantee: every mixed/fp32 GEMM widens its fp32 panels
-// at pack time into the fp64 micro-kernel, so the result is bitwise
-// identical to widening the operands up front and running the all-fp64
-// kernel. Sizes straddle the blocked-kernel and tail paths.
-class BlasMixedGemm : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BlasMixedGemm, MixedTnMatchesWidenedBitwise) {
-  const std::size_t n = GetParam();
-  Rng rng(43);
-  const MatrixF a = narrow_matrix(random_matrix(n + 3, n, rng));
-  const MatrixF b = narrow_matrix(random_matrix(n + 3, n + 1, rng));
-  const Matrix a64 = a.to_matrix();
-  const Matrix b64 = b.to_matrix();
-
-  // Aᵀ(fp64)·B(fp32)
-  const Matrix mixed = matmul_tn(MatrixView(a64), MatrixViewF(b));
-  const Matrix reference = matmul_tn(a64, b64);
-  ASSERT_EQ(mixed.rows(), reference.rows());
-  EXPECT_EQ(Matrix::max_abs_diff(mixed, reference), 0.0) << "n=" << n;
-
-  // Aᵀ(fp32)·B(fp32)
-  const Matrix both = matmul_tn(MatrixViewF(a), MatrixViewF(b));
-  EXPECT_EQ(Matrix::max_abs_diff(both, reference), 0.0) << "n=" << n;
-
-  // A(fp32)·B(fp32) via the plain product
-  const MatrixF bt = narrow_matrix(random_matrix(n, n + 1, rng));
-  const Matrix prod = matmul(MatrixViewF(a), MatrixViewF(bt));
-  EXPECT_EQ(Matrix::max_abs_diff(prod, matmul(a64, bt.to_matrix())), 0.0)
-      << "n=" << n;
-}
-
-INSTANTIATE_TEST_SUITE_P(SizeSweep, BlasMixedGemm,
-                         ::testing::Values(3, 17, 64, 129));
-
-TEST(BlasMixed, OutParameterReusesStorage) {
-  Rng rng(44);
-  const MatrixF a = narrow_matrix(random_matrix(20, 12, rng));
-  const MatrixF b = narrow_matrix(random_matrix(20, 9, rng));
-  Matrix out(40, 40);  // oversized: the kernel must grow-only reshape
-  matmul_tn(MatrixViewF(a), MatrixViewF(b), out);
-  EXPECT_EQ(out.rows(), 12u);
-  EXPECT_EQ(out.cols(), 9u);
-  EXPECT_EQ(Matrix::max_abs_diff(out, matmul_tn(a.to_matrix(), b.to_matrix())),
-            0.0);
 }
 
 // ------------------------------------------ wide (d ≫ ℓ) GEMM dispatch
@@ -562,8 +506,8 @@ std::string shape_name(const WideShape& s) {
          std::to_string(s.k);
 }
 
-/// fp32-representable fp64 operand, so the fp64 and fp32 variants share
-/// one naive reference.
+/// fp64 operand whose entries are fp32-representable — the operands these
+/// shapes have always been fingerprinted on.
 Matrix representable_matrix(std::size_t r, std::size_t c, Rng& rng) {
   return narrow_matrix(random_matrix(r, c, rng)).to_matrix();
 }
@@ -573,25 +517,18 @@ struct WideProducts {
   std::vector<std::pair<std::string, Matrix>> got;  ///< variant → product
 };
 
-/// NN, TN and NT in fp64 plus the fp32 and mixed overloads, for one shape.
+/// NN, TN and NT in fp64, for one shape.
 WideProducts wide_products(const WideShape& s, bool with_naive) {
   Rng rng(s.m * 1000003 + s.n * 101 + s.k);
   const Matrix a = representable_matrix(s.m, s.k, rng);   // Aop for NN/NT
   const Matrix at = representable_matrix(s.k, s.m, rng);  // Aᵀ stored, TN
   const Matrix b = representable_matrix(s.k, s.n, rng);   // Bop for NN/TN
   const Matrix bt = representable_matrix(s.n, s.k, rng);  // Bᵀ stored, NT
-  const MatrixF a32 = narrow_matrix(a);
-  const MatrixF at32 = narrow_matrix(at);
-  const MatrixF b32 = narrow_matrix(b);
 
   WideProducts out;
   out.got.emplace_back("nn", matmul(a, b));
   out.got.emplace_back("tn", matmul_tn(at, b));
   out.got.emplace_back("nt", matmul_nt(a, bt));
-  out.got.emplace_back("nn_f32", matmul(MatrixViewF(a32), MatrixViewF(b32)));
-  out.got.emplace_back("tn_f32",
-                       matmul_tn(MatrixViewF(at32), MatrixViewF(b32)));
-  out.got.emplace_back("tn_mixed", matmul_tn(MatrixView(at), MatrixViewF(b32)));
   if (with_naive) {
     out.naive_nn = naive_matmul(a, b);
     out.naive_tn = naive_matmul(at.transposed(), b);
@@ -615,9 +552,9 @@ TEST(BlasParallel, WideShapesMatchNaive) {
   for (const WideShape& s : wide_shapes()) {
     const WideProducts p = wide_products(s, /*with_naive=*/true);
     for (const auto& [variant, got] : p.got) {
-      const Matrix& want = variant.rfind("nn", 0) == 0   ? p.naive_nn
-                           : variant.rfind("tn", 0) == 0 ? p.naive_tn
-                                                         : p.naive_nt;
+      const Matrix& want = variant == "nn"   ? p.naive_nn
+                           : variant == "tn" ? p.naive_tn
+                                             : p.naive_nt;
       EXPECT_LE(relative_frobenius_error(got, want), 1e-12)
           << shape_name(s) << " " << variant;
     }
@@ -679,7 +616,7 @@ std::vector<std::string> fingerprints_at(int threads) {
 
 TEST(BlasParallel, WideShapesBitwiseAcrossPoolSizes) {
   const std::vector<std::string> one = fingerprints_at(1);
-  ASSERT_EQ(one.size(), wide_shapes().size() * 6);
+  ASSERT_EQ(one.size(), wide_shapes().size() * 3);
   for (int threads : {2, 4}) {
     const std::vector<std::string> many = fingerprints_at(threads);
     ASSERT_EQ(many.size(), one.size()) << threads << " threads";

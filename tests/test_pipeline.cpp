@@ -50,6 +50,11 @@ TEST(Pipeline, ValidatesConfig) {
   config = fast_pipeline();
   config.pca_components = 0;
   EXPECT_THROW(MonitoringPipeline{config}, CheckError);
+  // cluster::extract_auto takes a quantile in (0, 1); 1.0 must fail here,
+  // not in stage 5 after the sketch, projection and layout ran.
+  config = fast_pipeline();
+  config.cluster_quantile = 1.0;
+  EXPECT_THROW(MonitoringPipeline{config}, CheckError);
 }
 
 TEST(Pipeline, ValidateReportsEveryProblem) {

@@ -354,7 +354,7 @@ TEST(Sharded, FewerRowsThanShards) {
 TEST(Sharded, SteadyStateIngestIsAllocationFreeInline) {
   // pool == nullptr is the strictly allocation-free mode (pool dispatch
   // costs O(shards) control allocations; inline ingest costs none once
-  // every gather arena and inner scratch buffer has grown to shape).
+  // every gather matrix and inner scratch buffer has grown to shape).
   ShardedSketcher sharded(fd_config(6, 5), 4, nullptr);
   std::vector<Matrix> batches;
   batches.reserve(24);

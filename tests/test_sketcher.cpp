@@ -1,7 +1,7 @@
 // core::Sketcher conformance suite — every factory-registered backend must
 // honor the interface contract in sketcher.hpp:
 //   * factory round-trip: make_sketcher(name(), …) rebuilds the same kind
-//   * batch-vs-row parity: push_batch(A) ≡ append per row
+//   * batch-vs-row parity: push_batch(A) ≡ one-row push_batch per row
 //   * bitwise determinism under a fixed seed
 //   * allocation-free steady-state ingest
 //   * sketch() idempotence
@@ -191,11 +191,14 @@ TEST_P(SketcherConformance, EmptyStateContract) {
 }
 
 TEST_P(SketcherConformance, BatchAndRowIngestAgree) {
+  // A row is a one-row batch: the seam has no per-row entry point.
   const Matrix a = random_matrix(60, 18, 6);
   const auto batched = make_sketcher(conformance_config(GetParam(), 8, 5));
   const auto rowwise = make_sketcher(conformance_config(GetParam(), 8, 5));
   batched->push_batch(a);
-  for (std::size_t r = 0; r < a.rows(); ++r) rowwise->append(a.row(r));
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    rowwise->push_batch(linalg::MatrixView::rows_of(a, r, r + 1));
+  }
 
   const Matrix sb = batched->sketch();
   const Matrix sr = rowwise->sketch();
@@ -343,8 +346,8 @@ TEST_P(SketcherConformance, StatsFlowIntoStageReport) {
 TEST_P(SketcherConformance, F32IngestMatchesWidenedIngestBitwise) {
   // Design contract of the mixed-precision lane: pushing fp32 rows is
   // bitwise identical to widening the batch up front, because every
-  // accumulation runs in fp64 on the identical widened values (native
-  // overrides widen per panel/row, the default shim widens per batch).
+  // accumulation runs in fp64 on the identical widened values (the arams
+  // sampler widens its survivors, the Sketcher default the whole batch).
   const linalg::MatrixF a32 = random_matrix_f32(60, 18, 14);
   Matrix a64;
   linalg::widen(linalg::MatrixViewF(a32), a64);
@@ -386,8 +389,8 @@ TEST_P(SketcherConformance, F32IngestTracksWidenedIngestUnderStockConfig) {
 }
 
 TEST_P(SketcherConformance, F32SteadyStateIngestIsAllocationFree) {
-  // fp32 twin of SteadyStateIngestIsAllocationFree: the widening shim's
-  // grow-only workspace (and every native fp32 override) must go quiet
+  // fp32 twin of SteadyStateIngestIsAllocationFree: the default's
+  // grow-only widen target (and every fp32 override) must go quiet
   // once the batch shape has been seen.
   std::vector<linalg::MatrixF> storage;
   storage.reserve(24);

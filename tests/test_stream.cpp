@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "embed/umap.hpp"
 #include "obs/metrics.hpp"
@@ -136,6 +137,34 @@ TEST(Monitor, IngestTriggersUpdateAtBatchBoundary) {
 TEST(Monitor, SnapshotBeforeDataThrows) {
   StreamingMonitor monitor(small_monitor());
   EXPECT_THROW(monitor.snapshot(), CheckError);
+}
+
+TEST(Monitor, InvalidPipelineConfigThrowsAtConstruction) {
+  // Each field is read only by the snapshot stages, so the sketcher
+  // factory accepts it; the pipeline validation must reject it before any
+  // frame is ingested.
+  const auto expect_rejected = [](const MonitorConfig& config,
+                                  const std::string& field) {
+    try {
+      StreamingMonitor monitor(config);
+      ADD_FAILURE() << field << ": construction must throw";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid PipelineConfig"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  MonitorConfig config = small_monitor();
+  config.pipeline.pca_components = 0;
+  expect_rejected(config, "pca_components");
+  config = small_monitor();
+  config.pipeline.umap.knn.backend = "no-such-index";
+  expect_rejected(config, "umap.knn");
+  config = small_monitor();
+  config.pipeline.cluster_quantile = 1.0;
+  expect_rejected(config, "cluster_quantile");
 }
 
 TEST(Monitor, SnapshotShapesConsistent) {

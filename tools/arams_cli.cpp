@@ -360,8 +360,8 @@ int cmd_sketch(int argc, const char* const* argv) {
   Stopwatch timer;
   if (f32) {
     // The fp32 lane always goes through the factory: every backend exposes
-    // the same fp32 entry point there (native mixed precision for
-    // arams/fd/gaussian/countsketch, the widening shim for the rest).
+    // the same fp32 entry point there (arams samples the float rows, every
+    // other backend widens the batch once).
     const std::unique_ptr<core::Sketcher> sketcher =
         core::make_sketcher(config);
     sketcher->push_batch(linalg::MatrixViewF(rows_f32));
