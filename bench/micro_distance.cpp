@@ -230,6 +230,54 @@ BENCHMARK(BM_CoreDistancesClustered)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/// A 10-D latent of four Gaussian classes with per-class spreads, the
+/// shape of the monitor's PCA latent.
+Matrix class_latent(std::size_t n, std::uint64_t seed) {
+  constexpr std::size_t kDim = 10;
+  constexpr std::size_t kClasses = 4;
+  Rng rng(seed);
+  Matrix centers(kClasses, kDim);
+  for (std::size_t k = 0; k < kClasses; ++k) {
+    for (auto& v : centers.row(k)) v = 4.0 * rng.normal();
+  }
+  Matrix pts(n, kDim);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = i % kClasses;
+    const double spread = 0.6 + 0.3 * static_cast<double>(k);
+    for (std::size_t c = 0; c < kDim; ++c) {
+      pts(i, c) = centers(k, c) + spread * rng.normal();
+    }
+  }
+  return pts;
+}
+
+/// OPTICS on the geometry the monitor clusters: the 2-D UMAP layout of the
+/// four-class latent, built as BM_UmapLayout builds it (k = 15 exact kNN
+/// graph, 200 epochs) before timing, then min_pts 30 and max_eps = inf as
+/// in the snapshot. Both phases run on the d = 2 cell grid.
+void BM_OpticsUmapLayout(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix latent = class_latent(n, 61);
+  embed::UmapConfig config;
+  config.n_epochs = 200;
+  const Matrix layout = embed::umap_embed_graph(
+      latent, embed::exact_knn(latent, config.n_neighbors), config);
+  linalg::Workspace ws;
+  for (auto _ : state) {
+    const cluster::OpticsResult r =
+        cluster::optics(layout, cluster::OpticsConfig{30}, ws, {});
+    benchmark::DoNotOptimize(r.order.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n * n));
+}
+BENCHMARK(BM_OpticsUmapLayout)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(4608)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 /// The same pass with the per-pair scalar arithmetic (use_gemm = false),
 /// as HDBSCAN runs it.
 void BM_CoreDistancesNaive(benchmark::State& state) {
@@ -297,27 +345,6 @@ void BM_UmapEmbed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UmapEmbed)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// A 10-D latent of four Gaussian classes with per-class spreads, the
-/// shape of the monitor's PCA latent.
-Matrix class_latent(std::size_t n, std::uint64_t seed) {
-  constexpr std::size_t kDim = 10;
-  constexpr std::size_t kClasses = 4;
-  Rng rng(seed);
-  Matrix centers(kClasses, kDim);
-  for (std::size_t k = 0; k < kClasses; ++k) {
-    for (auto& v : centers.row(k)) v = 4.0 * rng.normal();
-  }
-  Matrix pts(n, kDim);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t k = i % kClasses;
-    const double spread = 0.6 + 0.3 * static_cast<double>(k);
-    for (std::size_t c = 0; c < kDim; ++c) {
-      pts(i, c) = centers(k, c) + spread * rng.normal();
-    }
-  }
-  return pts;
-}
 
 /// The layout alone: umap_embed_graph at the Fig. 6 config's 200 epochs on
 /// a k = 15 exact kNN graph built before timing, so no forest build is in

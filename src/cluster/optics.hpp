@@ -28,8 +28,9 @@ struct OpticsResult {
   std::vector<double> core_distance;   ///< core distance per point
 };
 
-/// Runs OPTICS with brute-force range queries (O(n²) — the embeddings this
-/// pipeline clusters are 2-D and a few thousand points), in two phases.
+/// Runs OPTICS with exact range queries, without a searcher index (the
+/// embeddings this pipeline clusters are 2-D and a few thousand points),
+/// in two phases.
 ///
 /// Phase one computes every core distance up front (core_distances below):
 /// a core distance does not depend on the visit order, so the rows run in
@@ -46,21 +47,29 @@ struct OpticsResult {
 /// bit for bit, at any pool size and with or without allow_parallel.
 ///
 /// At d = 2 with use_gemm, the width the monitor and the pipeline
-/// cluster, both phases form each d² row themselves (cluster/sq_dist_2d.hpp),
-/// with that row's own arithmetic in a loop the compiler vectorises: the
+/// cluster, both phases run over a uniform grid of about n/16 cells
+/// shaped like the points' bounding box, the points stored cell by cell
+/// in `ws`. Each d² is formed by the row's own arithmetic over one cell's
+/// run (cluster/sq_dist_2d.hpp), in a loop the compiler vectorises: the
 /// Gram value (0 + px·x) + py·y as linalg::matmul_nt_row sums it at k = 2
 /// (unfused in an optimised build; with the second product fused under
 /// sanitizer instrumentation, which the kernel reads from one probe row),
-/// then embed::gram_sq_dist. Phase one selects from that row with
-/// embed::select_k, and phase two runs the same scan over it as every
-/// other width. Every other d, and use_gemm = false, form d² with
-/// matmul_nt_row or embed::sq_dist.
+/// then embed::gram_sq_dist. A cell is skipped only where a certified
+/// lower bound on every d² the kernel could form there shows that none
+/// can change the result: phase one searches the cells ring by ring
+/// around each point and stops once no cell left can hold a d² below its
+/// k-th so far; phase two passes over the cells whose largest
+/// reachability is at most the core distance or whose bound excludes
+/// every d² (docs/ALGORITHMS.md, "OPTICS on a cell grid"). Every other d,
+/// and use_gemm = false, form every d² with matmul_nt_row or
+/// embed::sq_dist and select from full rows with embed::select_k.
 /// Throws CheckError naming the row and column of a NaN or ±inf point.
 /// The wall time of phase one goes to the "cluster.core_dist_seconds"
-/// histogram.
+/// histogram, and the d² both phases form to the "cluster.sq_dists"
+/// counter.
 OpticsResult optics(const linalg::Matrix& points, const OpticsConfig& config);
 
-/// Workspace-backed variant: the transposed points, norms and live-set
+/// Workspace-backed variant: the stored points, norms, grid and live-set
 /// arrays come from `ws`, so repeated calls at one size do not allocate
 /// them. `opts.use_gemm = false` reproduces the historical per-pair scalar
 /// arithmetic bit for bit; `opts.allow_parallel = false` keeps phase one
@@ -72,9 +81,10 @@ OpticsResult optics(const linalg::Matrix& points, const OpticsConfig& config,
 /// Core distance of every point: the square root of the k-th smallest d²
 /// from the point to another one, the self pair excluded (OPTICS takes
 /// k = min_pts − 1, HDBSCAN k = min_samples). d² has the arithmetic of
-/// one NeighborSearcher::sq_dists_to row under `opts`, and the rows run in
-/// bands on the shared pool unless `opts.allow_parallel` is false; the
-/// result is the same bits either way. Requires 1 <= k < n, and throws
+/// one NeighborSearcher::sq_dists_to row under `opts` (at d = 2 with
+/// use_gemm, searched on optics()'s grid), and the points run in bands on
+/// the shared pool unless `opts.allow_parallel` is false; the result is
+/// the same bits either way. Requires 1 <= k < n, and throws
 /// CheckError naming the row and column of a NaN or ±inf point.
 std::vector<double> core_distances(const linalg::Matrix& points,
                                    std::size_t k,

@@ -111,7 +111,7 @@ void Arams::push_batch(linalg::MatrixView batch) {
   if (batch.rows() == 0) return;
   Stopwatch timer;
   linalg::MatrixView input = batch;
-  if (config_.use_sampling && config_.beta < 1.0) {
+  if (samples_batches()) {
     input = priority_sample(batch, config_.beta, batch_sampler_config(),
                             sampler_scratch_);
   }
@@ -121,12 +121,10 @@ void Arams::push_batch(linalg::MatrixView batch) {
 }
 
 void Arams::push_batch(linalg::MatrixViewF batch) {
+  ARAMS_CHECK(samples_batches(),
+              "fp32 push without priority sampling: widen at the Sketcher "
+              "seam and push fp64 rows");
   if (batch.rows() == 0) return;
-  if (!(config_.use_sampling && config_.beta < 1.0)) {
-    linalg::widen(batch, f32_widen_);
-    push_batch(f32_widen_);
-    return;
-  }
   Stopwatch timer;
   // The fp32 sampler overload widens only the ⌈βn⌉ survivors.
   const Matrix& sampled = priority_sample(batch, config_.beta,

@@ -81,11 +81,21 @@ class Arams {
   /// grow-only scratch, so steady-state ingest does not allocate.
   void push_batch(linalg::MatrixView batch);
 
-  /// fp32 streaming ingest. When sampling is on, the fp32 priority-sampler
-  /// overload consumes the float rows directly (weights accumulate in
-  /// double, same RNG stream) and widens only the survivors; otherwise the
-  /// batch is widened once into grow-only scratch and takes the fp64 path.
+  /// fp32 streaming ingest through the fp32 priority-sampler overload: it
+  /// consumes the float rows directly (weights accumulate in double, same
+  /// RNG stream) and widens only the survivors. Requires samples_batches();
+  /// an unsampled fp32 stream has no survivors to pick and is widened at
+  /// the Sketcher seam instead (AramsSketcher routes it there).
   void push_batch(linalg::MatrixViewF batch);
+
+  /// Whether push_batch priority-samples each batch (sampling on, β < 1).
+  [[nodiscard]] bool samples_batches() const {
+    return config_.use_sampling && config_.beta < 1.0;
+  }
+
+  /// Wall time push_batch has spent in stage 1, the priority sampler,
+  /// over every batch so far (AramsSketcher reports it as "sample").
+  [[nodiscard]] double sample_seconds() const { return sample_seconds_; }
 
   /// Current sketch (compressed to ≤ ℓ rows).
   linalg::Matrix sketch();
@@ -120,7 +130,6 @@ class Arams {
   double sample_seconds_ = 0.0;
   std::size_t rows_sampled_total_ = 0;
   PrioritySampleScratch sampler_scratch_;  ///< grow-only sampler buffers
-  linalg::Matrix f32_widen_;  ///< grow-only fp32-lane widen scratch
 };
 
 }  // namespace arams::core

@@ -50,9 +50,10 @@ linalg::Matrix SketchErrorTracker::reservoir_rows() const {
 double SketchErrorTracker::relative_error(linalg::MatrixView basis) const {
   ARAMS_CHECK(reservoir_.rows() > 0, "no rows observed yet");
   ARAMS_CHECK(basis.cols() == dim_, "basis dimension mismatch");
+  // One pass over the reservoir for ‖R‖²_F, shared with the residual.
   const double total = linalg::frobenius_norm_squared(reservoir_);
   if (total <= 0.0) return 0.0;
-  return linalg::projection_residual_exact(reservoir_, basis) / total;
+  return linalg::projection_residual_exact(reservoir_, basis, total) / total;
 }
 
 }  // namespace arams::core

@@ -81,8 +81,10 @@ std::string joined_backend_names() {
 /// Adapter presenting the full ARAMS engine (priority sampling +
 /// rank-adaptive FD) through the Sketcher seam. Owns a core::Arams built
 /// from the exact AramsConfig handed in, so factory-built "arams" behaves
-/// bitwise-identically to direct core::Arams use. Its fp32 push goes to
-/// Arams, whose priority sampler reads the float rows directly.
+/// bitwise-identically to direct core::Arams use. A sampled fp32 push goes
+/// to Arams, whose priority sampler reads the float rows directly; an
+/// unsampled one (β = 1) takes the seam's timed widen. Its report adds the
+/// sampler's time as "sample", the entry Arams::sketch_matrix reports.
 class AramsSketcher final : public Sketcher {
  public:
   explicit AramsSketcher(const AramsConfig& config) : arams_(config) {}
@@ -91,8 +93,16 @@ class AramsSketcher final : public Sketcher {
     arams_.push_batch(batch);
   }
   void push_batch(linalg::MatrixViewF batch) override {
+    if (!arams_.samples_batches()) {
+      Sketcher::push_batch(batch);
+      return;
+    }
     arams_.push_batch(batch);
     note_f32_rows(batch.rows());
+  }
+  void report(obs::StageReport& out) const override {
+    Sketcher::report(out);
+    out.add_seconds("sample", arams_.sample_seconds());
   }
   Matrix sketch() override { return arams_.sketch(); }
   Matrix basis(std::size_t k) override {

@@ -65,11 +65,12 @@ class Sketcher {
   /// into grow-only scratch (allocation-free at steady state), charges the
   /// conversion to the "ingest.widen_seconds" histogram and forwards to
   /// the fp64 primitive, so *every* backend accepts fp32 frames. Two
-  /// backends override it: arams (its priority sampler reads the float
-  /// rows and widens only the survivors) and the sharded wrapper (it
-  /// gathers float rows per shard and hands each shard an fp32 batch).
-  /// Either way the result is bitwise identical to widening the batch up
-  /// front, because every accumulation runs in double.
+  /// backends override it: arams (when it samples, its priority sampler
+  /// reads the float rows and widens only the survivors; at β = 1 it
+  /// calls this default) and the sharded wrapper (it gathers float rows
+  /// per shard and hands each shard an fp32 batch). Either way the
+  /// result is bitwise identical to widening the batch up front, because
+  /// every accumulation runs in double.
   virtual void push_batch(linalg::MatrixViewF batch);
 
   /// Current sketch, ≤ current_ell() rows × dim(). May compress internal

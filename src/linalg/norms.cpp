@@ -79,12 +79,16 @@ double covariance_error_relative(const Matrix& a, const Matrix& b, Rng& rng,
 }
 
 double projection_residual_exact(MatrixView x, MatrixView v) {
+  return projection_residual_exact(x, v, frobenius_norm_squared(x));
+}
+
+double projection_residual_exact(MatrixView x, MatrixView v,
+                                 double x_sq_norm) {
   ARAMS_CHECK(v.cols() == x.cols(), "projection basis dimension mismatch");
   // ‖X − XVᵀV‖²_F = ‖X‖²_F − ‖XVᵀ‖²_F for orthonormal rows of V.
   const Matrix coeff = matmul_nt(x, v);  // n×k
-  const double total = frobenius_norm_squared(x);
   const double captured = frobenius_norm_squared(coeff);
-  return std::max(total - captured, 0.0);
+  return std::max(x_sq_norm - captured, 0.0);
 }
 
 double estimate_projection_residual(MatrixView x, MatrixView v, int probes,

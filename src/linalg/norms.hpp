@@ -44,6 +44,12 @@ double covariance_error_relative(const Matrix& a, const Matrix& b, Rng& rng,
 /// spanning the retained subspace). O(n·d·k); used by tests as ground truth.
 double projection_residual_exact(MatrixView x, MatrixView v);
 
+/// The same given x_sq_norm = frobenius_norm_squared(x), for a caller that
+/// already holds it (the health check divides by it): one pass over X
+/// fewer, the same bits.
+double projection_residual_exact(MatrixView x, MatrixView v,
+                                 double x_sq_norm);
+
 /// Randomized estimate of projection_residual_exact using `probes` Gaussian
 /// probe vectors (Algorithm 1 of the paper). Unbiased; relative accuracy
 /// improves roughly 10% per 10 probes as reported in the paper.

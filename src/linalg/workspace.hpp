@@ -88,9 +88,14 @@ inline constexpr std::size_t kProbeYhat = 22;  ///< Ŷ = C·V
 inline constexpr std::size_t kOpticsCols = 23;   ///< points transposed, d×n
 inline constexpr std::size_t kOpticsNorms = 11;  ///< vec slot: ‖·‖² per point
 inline constexpr std::size_t kOpticsReach = 12;  ///< vec slot: live reachability
-inline constexpr std::size_t kOpticsGram = 13;   ///< vec slot: visit Gram row
+inline constexpr std::size_t kOpticsGram = 13;   ///< vec slot: visit Gram/d² row
 inline constexpr std::size_t kOpticsBound = 14;  ///< vec slot: live d² bounds
 inline constexpr std::size_t kOpticsIndex = 2;   ///< idx slot: live point ids
+// OPTICS' d = 2 cell grid; the point slots above then hold the points
+// cell by cell.
+inline constexpr std::size_t kOpticsCells = 15;    ///< vec slot: cell boxes, extents
+inline constexpr std::size_t kOpticsCellRuns = 3;  ///< idx slot: cell runs
+inline constexpr std::size_t kOpticsFiling = 4;    ///< idx slot: cell per point
 }  // namespace wslot
 
 class Workspace {

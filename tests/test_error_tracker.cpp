@@ -98,6 +98,30 @@ TEST(ErrorTracker, EstimateMatchesExactStreamError) {
   EXPECT_NEAR(estimated, exact, 0.5 * exact + 1e-4);
 }
 
+TEST(ErrorTracker, OnePassForTheNormKeepsTheTwoPassBits) {
+  // relative_error forms ‖R‖²_F once and hands it to the residual; the
+  // value keeps the bits of the residual (which forms ‖R‖²_F itself)
+  // divided by a second ‖R‖²_F pass.
+  Rng rng(4);
+  ErrorTrackerConfig config;
+  config.reservoir_size = 64;
+  SketchErrorTracker tracker(config);
+  FrequentDirections fd(FdConfig{6, true});
+  std::vector<double> row(96);
+  for (int i = 0; i < 400; ++i) {
+    rng.fill_normal(row);
+    for (std::size_t j = 0; j < row.size(); j += 3) row[j] *= 4.0;
+    tracker.observe(row);
+    fd.append(row);
+  }
+  const Matrix basis = fd.basis(6);
+  const Matrix reservoir = tracker.reservoir_rows();
+  const double two_pass = linalg::projection_residual_exact(reservoir, basis) /
+                          linalg::frobenius_norm_squared(reservoir);
+  EXPECT_EQ(tracker.relative_error(basis), two_pass);
+  EXPECT_GT(two_pass, 0.0);
+}
+
 TEST(ErrorTracker, ZeroForDataInsideBasisSpan) {
   Rng rng(3);
   Matrix b(10, 2);

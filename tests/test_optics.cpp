@@ -511,12 +511,57 @@ Matrix large_embedding() {
   return pts;
 }
 
+/// Two tight clusters of 2300 points each, 0.6 apart, and eight outliers
+/// tens of units out: the d = 2 grid spans the outliers, so the clusters
+/// fill a cell or two each, most cells are empty, and an outlier's search
+/// goes many rings out before it meets min_pts − 1 other points.
+Matrix clusters_and_outliers() {
+  Matrix pts(4608, 2);
+  Rng rng(88);
+  for (std::size_t i = 0; i < 4600; ++i) {
+    const double shift = i % 2 == 0 ? 0.0 : 0.6;
+    pts(i, 0) = shift + 0.05 * rng.normal();
+    pts(i, 1) = 0.5 * shift + 0.05 * rng.normal();
+  }
+  for (std::size_t i = 4600; i < 4608; ++i) {
+    const double angle = 0.8 * static_cast<double>(i - 4600);
+    pts(i, 0) = 40.0 * std::cos(angle) + rng.uniform(-3.0, 3.0);
+    pts(i, 1) = 30.0 * std::sin(angle) + rng.uniform(-3.0, 3.0);
+  }
+  return pts;
+}
+
+/// Blobs and noise laid on one line: every point at x = 1.5 (vertical) or
+/// at y = −2 (horizontal), so the grid has one column or one row.
+Matrix on_a_line(bool vertical) {
+  const Matrix base = blobs(40, 0.4, 24, /*noise_points=*/6);
+  Matrix pts(base.rows(), 2);
+  for (std::size_t i = 0; i < base.rows(); ++i) {
+    pts(i, vertical ? 0 : 1) = vertical ? 1.5 : -2.0;
+    pts(i, vertical ? 1 : 0) = base(i, 0) + base(i, 1);
+  }
+  return pts;
+}
+
+/// Fifty copies of one point: a one-cell grid, every d² the same.
+Matrix identical_points() {
+  Matrix pts(50, 2);
+  for (std::size_t i = 0; i < pts.rows(); ++i) {
+    pts(i, 0) = 0.7;
+    pts(i, 1) = -0.3;
+  }
+  return pts;
+}
+
 /// The original 2-D sets, then the width and size extensions: point
 /// dimensions 3, 17 and 300 (an odd k panel, and two panels of the
 /// GEMM's 256-wide k blocking), each also with a finite max_eps, the
 /// 1000-point embedding with and without one, and the blobs scaled to
 /// 1e-160 (reachabilities below 2⁻⁵⁰⁰, whose squares are subnormal) and
-/// to 1e150 (squares near the top of the range).
+/// to 1e150 (squares near the top of the range). Then the d = 2 grid's
+/// edge cases: clusters_and_outliers, the two lines, identical points,
+/// and the blobs scaled to 1e153, whose coordinates near 1e154 overflow
+/// ‖·‖² and d² to +inf (or, through inf − inf, to the engine's clamp 0).
 enum class ParitySet {
   kBlobsWithNoise,
   kDuplicates,
@@ -530,7 +575,12 @@ enum class ParitySet {
   kLarge,
   kLargeEps,
   kTiny,
-  kHuge
+  kHuge,
+  kClustersAndOutliers,
+  kVerticalLine,
+  kHorizontalLine,
+  kIdentical,
+  kOverflow
 };
 
 Matrix scaled(Matrix pts, double factor) {
@@ -580,6 +630,19 @@ TEST_P(OpticsHeapParity, MatchesLazyHeapTraversalBitwise) {
     case ParitySet::kHuge:
       pts = scaled(blobs(15, 0.4, 23, /*noise_points=*/6), 1e150);
       break;
+    case ParitySet::kClustersAndOutliers:
+      pts = clusters_and_outliers();
+      break;
+    case ParitySet::kVerticalLine:
+    case ParitySet::kHorizontalLine:
+      pts = on_a_line(set == ParitySet::kVerticalLine);
+      break;
+    case ParitySet::kIdentical:
+      pts = identical_points();
+      break;
+    case ParitySet::kOverflow:
+      pts = scaled(blobs(15, 0.4, 23, /*noise_points=*/6), 1e153);
+      break;
   }
   switch (set) {
     // Within a blob, d grows like sqrt(dim); these cut the sparse blob
@@ -606,6 +669,14 @@ TEST_P(OpticsHeapParity, MatchesLazyHeapTraversalBitwise) {
   const OpticsResult want = reference_heap_optics(pts, config, opts);
   linalg::Workspace ws;
   expect_bitwise_equal(optics(pts, config, ws, opts), want);
+  if (set == ParitySet::kOverflow) {
+    // The case covers what it claims: some ‖·‖², and so some d², is +inf.
+    bool overflowed = false;
+    for (std::size_t i = 0; i < pts.rows(); ++i) {
+      overflowed |= std::isinf(pts(i, 0) * pts(i, 0) + pts(i, 1) * pts(i, 1));
+    }
+    EXPECT_TRUE(overflowed);
+  }
   if (std::isfinite(config.max_eps) && config.min_pts <= 5) {
     // The case covers what it claims: restarts, inf reachability beyond
     // the first point, and non-core points.
@@ -626,7 +697,9 @@ std::string parity_name(const ::testing::TestParamInfo<ParityParam>& info) {
                          "Dim3",    "Dim17",      "Dim300",
                          "Dim3Eps", "Dim17Eps",   "Dim300Eps",
                          "Large",   "LargeEps",   "Tiny",
-                         "Huge"};
+                         "Huge",    "ClustersAndOutliers",
+                         "VerticalLine", "HorizontalLine",
+                         "Identical", "Overflow"};
   return std::string(names[static_cast<int>(set)]) + "_MinPts" +
          (min_pts == 0 ? std::string("N") : std::to_string(min_pts)) +
          (use_gemm ? "_Gemm" : "_Scalar") +
@@ -654,6 +727,68 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(std::size_t{5}, std::size_t{30}),
         ::testing::Bool(), ::testing::Bool()),
     parity_name);
+
+// The d = 2 grid's edge cases. The 4608-point set runs with use_gemm only:
+// the grid is what it exercises, and the scalar engine, swept above, would
+// form all of its n² d² per call at that size.
+INSTANTIATE_TEST_SUITE_P(
+    Grid, OpticsHeapParity,
+    ::testing::Combine(::testing::Values(ParitySet::kVerticalLine,
+                                         ParitySet::kHorizontalLine,
+                                         ParitySet::kIdentical,
+                                         ParitySet::kOverflow),
+                       ::testing::Values(std::size_t{5}, std::size_t{30}),
+                       ::testing::Bool(), ::testing::Bool()),
+    parity_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    GridSparse, OpticsHeapParity,
+    ::testing::Combine(::testing::Values(ParitySet::kClustersAndOutliers),
+                       ::testing::Values(std::size_t{5}, std::size_t{30}),
+                       ::testing::Values(true), ::testing::Bool()),
+    parity_name);
+
+/// A picture of many classes, as UMAP lays a run out: twelve blobs of
+/// spreads 0.15–0.48 on a 4×3 lattice two units apart, and 2% of the
+/// points scattered over the box.
+Matrix blob_lattice() {
+  Matrix pts(1200, 2);
+  Rng rng(5);
+  for (std::size_t i = 0; i < 1176; ++i) {
+    const std::size_t c = i % 12;
+    const double spread = 0.15 + 0.03 * static_cast<double>(c);
+    pts(i, 0) = 2.0 * static_cast<double>(c % 4) + spread * rng.normal();
+    pts(i, 1) = 2.0 * static_cast<double>(c / 4) + spread * rng.normal();
+  }
+  for (std::size_t i = 1176; i < 1200; ++i) {
+    pts(i, 0) = rng.uniform(-1.0, 7.0);
+    pts(i, 1) = rng.uniform(-1.0, 5.0);
+  }
+  return pts;
+}
+
+TEST(OpticsHeapParity, GridFormsFewerThanHalfTheDistances) {
+  // The d = 2 grid passes over the cells no d² of theirs can change, so on
+  // a clustered picture it forms about a third of the n² d² of a full
+  // scan; a grid that quietly scanned everything would form more than
+  // n²/2. (What it saves depends on the picture and on n: the four-class
+  // UMAP layout reads 0.34 n² at 4608 points but 0.50 n² at 1024, where
+  // each point's own search is a larger share of its row.) The scalar
+  // engine scans every row in phase one, n² d² on its own.
+  const Matrix pts = blob_lattice();
+  const std::size_t n = pts.rows();
+  const obs::Counter& formed = obs::metrics().counter("cluster.sq_dists");
+  linalg::Workspace ws;
+  long before = formed.value();
+  optics(pts, OpticsConfig{30}, ws, {});
+  const long on_grid = formed.value() - before;
+  std::printf("grid d² formed %ld of n² = %zu\n", on_grid, n * n);
+  EXPECT_GT(on_grid, 0);
+  EXPECT_LT(on_grid, static_cast<long>(n * n / 2));
+  before = formed.value();
+  optics(pts, OpticsConfig{30}, ws, {.use_gemm = false});
+  EXPECT_GE(formed.value() - before, static_cast<long>(n * n));
+}
 
 TEST(OpticsHeapParity, LowersReachabilityByUlps) {
   // A visit that lowers a reachability by a few ulps must still take its

@@ -450,6 +450,57 @@ TEST_P(SketcherConformance, F32LaneCountersFlowIntoStageReport) {
   EXPECT_EQ(classic_report.counter("rows_ingested_f32"), 0);
 }
 
+TEST(AramsSketcherLane, UnsampledF32PushIsTimedAtTheSeam) {
+  // β = 1 leaves arams no survivors to pick, so its fp32 push takes the
+  // seam's timed widen: "ingest_widen" reads the conversion, and the
+  // sketch keeps the bits of the widened batch pushed as fp64.
+  SketcherConfig config = conformance_config("arams", 8, 5);
+  config.arams.use_sampling = true;
+  config.arams.beta = 1.0;
+  config.arams.rank_adaptive = true;
+  const linalg::MatrixF a32 = random_matrix_f32(256, 512, 16);
+  Matrix a64;
+  linalg::widen(linalg::MatrixViewF(a32), a64);
+  const auto f32 = make_sketcher(config);
+  const auto f64 = make_sketcher(config);
+  for (std::size_t r0 = 0; r0 < a32.rows(); r0 += 64) {
+    f32->push_batch(linalg::MatrixViewF::rows_of(a32, r0, r0 + 64));
+    f64->push_batch(linalg::MatrixView::rows_of(a64, r0, r0 + 64));
+  }
+  obs::StageReport report;
+  f32->report(report);
+  EXPECT_EQ(report.counter("rows_ingested_f32"), 256);
+  EXPECT_GT(report.seconds("ingest_widen"), 0.0);
+  const Matrix s32 = f32->sketch();
+  const Matrix s64 = f64->sketch();
+  ASSERT_EQ(s32.rows(), s64.rows());
+  ASSERT_EQ(s32.cols(), s64.cols());
+  EXPECT_EQ(Matrix::max_abs_diff(s32, s64), 0.0);
+}
+
+TEST(AramsSketcherLane, ReportsPrioritySamplingTime) {
+  // The streaming pushes' stage-1 time is the report's "sample" entry, the
+  // name Arams::sketch_matrix reports it under, in both lanes.
+  for (const bool f32 : {false, true}) {
+    SketcherConfig config = conformance_config("arams", 8, 5);
+    config.arams.use_sampling = true;
+    config.arams.beta = 0.5;
+    const auto sketcher = make_sketcher(config);
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      if (f32) {
+        sketcher->push_batch(
+            linalg::MatrixViewF(random_matrix_f32(128, 256, 30 + seed)));
+      } else {
+        sketcher->push_batch(random_matrix(128, 256, 30 + seed));
+      }
+    }
+    obs::StageReport report;
+    sketcher->report(report);
+    EXPECT_TRUE(report.has_stage("sample")) << "f32 " << f32;
+    EXPECT_GT(report.seconds("sample"), 0.0) << "f32 " << f32;
+  }
+}
+
 /// The ISSUE's pinned accuracy budget: sketching frames preprocessed in
 /// fp32 must land within 1e-5 (relative) of the fp64-reference sketch.
 /// Compared through the Gram matrix BᵀB — the covariance estimate the
