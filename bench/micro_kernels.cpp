@@ -13,6 +13,7 @@
 #include "linalg/eigen_sym.hpp"
 #include "linalg/svd.hpp"
 #include "linalg/workspace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 
 namespace {
@@ -55,14 +56,38 @@ void BM_GemmTn(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTn)->Arg(64)->Arg(128)->Arg(256);
 
+// The FD shrink's Gram B·Bᵀ of an m×d buffer. Args: m, d, and whether the
+// loop runs on a pool worker. A shard's or a batch range's shrink runs
+// there, where the Gram takes its serial path; from the main thread it
+// fans out once above the pool threshold. 48×4096 is a diffraction_batch
+// range's buffer, 64×16384 a 128×128-frame buffer at ℓ = 32.
 void BM_GramRows(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
-  const Matrix a = random_matrix(m, 2048, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::gram_rows(a));
+  const auto d = static_cast<std::size_t>(state.range(1));
+  const Matrix a = random_matrix(m, d, 3);
+  Matrix out;
+  const auto loop = [&] {
+    for (auto _ : state) {
+      linalg::gram_rows(a, out);
+      benchmark::DoNotOptimize(out.data());
+    }
+  };
+  if (state.range(2) != 0) {
+    parallel::shared_pool().submit(loop).get();
+  } else {
+    loop();
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(m * m * d));
 }
-BENCHMARK(BM_GramRows)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_GramRows)
+    ->Args({16, 2048, 0})
+    ->Args({64, 2048, 0})
+    ->Args({128, 2048, 0})
+    ->Args({48, 4096, 1})
+    ->Args({64, 16384, 1})
+    ->Args({64, 16384, 0})
+    ->UseRealTime();
 
 void BM_GramRowSvd(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

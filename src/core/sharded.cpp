@@ -146,6 +146,20 @@ std::string ShardedSketcher::name() const {
 
 void ShardedSketcher::report(obs::StageReport& out) const {
   Sketcher::report(out);
+  // The shards' counters and FD seconds are in stats() already; add the
+  // stage entries only their own reports carry (the sampler's "sample",
+  // an fp32 shard's "ingest_widen").
+  obs::StageReport from_stats;
+  append_to_report(SketchStats{}, from_stats);
+  for (const auto& shard : shards_) {
+    obs::StageReport own;
+    shard.inner->report(own);
+    for (const obs::StageTiming& stage : own.stages()) {
+      if (!from_stats.has_stage(stage.stage)) {
+        out.add_seconds(stage.stage, stage.seconds);
+      }
+    }
+  }
   out.add_counter("shards", static_cast<long>(shards_.size()));
   if (last_merge_stats_.merge_ops > 0) {
     append_to_report(last_merge_stats_, out);

@@ -55,8 +55,10 @@ class ShardedSketcher final : public Sketcher {
   [[nodiscard]] SketchStats stats() const override;
   [[nodiscard]] std::string name() const override;
 
-  /// Base report plus the stats of the last sketch()-time merge (the
-  /// "merge_*" keys, including the measured-vs-modeled makespan pair).
+  /// Base report (the shards' summed stats()), each shard's own stage
+  /// seconds that stats() does not carry ("sample", "ingest_widen"), and
+  /// the stats of the last sketch()-time merge (the "merge_*" keys,
+  /// including the measured-vs-modeled makespan pair).
   void report(obs::StageReport& out) const override;
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }

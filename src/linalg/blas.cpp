@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "linalg/dispatch.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -61,6 +62,28 @@ double norm2_squared(std::span<const float> x) { return dot(x, x); }
 
 double norm2(std::span<const double> x) { return std::sqrt(norm2_squared(x)); }
 
+namespace detail {
+
+// Calls above this many flops (2·m·n·k for GEMM, m²·d for Gram) fan out
+// across the shared pool; below it they stay sequential so the small
+// shapes FD produces at modest ℓ pay no dispatch overhead.
+constexpr double kParallelFlopThreshold = 8e6;
+
+parallel::ThreadPool* maybe_pool(double flops) {
+  if (flops < kParallelFlopThreshold) return nullptr;
+  parallel::ThreadPool& pool = parallel::shared_pool();
+  if (pool.thread_count() < 2 || pool.on_worker_thread()) return nullptr;
+  return &pool;
+}
+
+void count_dispatch() {
+  static obs::Counter& dispatches =
+      obs::metrics().counter("linalg.gemm_parallel_count");
+  dispatches.add(1);
+}
+
+}  // namespace detail
+
 namespace {
 
 // Blocking parameters. KC×NC is the packed B panel (≤ 1 MiB, resident in
@@ -73,11 +96,6 @@ constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 512;
 constexpr std::size_t kMr = 4;
 
-// Calls above this many flops (2·m·n·k for GEMM, m²·d for Gram) fan out
-// across the shared pool; below it they stay sequential so the small
-// shapes FD produces at modest ℓ pay no dispatch overhead.
-constexpr double kParallelFlopThreshold = 8e6;
-
 // Grow-only, per-thread packing scratch: steady-state kernel calls never
 // allocate. GEMM packs A panels into pack_a and B panels into pack_b, each
 // on the thread that runs the tile.
@@ -88,22 +106,6 @@ std::vector<double>& pack_a_scratch() {
 std::vector<double>& pack_b_scratch() {
   thread_local std::vector<double> buf;
   return buf;
-}
-
-/// The pool a call of `flops` dispatches to, or nullptr for the serial
-/// path: below the threshold, on a one-thread pool, and on one of the
-/// pool's own workers, where parallel_for would run the tasks inline.
-parallel::ThreadPool* maybe_pool(double flops) {
-  if (flops < kParallelFlopThreshold) return nullptr;
-  parallel::ThreadPool& pool = parallel::shared_pool();
-  if (pool.thread_count() < 2 || pool.on_worker_thread()) return nullptr;
-  return &pool;
-}
-
-void count_dispatch() {
-  static obs::Counter& dispatches =
-      obs::metrics().counter("linalg.gemm_parallel_count");
-  dispatches.add(1);
 }
 
 /// Packs Bop[pc..pc+kb) × [jc..jc+jb) into dst, kb rows of jb contiguous
@@ -347,9 +349,9 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
     }
   };
 
-  parallel::ThreadPool* pool =
-      maybe_pool(2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                 static_cast<double>(k));
+  parallel::ThreadPool* pool = detail::maybe_pool(
+      2.0 * static_cast<double>(m) * static_cast<double>(n) *
+      static_cast<double>(k));
   const std::size_t threads = pool == nullptr ? 1 : pool->thread_count();
   if (std::max(col_blocks, tiles) < threads) pool = nullptr;
 
@@ -357,7 +359,7 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
     for (std::size_t blk = 0; blk < col_blocks; ++blk) run_block(blk);
     return;
   }
-  count_dispatch();
+  detail::count_dispatch();
   if (col_blocks >= tiles) {
     pool->parallel_for(col_blocks, run_block);
     return;
@@ -384,72 +386,6 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
                   const double* b, std::size_t brs, std::size_t bcs,
                   Matrix& out) {
   gemm_strided(m, n, k, ASource{a, ars, acs}, b, brs, bcs, out);
-}
-
-/// Symmetric product helper: fills the upper triangle of out (n×n) with
-/// 4×4 dot tiles over `len` terms, then mirrors. `ptr(i)` must return a
-/// pointer p_i with Gram(i, j) = Σ_t p_i[t·stride]·p_j[t·stride].
-template <typename PtrFn>
-void gram_tiled(std::size_t n, std::size_t len, std::size_t stride,
-                double flops, const PtrFn& ptr, Matrix& out) {
-  out.reshape(n, n);
-  if (n == 0) return;
-  if (len == 0) {
-    out.fill(0.0);
-    return;
-  }
-  parallel::ThreadPool* pool = maybe_pool(flops);
-  const std::size_t tiles = (n + kMr - 1) / kMr;
-
-  // One task per 4-row tile of the upper triangle; out-of-range lanes are
-  // clamped to the last row so the 4×4 accumulator loop stays branch-free
-  // (their results are simply not stored).
-  const auto do_tile_row = [&](std::size_t ti) {
-    const std::size_t i0 = ti * kMr;
-    const std::size_t mr = std::min(kMr, n - i0);
-    const double* rp[kMr];
-    for (std::size_t r = 0; r < kMr; ++r) {
-      rp[r] = ptr(std::min(i0 + r, n - 1));
-    }
-    for (std::size_t j0 = i0; j0 < n; j0 += kMr) {
-      const std::size_t nr = std::min(kMr, n - j0);
-      const double* cq[kMr];
-      for (std::size_t q = 0; q < kMr; ++q) {
-        cq[q] = ptr(std::min(j0 + q, n - 1));
-      }
-      double acc[kMr][kMr] = {};
-      for (std::size_t t = 0; t < len; ++t) {
-        const std::size_t off = t * stride;
-        const double av[kMr] = {rp[0][off], rp[1][off], rp[2][off],
-                                rp[3][off]};
-        const double bv[kMr] = {cq[0][off], cq[1][off], cq[2][off],
-                                cq[3][off]};
-        for (std::size_t r = 0; r < kMr; ++r) {
-          for (std::size_t q = 0; q < kMr; ++q) {
-            acc[r][q] += av[r] * bv[q];
-          }
-        }
-      }
-      for (std::size_t r = 0; r < mr; ++r) {
-        for (std::size_t q = 0; q < nr; ++q) {
-          out(i0 + r, j0 + q) = acc[r][q];
-        }
-      }
-    }
-  };
-
-  if (pool == nullptr) {
-    for (std::size_t ti = 0; ti < tiles; ++ti) do_tile_row(ti);
-  } else {
-    count_dispatch();
-    pool->parallel_for(tiles, do_tile_row);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      out(i, j) = out(j, i);
-    }
-  }
 }
 
 }  // namespace
@@ -513,36 +449,6 @@ void matmul_nt_row(std::span<const double> a, const double* bt,
     row_panel(a.data() + pc, std::min(kKc, k - pc), bt + pc * ldb, ldb,
               out.size(), out.data(), pc == 0);
   }
-}
-
-void gram_rows(MatrixView a, Matrix& out) {
-  const std::size_t m = a.rows();
-  const double flops = static_cast<double>(m) * static_cast<double>(m) *
-                       static_cast<double>(a.cols());
-  gram_tiled(
-      m, a.cols(), 1, flops,
-      [&](std::size_t i) { return a.data() + i * a.cols(); }, out);
-}
-
-Matrix gram_rows(MatrixView a) {
-  Matrix out;
-  gram_rows(a, out);
-  return out;
-}
-
-void gram_cols(MatrixView a, Matrix& out) {
-  const std::size_t n = a.cols();
-  const double flops = static_cast<double>(n) * static_cast<double>(n) *
-                       static_cast<double>(a.rows());
-  gram_tiled(
-      n, a.rows(), n, flops, [&](std::size_t i) { return a.data() + i; },
-      out);
-}
-
-Matrix gram_cols(MatrixView a) {
-  Matrix out;
-  gram_cols(a, out);
-  return out;
 }
 
 void gemv(MatrixView a, std::span<const double> x, std::span<double> y) {

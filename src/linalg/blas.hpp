@@ -4,8 +4,8 @@
 // back-multiplication Uᵀ·B, and the data generator by orthogonal assembly.
 //
 // The matmul/Gram family is cache-blocked (KC×NC panels packed into
-// contiguous scratch) with an MR=4 register-blocked micro-kernel, and
-// fans out onto the shared parallel::ThreadPool once a call exceeds a flop
+// contiguous scratch) with register-blocked micro-kernels, and fans out
+// onto the shared parallel::ThreadPool once a call exceeds a flop
 // threshold — below it everything stays sequential so the small shapes FD
 // produces at modest ℓ pay zero overhead. GEMM picks its parallel axis by
 // shape, once per call: whole NC column blocks per task for short-fat
@@ -84,12 +84,19 @@ void matmul_nt(std::span<const double* const> rows, MatrixView b,
 void matmul_nt_row(std::span<const double> a, const double* bt,
                    std::size_t ldb, std::span<double> out);
 
-/// Gram matrix G = A * Aᵀ (m×m, symmetric). Only the upper triangle is
-/// computed (4×4 dot tiles); the lower is mirrored afterwards.
+/// Gram matrix G = A * Aᵀ (m×m, symmetric), from the packed kernel in
+/// gram.cpp. Only the upper triangle is computed (4×8 register tiles over
+/// 256-term chunks); the lower is mirrored afterwards. Every entry has the
+/// bits of the naive loop: for i ≤ j, G(i, j) = ((+0.0 + a_i0·a_j0) +
+/// a_i1·a_j1) + …, summed in column order with each product rounded
+/// before its add, at any pool size and in every build (NaN sign and
+/// payload aside). A pooled call enters the pool once, with at most one
+/// task per pool thread.
 Matrix gram_rows(MatrixView a);
 void gram_rows(MatrixView a, Matrix& out);
 
-/// Gram matrix G = Aᵀ * A (n×n, symmetric).
+/// Gram matrix G = Aᵀ * A (n×n, symmetric): the same kernel and contract
+/// over A's columns, summed in row order.
 Matrix gram_cols(MatrixView a);
 void gram_cols(MatrixView a, Matrix& out);
 

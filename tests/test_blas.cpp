@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
+#include "pool_tasks.hpp"
+#include "rerun_self.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -167,9 +170,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{16, 33, 8}, std::tuple{40, 17, 25}));
 
 // ---------------------------------------------------------------------------
-// Tiled / packed kernels vs. a naive triple loop. The tiled code reorders
-// the k-accumulation, so results are not bit-identical to the reference —
-// the contract is <= 1e-12 *relative* Frobenius error.
+// Tiled / packed kernels vs. a naive triple loop. The GEMM reorders the
+// k-accumulation, so its results are not bit-identical to the reference —
+// the contract is <= 1e-12 *relative* Frobenius error. The Gram keeps the
+// naive order (pinned bitwise by GramBits below); it is held to the same
+// tolerance here.
 
 Matrix naive_matmul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
@@ -258,6 +263,179 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{127, 64, 65},    // dims straddle MR blocks
                       std::tuple{301, 7, 5},      // tall-thin
                       std::tuple{5, 7, 301}));    // short-fat
+
+// ---------------------------------------------------------------------------
+// The Gram's bit contract: for i <= j,
+//   G(i, j) = ((+0.0 + x_i[0]·x_j[0]) + x_i[1]·x_j[1]) + …
+// summed in t order with each product rounded before its add, and the
+// lower triangle mirrors the upper. gram_oracle is that loop, entry by
+// entry. This file is built with -ffp-contract=off (tests/CMakeLists.txt),
+// so the oracle stays unfused in every build.
+
+Matrix gram_oracle(const Matrix& x) {
+  const std::size_t n = x.rows();
+  Matrix g(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      double s = 0.0;
+      for (std::size_t t = 0; t < x.cols(); ++t) s += x(i, t) * x(j, t);
+      g(i, j) = s;
+      g(j, i) = s;
+    }
+  }
+  return g;
+}
+
+/// The bits of v, with every NaN as the one quiet NaN: which NaN an
+/// operation on two NaNs returns follows the operand order the compiler
+/// picks for that instruction, so a NaN's sign and payload are not part of
+/// the contract; where the NaNs are is.
+std::uint64_t contract_bits(double v) {
+  return std::isnan(v) ? std::bit_cast<std::uint64_t>(
+                             std::numeric_limits<double>::quiet_NaN())
+                       : std::bit_cast<std::uint64_t>(v);
+}
+
+/// Index of the first entry whose contract bits differ, or -1.
+long first_bit_difference(const Matrix& got, const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) return 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (contract_bits(got.data()[i]) != contract_bits(want.data()[i])) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+/// Gram operands of n vectors of len terms. Kind 0: N(0, 1). Kind 1:
+/// ±1e8 + N(0, 1), whose sums cancel, so any other order shows. Kind 2:
+/// rows scaled by 2⁶⁰⁰, 2⁻⁶⁰⁰ or 2⁻⁵³⁰, so products overflow, underflow
+/// and go subnormal. Kind 3: N(0, 1) with NaN, ±inf and ±0 scattered, one
+/// row of -0.0 against one of positive values (their products are all
+/// -0.0, so the +0.0 start shows) where n >= 3.
+Matrix gram_operand(std::size_t n, std::size_t len, int kind, Rng& rng) {
+  Matrix x = random_matrix(n, len, rng);
+  if (kind == 1) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] += rng.uniform() < 0.5 ? -1e8 : 1e8;
+    }
+  } else if (kind == 2) {
+    const double scales[] = {0x1p600, 0x1p-600, 1.0, 0x1p-530};
+    for (std::size_t i = 0; i < n; ++i) {
+      for (double& v : x.row(i)) v *= scales[i % 4];
+    }
+  } else if (kind == 3) {
+    const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               0.0, -0.0};
+    for (std::size_t c = 0; c < 1 + x.size() / 256; ++c) {
+      x.data()[rng.uniform_index(x.size())] =
+          specials[rng.uniform_index(std::size(specials))];
+    }
+    if (n >= 3) {
+      for (double& v : x.row(1)) v = -0.0;
+      for (double& v : x.row(2)) v = std::abs(v) + 1.0;
+    }
+  }
+  return x;
+}
+
+/// Every operand shape and kind through gram_rows, gram_cols of the
+/// transpose and gram_rows of a row view between NaN rows, each into one
+/// reused `out` that holds the previous call's entries. Every result must
+/// have the oracle's contract bits; returns the digest of them all.
+std::uint64_t gram_bit_sweep() {
+  const std::size_t ns[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  15, 16,
+                            17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 129};
+  const std::size_t lens[] = {1, 2, 3, 7, 10, 255, 256, 257, 4096};
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  Matrix out;
+  for (const std::size_t n : ns) {
+    for (const std::size_t len : lens) {
+      for (int kind = 0; kind < 4; ++kind) {
+        Rng rng(n * 1000003 + len * 31 + static_cast<std::size_t>(kind));
+        const Matrix x = gram_operand(n, len, kind, rng);
+        const Matrix want = gram_oracle(x);
+        Matrix padded(n + 5, len);
+        for (std::size_t i = 0; i < padded.size(); ++i) {
+          padded.data()[i] = std::numeric_limits<double>::quiet_NaN();
+        }
+        for (std::size_t i = 0; i < n; ++i) padded.set_row(i + 2, x.row(i));
+        const std::string what = "n " + std::to_string(n) + " len " +
+                                 std::to_string(len) + " kind " +
+                                 std::to_string(kind);
+        for (int form = 0; form < 3; ++form) {
+          if (form == 0) gram_rows(x, out);
+          if (form == 1) gram_cols(x.transposed(), out);
+          if (form == 2) gram_rows(MatrixView::rows_of(padded, 2, 2 + n), out);
+          EXPECT_EQ(first_bit_difference(out, want), -1)
+              << what << " form " << form;
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            const std::uint64_t bits = contract_bits(out.data()[i]);
+            digest = test::fnv1a(&bits, sizeof bits, digest);
+          }
+        }
+      }
+    }
+  }
+  return digest;
+}
+
+TEST(GramBits, EqualsTheSequentialUnfusedSum) {
+  // Shapes around every tile (4 rows × 8 columns) and chunk (256 terms)
+  // edge, serial and above the pool threshold (n²·len >= 8·10⁶); a child
+  // process re-runs the sweep at pool sizes 1 and 4 and must print the
+  // same digest.
+  const std::uint64_t digest = gram_bit_sweep();
+  test::print_pool_digest(parallel::shared_pool().thread_count(), digest);
+  if (std::getenv("ARAMS_GRAM_BITS_CHILD") != nullptr) return;
+  test::expect_digest_at_pool_sizes(
+      "ARAMS_GRAM_BITS_CHILD", "GramBits.EqualsTheSequentialUnfusedSum",
+      digest);
+}
+
+TEST(GramBits, SameBitsOnAPoolWorker) {
+  // On a pool worker the call takes the serial path: same bits.
+  Rng rng(26);
+  const Matrix a = gram_operand(65, 4096, 1, rng);
+  const Matrix caller = gram_rows(a);
+  Matrix worker;
+  parallel::shared_pool().submit([&] { worker = gram_rows(a); }).get();
+  EXPECT_EQ(first_bit_difference(worker, caller), -1);
+  EXPECT_EQ(first_bit_difference(caller, gram_oracle(a)), -1);
+}
+
+TEST(GramBits, PooledCallEntersThePoolOnce) {
+  // 64² · 4096 ≈ 1.7·10⁷ flops, above the threshold: one dispatch, and at
+  // most one task per pool thread, whatever the number of term chunks.
+  ASSERT_TRUE(kPoolEnvForced);
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  Rng rng(27);
+  const Matrix a = random_matrix(64, 4096, rng);
+  const Matrix at = a.transposed();
+  obs::Counter& dispatches =
+      obs::metrics().counter("linalg.gemm_parallel_count");
+  for (const bool rows : {true, false}) {
+    Matrix g;
+    const long before = dispatches.value();
+    const long tasks = test::tasks_submitted_by([&] {
+      if (rows) {
+        gram_rows(a, g);
+      } else {
+        gram_cols(at, g);
+      }
+    });
+    if (threads >= 2) {
+      EXPECT_EQ(dispatches.value(), before + 1) << "rows " << rows;
+      EXPECT_GE(tasks, 2) << "rows " << rows;
+      EXPECT_LE(tasks, static_cast<long>(threads)) << "rows " << rows;
+    } else {
+      EXPECT_EQ(dispatches.value(), before) << "rows " << rows;
+      EXPECT_EQ(tasks, 0) << "rows " << rows;
+    }
+  }
+}
 
 TEST(BlasParallel, LargeGemmDispatchesToPoolAndMatchesNaive) {
   ASSERT_TRUE(kPoolEnvForced);

@@ -394,6 +394,28 @@ TEST(Sharded, ReportCarriesShardAndMergeKeys) {
             stats.critical_path_seconds_measured);
 }
 
+TEST(Sharded, ReportCarriesTheShardsOwnStages) {
+  // The shards' priority samplers time their work as "sample", which
+  // stats() does not carry; the wrapper's report adds each shard's entry
+  // and keeps the summed counters as they were.
+  SketcherConfig config;
+  config.backend = "arams";
+  config.arams.ell = 8;
+  config.arams.seed = 5;
+  config.arams.beta = 0.5;
+  ShardedSketcher sharded(config, 2, nullptr);
+  stream_batches(sharded, random_matrix(256, 64, 18), 64);
+
+  obs::StageReport report;
+  sharded.report(report);
+  EXPECT_TRUE(report.has_stage("sample"));
+  EXPECT_GT(report.seconds("sample"), 0.0);
+  EXPECT_EQ(report.counter("shards"), 2);
+  EXPECT_EQ(report.counter("rows_processed"),
+            sharded.stats().rows_processed);
+  EXPECT_EQ(report.seconds("shrink"), sharded.stats().shrink_seconds);
+}
+
 TEST(Sharded, PooledMergeDispatchesGroups) {
   parallel::ThreadPool pool(4);
   ShardedSketcher sharded(fd_config(8, 5), 8, &pool);

@@ -21,6 +21,7 @@
 #include "embed/umap.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
+#include "pool_tasks.hpp"
 #include "rerun_self.hpp"
 #include "rng/rng.hpp"
 #include "umap_serial_reference.hpp"
@@ -488,31 +489,6 @@ Matrix latent_classes(std::size_t n, std::size_t dim, std::size_t classes,
 }
 
 
-/// Holds every shared-pool worker at once, so every task queued before the
-/// call has been taken, and its wait observed, when it returns.
-void fence_pool() {
-  parallel::ThreadPool& pool = parallel::shared_pool();
-  std::latch all(static_cast<std::ptrdiff_t>(pool.thread_count()));
-  std::vector<std::future<void>> held;
-  for (std::size_t t = 0; t < pool.thread_count(); ++t) {
-    held.push_back(pool.submit([&all] { all.arrive_and_wait(); }));
-  }
-  for (auto& f : held) f.get();
-}
-
-/// The number of pool tasks fn() submits, counted between two fences.
-template <typename Fn>
-long tasks_submitted_by(const Fn& fn) {
-  const obs::Histogram& tasks =
-      obs::metrics().histogram("pool.task_wait_seconds");
-  fence_pool();
-  const long before = tasks.count();
-  fn();
-  fence_pool();
-  return tasks.count() - before -
-         static_cast<long>(parallel::shared_pool().thread_count());
-}
-
 /// The helpers one pooled layout run submits: thread_count() − 1, or none
 /// on a one-thread pool, where the layout runs inline.
 long layout_helpers() {
@@ -534,14 +510,14 @@ TEST(UmapLayout, SameBitsAtAnyPoolSize) {
   config.n_epochs = 40;
   const KnnGraph graph = exact_knn(pts, config.n_neighbors);
 
-  const long graph_tasks = tasks_submitted_by(
+  const long graph_tasks = test::tasks_submitted_by(
       [&] { (void)fuzzy_simplicial_set(graph, smooth_knn_distances(graph)); });
   Matrix y;
-  const long tasks_40 =
-      tasks_submitted_by([&] { y = umap_embed_graph(pts, graph, config); });
+  const long tasks_40 = test::tasks_submitted_by(
+      [&] { y = umap_embed_graph(pts, graph, config); });
   UmapConfig longer = config;
   longer.n_epochs = 80;
-  const long tasks_80 = tasks_submitted_by(
+  const long tasks_80 = test::tasks_submitted_by(
       [&] { (void)umap_embed_graph(pts, graph, longer); });
   EXPECT_EQ(tasks_40, graph_tasks + layout_helpers());
   EXPECT_EQ(tasks_80, tasks_40);
@@ -594,7 +570,7 @@ TEST(UmapLayout, FinishesAloneWhenThePoolIsBusy) {
 
   Matrix y;
   std::uint64_t returned = 0;
-  const long tasks = tasks_submitted_by([&] {
+  const long tasks = test::tasks_submitted_by([&] {
     std::latch release(1);
     std::vector<std::future<void>> held;
     for (std::size_t t = 0; t < pool.thread_count(); ++t) {
