@@ -1,14 +1,19 @@
 // Micro-kernel benchmarks (google-benchmark): the primitives that dominate
 // the sketching pipeline — GEMM, row Gram, Gram-trick SVD vs Jacobi SVD,
-// tridiagonal vs Jacobi eig, FD append throughput, and the wide-row
-// (d ≫ ℓ) ingest hot path: short-fat GEMM, FD shrink, one rank-adaptive
-// decision and one priority-sampled batch.
+// tridiagonal vs Jacobi eig, FD append throughput, the wide-row (d ≫ ℓ)
+// ingest hot path (short-fat GEMM, FD shrink, one rank-adaptive decision
+// and one priority-sampled batch), the row-band GEMM shapes and one
+// sharded health check.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "core/error_tracker.hpp"
 #include "core/fd.hpp"
 #include "core/priority_sampler.hpp"
 #include "core/rank_adaptive.hpp"
+#include "core/sketcher.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/svd.hpp"
@@ -294,6 +299,64 @@ void BM_WidePrioritySample(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
 }
 BENCHMARK(BM_WidePrioritySample)->UseRealTime();
+
+// ---- row-band GEMM: tall products over a narrow output, where the row
+// tiles outnumber the column blocks. Args m, n, k of C = A·Bᵀ (NT): the
+// health check's R·Vᵀ (256-row reservoir, ℓ = 32 basis, d = 16384) and
+// project_rows' 4608 frames onto 10 components at d = 4096.
+void BM_GemmRowBand(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const Matrix a = random_matrix(m, k, 70);
+  const Matrix bt = random_matrix(n, k, 71);
+  Matrix out;
+  for (auto _ : state) {
+    linalg::matmul_nt(a, bt, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_GemmRowBand)
+    ->Args({256, 32, 16384})
+    ->Args({4608, 10, 4096})
+    ->UseRealTime();
+
+// ---- one per-batch numerics health check of the diffraction_ingest_f32x4
+// lane: a 4-shard fp32 sharded:arams sketch (d = 16384, ℓ = 32, β = 0.8,
+// fixed rank) takes one 256-row batch outside the timer, then the timed
+// check runs basis(ℓ), relative_error on a 256-row reservoir that saw the
+// batch, and the orthogonality Gram of the basis.
+void BM_ShardedHealthCheck(benchmark::State& state) {
+  constexpr std::size_t kBatch = 256;
+  core::SketcherConfig config;
+  config.backend = "sharded:arams";
+  config.shards = 4;
+  config.arams.ell = kWideEll;
+  config.arams.rank_adaptive = false;
+  const auto sketcher = core::make_sketcher(config);
+  core::SketchErrorTracker tracker{core::ErrorTrackerConfig{}};
+  std::vector<Matrix> wide;
+  std::vector<linalg::MatrixF> batches;
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    wide.push_back(random_matrix(kBatch, kWideDim, 72 + b));
+    batches.push_back(linalg::MatrixF::from_matrix(wide.back()));
+  }
+  const auto push = [&](std::size_t b) {
+    sketcher->push_batch(linalg::MatrixViewF(batches[b % 4]));
+    tracker.observe_batch(wide[b % 4]);
+  };
+  std::size_t next = 0;
+  for (; next < 8; ++next) push(next);
+  for (auto _ : state) {
+    state.PauseTiming();
+    push(next++);
+    state.ResumeTiming();
+    const Matrix basis = sketcher->basis(sketcher->current_ell());
+    benchmark::DoNotOptimize(tracker.relative_error(basis));
+    benchmark::DoNotOptimize(linalg::gram_rows(basis).data());
+  }
+}
+BENCHMARK(BM_ShardedHealthCheck)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -22,6 +22,8 @@ void SketchErrorTracker::observe(std::span<const double> row) {
   if (reservoir_.rows() < config_.reservoir_size) {
     reservoir_.append_zero_rows(1);
     reservoir_.set_row(reservoir_.rows() - 1, row);
+    row_sq_norms_.push_back(0.0);
+    stale_.push_back(1);
     return;
   }
   // Algorithm R: replace a random slot with probability size/seen.
@@ -29,6 +31,7 @@ void SketchErrorTracker::observe(std::span<const double> row) {
       static_cast<std::uint64_t>(rows_seen_));
   if (slot < config_.reservoir_size) {
     reservoir_.set_row(slot, row);
+    stale_[slot] = 1;
   }
 }
 
@@ -47,11 +50,19 @@ linalg::Matrix SketchErrorTracker::reservoir_rows() const {
   return reservoir_;
 }
 
-double SketchErrorTracker::relative_error(linalg::MatrixView basis) const {
+double SketchErrorTracker::relative_error(linalg::MatrixView basis) {
   ARAMS_CHECK(reservoir_.rows() > 0, "no rows observed yet");
   ARAMS_CHECK(basis.cols() == dim_, "basis dimension mismatch");
-  // One pass over the reservoir for ‖R‖²_F, shared with the residual.
-  const double total = linalg::frobenius_norm_squared(reservoir_);
+  // ‖R‖²_F, shared with the residual: frobenius_norm_squared's row-order
+  // sum over kept row norms, refreshing only the rows written since.
+  double total = 0.0;
+  for (std::size_t r = 0; r < reservoir_.rows(); ++r) {
+    if (stale_[r] != 0) {
+      row_sq_norms_[r] = linalg::norm2_squared(reservoir_.row(r));
+      stale_[r] = 0;
+    }
+    total += row_sq_norms_[r];
+  }
   if (total <= 0.0) return 0.0;
   return linalg::projection_residual_exact(reservoir_, basis, total) / total;
 }

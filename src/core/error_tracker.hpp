@@ -10,6 +10,7 @@
 // deliberately does not provide.
 
 #include <cstdint>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "rng/rng.hpp"
@@ -37,8 +38,11 @@ class SketchErrorTracker {
   /// orthonormal row basis (e.g. FrequentDirections::basis(k)):
   /// ‖R − R·VᵀV‖²_F / ‖R‖²_F. Unbiased for the stream average because the
   /// reservoir is a uniform sample. Throws CheckError before any rows.
-  /// Reads the reservoir in place: a health check copies nothing.
-  [[nodiscard]] double relative_error(linalg::MatrixView basis) const;
+  /// Reads the reservoir in place: a health check copies nothing. ‖R‖²_F
+  /// comes from kept per-row ‖r‖²: only the rows written since the last
+  /// call are recomputed, and the sum runs in row order from +0.0, so it
+  /// has the bits of linalg::frobenius_norm_squared(R).
+  [[nodiscard]] double relative_error(linalg::MatrixView basis);
 
   [[nodiscard]] long rows_seen() const { return rows_seen_; }
   [[nodiscard]] std::size_t reservoir_count() const;
@@ -52,6 +56,10 @@ class SketchErrorTracker {
   Rng rng_;
   /// The sampled rows, one per matrix row (grows to reservoir_size rows).
   linalg::Matrix reservoir_;
+  /// ‖r‖² of each reservoir row, valid where !stale_[r].
+  std::vector<double> row_sq_norms_;
+  /// Rows written since the last relative_error (1 = recompute its norm).
+  std::vector<unsigned char> stale_;
   long rows_seen_ = 0;
   std::size_t dim_ = 0;
 };

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 
-#include "linalg/svd.hpp"
-#include "linalg/workspace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -19,15 +16,6 @@ using linalg::Matrix;
 using linalg::MatrixView;
 
 namespace {
-
-/// Per-merge scratch: one workspace + SVD output pair serves every shrink
-/// in a merge call, so repeated reductions reuse the same arenas instead
-/// of allocating Gram/eig buffers per level. tree_merge holds one per
-/// concurrent group slot — workspaces are not thread-safe.
-struct MergeScratch {
-  linalg::Workspace ws;
-  linalg::SigmaVt svd;
-};
 
 /// One FD shrink of `stacked` down to at most `ell` rows (the surviving
 /// non-zero rows; at most ℓ−1 of them are non-zero, matching Algorithm 2).
@@ -132,7 +120,8 @@ Matrix serial_merge(std::vector<Matrix> sketches, std::size_t ell,
 
 Matrix tree_merge(std::vector<Matrix> sketches, std::size_t ell,
                   std::size_t arity, MergeStats* stats,
-                  parallel::ThreadPool* pool) {
+                  parallel::ThreadPool* pool,
+                  std::vector<MergeScratch>* scratch) {
   ARAMS_CHECK(!sketches.empty(), "merge of zero sketches");
   ARAMS_CHECK(arity >= 2, "tree arity must be >= 2");
   const obs::ScopedSpan span("merge.tree");
@@ -140,16 +129,15 @@ Matrix tree_merge(std::vector<Matrix> sketches, std::size_t ell,
   static obs::Counter& groups_dispatched =
       obs::metrics().counter("merge.parallel_groups");
   MergeStats local;
-  // One scratch arena per concurrent group slot, sized by the widest level
-  // (the first) and reused down the tree. Group g always uses arena g, so
-  // the arena→group mapping — and therefore every shrink input — is
-  // independent of the pool schedule.
+  // One scratch slot per concurrent group, sized by the widest level (the
+  // first) and reused down the tree. Group g always uses slot g, so the
+  // slot→group mapping — and therefore every shrink input — is independent
+  // of the pool schedule.
   const std::size_t max_groups = (sketches.size() + arity - 1) / arity;
-  std::vector<std::unique_ptr<MergeScratch>> scratch;
-  scratch.reserve(max_groups);
-  for (std::size_t g = 0; g < max_groups; ++g) {
-    scratch.push_back(std::make_unique<MergeScratch>());
-  }
+  std::vector<MergeScratch> call_scratch;
+  std::vector<MergeScratch>& slots = scratch != nullptr ? *scratch
+                                                        : call_scratch;
+  if (slots.size() < max_groups) slots.resize(max_groups);
   std::vector<double> group_seconds(max_groups, 0.0);
   Stopwatch wall;
   while (sketches.size() > 1) {
@@ -160,7 +148,7 @@ Matrix tree_merge(std::vector<Matrix> sketches, std::size_t ell,
     Stopwatch level_timer;
     const auto run_group = [&](std::size_t g) {
       Stopwatch timer;
-      MergeScratch& sc = *scratch[g];
+      MergeScratch& sc = slots[g];
       const std::size_t begin = g * arity;
       const std::size_t end = std::min(begin + arity, sketches.size());
       next[g] = shrink_to_ell(stack_group(sketches, begin, end, sc.ws), ell,

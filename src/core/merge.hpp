@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "linalg/svd.hpp"
+#include "linalg/workspace.hpp"
 #include "obs/stage_report.hpp"
 
 namespace arams::parallel {
@@ -65,6 +67,14 @@ inline MergeStats merge_stats_from_report(const obs::StageReport& report) {
   return stats;
 }
 
+/// Scratch of one merge group: the stack, Gram and eig buffers (in `ws`)
+/// and the Σ·Vᵀ output of its shrink. Not thread-safe: one per concurrent
+/// group.
+struct MergeScratch {
+  linalg::Workspace ws;
+  linalg::SigmaVt svd;
+};
+
 /// Merges a group of sketches into one ℓ-row sketch with a single FD
 /// shrink of their vertical stack. Column counts must match.
 linalg::Matrix merge_group(const std::vector<linalg::Matrix>& sketches,
@@ -82,15 +92,21 @@ linalg::Matrix serial_merge(std::vector<linalg::Matrix> sketches,
 /// With a `pool` (the sharded sketcher and pipeline pass
 /// &parallel::shared_pool()) every level's groups run concurrently; nullptr
 /// runs them inline on the calling thread. Group g of a level owns scratch
-/// arena g and writes result slot g, so the reduction is bitwise identical
+/// slot g and writes result slot g, so the reduction is bitwise identical
 /// at any pool size — scheduling decides only *when* a group runs, never
-/// what it computes. Groups stack into workspace scratch (no per-step
-/// vstack allocations), so repeated merges are allocation-free at steady
-/// state. `stats->critical_path_seconds_measured` is the real wall time of
-/// the reduction.
+/// what it computes. Groups stack into their slot's workspace (no per-step
+/// vstack). `scratch`, when given, is kept by the caller across calls: it
+/// grows to the widest level's group count and never shrinks, so repeated
+/// merges of one shape reuse every stack, Gram, eig and SVD buffer. Without
+/// it each call builds fresh slots. Either way the group outputs (and the
+/// per-level result vectors) are fresh allocations on every call, and the
+/// result is the same bits: no kernel reads a slot's previous contents.
+/// `stats->critical_path_seconds_measured` is the real wall time of the
+/// reduction.
 linalg::Matrix tree_merge(std::vector<linalg::Matrix> sketches,
                           std::size_t ell, std::size_t arity = 2,
                           MergeStats* stats = nullptr,
-                          parallel::ThreadPool* pool = nullptr);
+                          parallel::ThreadPool* pool = nullptr,
+                          std::vector<MergeScratch>* scratch = nullptr);
 
 }  // namespace arams::core

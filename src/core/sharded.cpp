@@ -85,6 +85,7 @@ void ShardedSketcher::push_rows(View batch) {
     shard.rows += static_cast<long>(count);
   });
   row_cursor_ += n;
+  ++version_;
   if constexpr (std::is_same_v<View, MatrixViewF>) {
     // Credit the lane on the wrapper: report() reads this object's
     // counters, and the inner sketchers account their own widen time.
@@ -104,17 +105,24 @@ void ShardedSketcher::push_batch(MatrixViewF batch) { push_rows(batch); }
 Matrix ShardedSketcher::sketch() {
   const std::size_t d = dim();
   if (d == 0) return Matrix();
-  std::vector<Matrix> parts;
-  parts.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    if (shard.inner->dim() == 0) continue;
-    Matrix part = shard.inner->sketch();
-    if (part.rows() > 0) parts.push_back(std::move(part));
+  if (merged_version_ == version_) return merged_;
+  // Slot s holds shard s's sketch; a shard that has seen no row keeps an
+  // empty slot, and empty slots drop out in shard order.
+  std::vector<Matrix> parts(shards_.size());
+  for_each_shard([&](std::size_t s) {
+    if (shards_[s].inner->dim() > 0) parts[s] = shards_[s].inner->sketch();
+  });
+  std::erase_if(parts, [](const Matrix& part) { return part.rows() == 0; });
+  if (parts.empty()) {
+    merged_ = Matrix(0, d);
+  } else if (parts.size() == 1) {
+    merged_ = std::move(parts.front());
+  } else {
+    merged_ = tree_merge(std::move(parts), current_ell(), 2,
+                         &last_merge_stats_, pool_, &merge_scratch_);
   }
-  if (parts.empty()) return Matrix(0, d);
-  if (parts.size() == 1) return std::move(parts.front());
-  return tree_merge(std::move(parts), current_ell(), 2, &last_merge_stats_,
-                    pool_);
+  merged_version_ = version_;
+  return merged_;
 }
 
 std::size_t ShardedSketcher::current_ell() const {

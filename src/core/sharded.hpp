@@ -16,8 +16,26 @@
 // ingest performs no heap allocation in the shard work itself. Dispatching
 // onto a ThreadPool costs O(shards) small control allocations per batch;
 // run with pool == nullptr for strictly allocation-free inline ingest.
+//
+// sketch() runs each shard's own sketch() (its compress) as one shard
+// task, then tree-merges the parts. The merge's group scratch (one
+// grow-only slot per group index) is kept here across calls, as is the
+// workspace of the default basis(); the part and group-output matrices
+// are fresh on every merge. The merged sketch is cached with the ingest
+// version it belongs to: every non-empty push bumps the version, and a
+// sketch() or basis() of an unchanged state returns the cached matrix
+// without touching the shards. That is the same bits as merging again,
+// because an inner sketch() is idempotent (a second compress of an
+// unchanged shard is a no-op), so the parts would stack identically.
+//
+// Errors: when a shard's sketch() throws, the pool rethrows the exception
+// of the lowest throwing shard index after every shard task has finished;
+// the other shards may by then have compressed (which no later result can
+// tell apart from not compressing, by idempotence), no merge runs, and the
+// cache keeps its old version, so the next sketch() starts over.
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -67,8 +85,8 @@ class ShardedSketcher final : public Sketcher {
   /// "sketch.shard_rows.<s>" gauge after every batch).
   [[nodiscard]] long shard_rows(std::size_t s) const;
 
-  /// Stats of the most recent sketch()-time parallel tree merge; zeros
-  /// before the first sketch() call.
+  /// Stats of the most recent tree merge sketch() ran; zeros before the
+  /// first one. A sketch() served from the cache leaves them as they are.
   [[nodiscard]] const MergeStats& last_merge_stats() const {
     return last_merge_stats_;
   }
@@ -113,6 +131,10 @@ class ShardedSketcher final : public Sketcher {
   std::vector<Shard> shards_;
   parallel::ThreadPool* pool_;
   std::size_t row_cursor_ = 0;  ///< lifetime rows seen; round-robin state
+  std::uint64_t version_ = 1;   ///< bumped by every non-empty push
+  std::uint64_t merged_version_ = 0;  ///< version merged_ belongs to
+  linalg::Matrix merged_;             ///< the last sketch() result
+  std::vector<MergeScratch> merge_scratch_;  ///< tree_merge group slots
   MergeStats last_merge_stats_;
   std::string inner_name_;
 };

@@ -170,9 +170,8 @@ Matrix Sketcher::basis(std::size_t k) {
   ARAMS_CHECK(dim() > 0, kEmptyBasisMessage);
   const Matrix b = sketch();
   if (b.rows() == 0 || k == 0) return Matrix(0, dim());
-  linalg::Workspace ws;
-  linalg::SigmaVt svd;
-  linalg::sigma_vt_svd(b, ws, svd, std::min(k, b.rows()));
+  linalg::sigma_vt_svd(b, basis_ws_, basis_svd_, std::min(k, b.rows()));
+  const linalg::SigmaVt& svd = basis_svd_;
   // Rows of w are σᵢ·vᵢᵀ; normalizing recovers the orthonormal directions.
   // Same 1e-7 relative rank floor as FD::basis / right_vectors.
   const std::size_t cap = std::min({k, svd.w.rows(), svd.sigma.size()});

@@ -41,6 +41,7 @@
 #include "core/arams_sketch.hpp"
 #include "core/sketch_stats.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/svd.hpp"
 #include "linalg/workspace.hpp"
 #include "obs/stage_report.hpp"
 #include "rng/rng.hpp"
@@ -81,8 +82,9 @@ class Sketcher {
   /// Orthonormal top-k principal row directions of the current sketch
   /// (≤k × d). Precondition: dim() > 0 (throws CheckError otherwise — see
   /// the empty-state contract above). Default implementation recovers the
-  /// right singular vectors of sketch(); backends with a cheaper route
-  /// (FD's already-rotated buffer) override.
+  /// right singular vectors of sketch() through an SVD whose workspace the
+  /// sketcher keeps across calls; backends with a cheaper route (FD's
+  /// already-rotated buffer) override.
   virtual linalg::Matrix basis(std::size_t k);
 
   /// Target sketch size ℓ (rows retained); grows under rank adaptation.
@@ -123,6 +125,8 @@ class Sketcher {
 
  private:
   linalg::Matrix widened_;  ///< fp32 lane widen target, grow-only
+  linalg::Workspace basis_ws_;  ///< default basis() SVD scratch, grow-only
+  linalg::SigmaVt basis_svd_;   ///< default basis() SVD output
   long rows_f32_ = 0;
   double widen_seconds_ = 0.0;
 };

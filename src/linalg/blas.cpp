@@ -97,8 +97,10 @@ constexpr std::size_t kNc = 512;
 constexpr std::size_t kMr = 4;
 
 // Grow-only, per-thread packing scratch: steady-state kernel calls never
-// allocate. GEMM packs A panels into pack_a and B panels into pack_b, each
-// on the thread that runs the tile.
+// allocate. GEMM packs A panels into pack_a on the thread that runs the
+// tile. B panels go into pack_b: one KC×NC panel at a time on the thread
+// that runs a column block, or a whole column block's k×NC panels on the
+// caller of a row-band product.
 std::vector<double>& pack_a_scratch() {
   thread_local std::vector<double> buf;
   return buf;
@@ -300,8 +302,9 @@ void micro_kernel(const double* am, std::size_t kb, const double* bp,
 ///    MR row tiles (the d ≫ ℓ short-fat products of an FD shrink and the
 ///    rank-adaptive probes): one task per block packs its own B panels and
 ///    runs every KC panel and row tile, so the pool is entered once;
-///  * row bands — otherwise: the caller packs each (NC, KC) B panel and
-///    the pool splits its row tiles;
+///  * row bands — otherwise: the caller packs every KC panel of a column
+///    block once, and one pool entry per column block splits the row
+///    tiles into bands that each run all KC panels;
 ///  * serial — below the flop threshold, on a 1-thread pool, or when
 ///    neither axis offers at least one unit per pool thread (e.g. the
 ///    K-dominant 10×32, k = 16384 probe product).
@@ -364,19 +367,27 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k,
     pool->parallel_for(col_blocks, run_block);
     return;
   }
-  // Row bands: boundaries are whole tiles so none straddles two bands;
-  // ~4 bands per worker lets the queue balance load.
+  // Row bands: the caller packs all KC panels of a column block at once
+  // (k×jb doubles, panel pc at offset pc·jb), and the pool is entered once
+  // per column block; each band then runs every panel in pc order over its
+  // tiles. Boundaries are whole tiles so none straddles two bands; ~4 bands
+  // per worker lets the queue balance load.
   const std::size_t bands = std::min(tiles, threads * 4);
+  std::vector<double>& bbuf = pack_b_scratch();
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t jb = std::min(kNc, n - jc);
+    if (bbuf.size() < k * jb) bbuf.resize(k * jb);
     for (std::size_t pc = 0; pc < k; pc += kKc) {
-      const std::size_t kb = std::min(kKc, k - pc);
-      const double* bp = pack_b(jc, jb, pc, kb);
-      pool->parallel_for(bands, [&](std::size_t t) {
-        run_tiles(jc, jb, pc, kb, bp, tiles * t / bands,
-                  tiles * (t + 1) / bands);
-      });
+      pack_b_panel(b, brs, bcs, pc, jc, std::min(kKc, k - pc), jb,
+                   bbuf.data() + pc * jb);
     }
+    const double* packed = bbuf.data();
+    pool->parallel_for(bands, [&](std::size_t t) {
+      for (std::size_t pc = 0; pc < k; pc += kKc) {
+        run_tiles(jc, jb, pc, std::min(kKc, k - pc), packed + pc * jb,
+                  tiles * t / bands, tiles * (t + 1) / bands);
+      }
+    });
   }
 }
 

@@ -179,11 +179,24 @@ void tridiagonalize(Matrix& wm, std::size_t n, std::span<double> d,
 /// where e[i] couples rows i and i+1 (e[n-1] unused). When z is non-null
 /// the plane rotations accumulate into its columns. Returns the number of
 /// shift iterations taken. The standard dsteqr/tql2 recurrence.
+///
+/// A coupling deflates when it is negligible against its own diagonal pair
+/// (|e_m| ≤ eps·(|d_m| + |d_{m+1}|)), or when the pair and the coupling are
+/// all at roundoff level of the whole matrix (≤ eps·max_i(|d_i| + |e_i|)).
+/// The second test is what lets a rank-deficient Gram converge: its block
+/// of zero eigenvalues carries couplings of the same roundoff size as its
+/// diagonal, which the relative test alone never accepts. Wherever the
+/// relative test fires first, the iteration is unchanged.
 int ql_implicit(std::span<double> d, std::span<double> e, std::size_t n,
                 Matrix* z) {
   if (n <= 1) return 0;
   e[n - 1] = 0.0;
   const double eps = std::numeric_limits<double>::epsilon();
+  double tnorm = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    tnorm = std::max(tnorm, std::abs(d[i]) + std::abs(e[i]));
+  }
+  const double floor = eps * tnorm;
   int total_iters = 0;
   for (std::size_t l = 0; l < n; ++l) {
     int iter = 0;
@@ -192,7 +205,8 @@ int ql_implicit(std::span<double> d, std::span<double> e, std::size_t n,
       std::size_t m = l;
       while (m + 1 < n) {
         const double dd = std::abs(d[m]) + std::abs(d[m + 1]);
-        if (std::abs(e[m]) <= eps * dd) break;
+        const double em = std::abs(e[m]);
+        if (em <= eps * dd || (dd <= floor && em <= floor)) break;
         ++m;
       }
       if (m == l) break;  // d[l] converged

@@ -297,6 +297,7 @@ SnapshotResult StreamingMonitor::snapshot() {
 
   const Matrix sketch = sketcher_->sketch();
   ARAMS_CHECK(sketch.rows() > 0, "sketch is empty — ingest more frames");
+  sketcher_->report(out.report);
 
   const embed::PcaProjector pca(sketch, config_.pipeline.pca_components,
                                 snapshot_ws_);
@@ -355,6 +356,7 @@ SnapshotResult StreamingMonitor::snapshot_incremental() {
 
   // Project the whole reservoir through the *current* sketch.
   const Matrix sketch = sketcher_->sketch();
+  sketcher_->report(out.report);
   const embed::PcaProjector pca(sketch, config_.pipeline.pca_components,
                                 snapshot_ws_);
   out.latent = project_reservoir(pca, out.shot_ids);

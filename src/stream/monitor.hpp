@@ -76,7 +76,10 @@ struct SnapshotResult {
   std::vector<int> labels;
   std::vector<std::uint64_t> shot_ids;  ///< rows ↔ shots
 
-  /// Stage timings for this snapshot ("snapshot" = end-to-end).
+  /// Stage timings for this snapshot ("snapshot" = end-to-end), plus the
+  /// sketcher's own report as of the snapshot's sketch (Sketcher::report:
+  /// its counters and stages, and for a sharded sketcher "shards" and the
+  /// "merge_*" keys).
   obs::StageReport report;
 };
 

@@ -676,6 +676,11 @@ std::vector<WideShape> wide_shapes() {
     }
   }
   shapes.push_back({10, 32, 16384});  // K-dominant: C = Y·Vᵀ of the probes
+  // Row-band shapes: the health check's R·Vᵀ (256-row reservoir against an
+  // ℓ = 32 basis at d = 16384) and project_rows' 4608 frames onto 10
+  // components at d = 4096.
+  shapes.push_back({256, 32, 16384});
+  shapes.push_back({4608, 10, 4096});
   return shapes;
 }
 
@@ -761,6 +766,39 @@ TEST(BlasParallel, WideShapeDispatchFollowsShape) {
   before = dispatches.value();
   (void)matmul_nt(y, v);
   EXPECT_EQ(dispatches.value(), before);
+}
+
+TEST(BlasParallel, RowBandCallEntersThePoolOncePerColumnBlock) {
+  // A row-band product packs each column block's KC panels on the caller
+  // and submits at most min(tiles, 4·threads) band tasks per column block,
+  // whatever k is; the bits equal the serial call's on a pool worker.
+  ASSERT_TRUE(kPoolEnvForced);
+  const std::size_t threads = parallel::shared_pool().thread_count();
+  if (threads < 2) GTEST_SKIP() << "needs a pooled call";
+  obs::Counter& dispatches =
+      obs::metrics().counter("linalg.gemm_parallel_count");
+  for (const WideShape s : {WideShape{256, 32, 16384},
+                            WideShape{4608, 10, 4096},
+                            WideShape{1024, 1030, 64}}) {
+    Rng rng(s.m + s.n + s.k);
+    const Matrix a = random_matrix(s.m, s.k, rng);
+    const Matrix bt = random_matrix(s.n, s.k, rng);
+    const std::size_t tiles = (s.m + 3) / 4;
+    const std::size_t blocks = (s.n + 511) / 512;
+    ASSERT_LT(blocks, tiles) << shape_name(s);
+    Matrix pooled;
+    const long before = dispatches.value();
+    const long tasks =
+        test::tasks_submitted_by([&] { matmul_nt(a, bt, pooled); });
+    EXPECT_EQ(dispatches.value(), before + 1) << shape_name(s);
+    EXPECT_GE(tasks, static_cast<long>(blocks)) << shape_name(s);
+    EXPECT_LE(tasks, static_cast<long>(
+                         blocks * std::min(tiles, 4 * threads)))
+        << shape_name(s);
+    Matrix serial;
+    parallel::shared_pool().submit([&] { matmul_nt(a, bt, serial); }).get();
+    EXPECT_EQ(fingerprint(pooled), fingerprint(serial)) << shape_name(s);
+  }
 }
 
 /// Child half of WideShapesBitwiseAcrossPoolSizes: prints one fingerprint line per

@@ -167,6 +167,62 @@ TEST(EigenTridiag, RankDeficientGram) {
   expect_matches_jacobi(a);
 }
 
+/// Row Gram B·Bᵀ of an n×d matrix of exact rank r (B = U·W with Gaussian
+/// U and W): the FD shrink's eigenproblem on a low-rank stream. Its n − r
+/// zero eigenvalues come out as a block at roundoff level.
+Matrix low_rank_row_gram(std::size_t n, std::size_t r, std::size_t d,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix u(n, r);
+  Matrix w(r, d);
+  for (std::size_t i = 0; i < n; ++i) rng.fill_normal(u.row(i));
+  for (std::size_t i = 0; i < r; ++i) rng.fill_normal(w.row(i));
+  return gram_rows(matmul(u, w));
+}
+
+/// (n, rank) of a rank-deficient row Gram.
+class RankDeficientTridiag
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(RankDeficientTridiag, MatchesJacobi) {
+  // The roundoff-level block of zero eigenvalues needs the absolute
+  // deflation floor: the relative test alone never deflates it.
+  const auto [n, r] = GetParam();
+  const Matrix a = low_rank_row_gram(static_cast<std::size_t>(n),
+                                     static_cast<std::size_t>(r), 1024,
+                                     static_cast<std::uint64_t>(n * 31 + r));
+  const SymmetricEig eig = run_tridiag(a);
+  const double scale = spectral_scale(eig);
+  for (std::size_t i = static_cast<std::size_t>(r); i < eig.values.size();
+       ++i) {
+    EXPECT_LT(std::abs(eig.values[i]), 1e-10 * scale) << "i=" << i;
+  }
+  expect_matches_jacobi(a);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, RankDeficientTridiag,
+    ::testing::Values(std::pair{80, 1}, std::pair{80, 8}, std::pair{128, 1},
+                      std::pair{128, 8}, std::pair{128, 32},
+                      std::pair{256, 1}, std::pair{256, 8},
+                      std::pair{256, 32}));
+
+TEST(EigenTridiag, RankDeficientAtN1024ByResidualAndOrthogonality) {
+  // Jacobi is too slow at n = 1024; the eigenpairs are checked directly.
+  for (const std::size_t r : {std::size_t{1}, std::size_t{8}}) {
+    const Matrix a = low_rank_row_gram(1024, r, 1024, 1024 + r);
+    const SymmetricEig eig = run_tridiag(a);
+    const double scale = spectral_scale(eig);
+    ASSERT_EQ(eig.values.size(), 1024u) << "r=" << r;
+    for (std::size_t i = r; i < eig.values.size(); ++i) {
+      EXPECT_LT(std::abs(eig.values[i]), 1e-10 * scale)
+          << "r=" << r << " i=" << i;
+    }
+    EXPECT_LT(orthonormality_defect(eig.vectors), 1e-9) << "r=" << r;
+    EXPECT_LT(max_residual(a, eig), 1e-9 * scale) << "r=" << r;
+  }
+}
+
 TEST(EigenTridiag, ClusteredAndRepeatedEigenvalues) {
   Rng rng(11);
   const std::size_t n = 24;

@@ -122,6 +122,36 @@ TEST(ErrorTracker, OnePassForTheNormKeepsTheTwoPassBits) {
   EXPECT_GT(two_pass, 0.0);
 }
 
+TEST(ErrorTracker, KeptRowNormsKeepTheFrobeniusBitsThroughFillAndReplacement) {
+  // ‖R‖²_F comes from kept per-row norms, refreshed only where a row was
+  // written. Checked after every batch, from the first (partial fill)
+  // through Algorithm R's replacements, against a fresh two-pass value;
+  // rows of very different scales make any stale norm show in the bits.
+  Rng rng(5);
+  ErrorTrackerConfig config;
+  config.reservoir_size = 32;
+  SketchErrorTracker tracker(config);
+  FrequentDirections fd(FdConfig{4, true});
+  Matrix batch(12, 40);
+  for (int b = 0; b < 40; ++b) {
+    for (std::size_t i = 0; i < batch.rows(); ++i) {
+      rng.fill_normal(batch.row(i));
+      linalg::scale(batch.row(i), std::exp(3.0 * rng.normal()));
+    }
+    tracker.observe_batch(batch);
+    fd.append_batch(batch);
+    const Matrix basis = fd.basis(4);
+    const Matrix reservoir = tracker.reservoir_rows();
+    const double two_pass =
+        linalg::projection_residual_exact(reservoir, basis) /
+        linalg::frobenius_norm_squared(reservoir);
+    ASSERT_EQ(tracker.relative_error(basis), two_pass) << "batch " << b;
+    // A second call with nothing written reads only kept norms.
+    ASSERT_EQ(tracker.relative_error(basis), two_pass) << "batch " << b;
+  }
+  EXPECT_EQ(tracker.reservoir_count(), 32u);
+}
+
 TEST(ErrorTracker, ZeroForDataInsideBasisSpan) {
   Rng rng(3);
   Matrix b(10, 2);

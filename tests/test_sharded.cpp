@@ -17,11 +17,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "core/merge.hpp"
 #include "core/sharded.hpp"
 #include "core/sketcher.hpp"
 #include "data/beam_profile.hpp"
@@ -33,6 +37,7 @@
 #include "obs/stage_report.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
+#include "rerun_self.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -414,6 +419,207 @@ TEST(Sharded, ReportCarriesTheShardsOwnStages) {
   EXPECT_EQ(report.counter("rows_processed"),
             sharded.stats().rows_processed);
   EXPECT_EQ(report.seconds("shrink"), sharded.stats().shrink_seconds);
+}
+
+// ------------------------------------------------------ pinned merge bits
+
+/// Test-side reference of a P-shard sketcher: P plain inner sketchers fed
+/// the same round-robin rows, sketched one after another on this thread
+/// and tree-merged with no pool and no kept scratch.
+class SerialShardReference {
+ public:
+  SerialShardReference(const SketcherConfig& inner, std::size_t shards) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      SketcherConfig config = inner;
+      config.seed = inner.seed + s;
+      config.arams.seed = inner.arams.seed + s;
+      inner_.push_back(make_sketcher(config));
+    }
+  }
+
+  /// Row j of the lifetime stream goes to shard j mod P.
+  template <typename M>
+  void push(const M& batch) {
+    const std::size_t p = inner_.size();
+    for (std::size_t s = 0; s < p; ++s) {
+      std::vector<std::size_t> rows;
+      for (std::size_t i = 0; i < batch.rows(); ++i) {
+        if ((cursor_ + i) % p == s) rows.push_back(i);
+      }
+      if (rows.empty()) continue;
+      M gathered(rows.size(), batch.cols());
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        gathered.set_row(r, batch.row(rows[r]));
+      }
+      inner_[s]->push_batch(gathered);
+    }
+    cursor_ += batch.rows();
+  }
+
+  Matrix sketch() {
+    std::vector<Matrix> parts;
+    std::size_t ell = 0;
+    for (auto& inner : inner_) {
+      ell = std::max(ell, inner->current_ell());
+      if (inner->dim() == 0) continue;
+      Matrix part = inner->sketch();
+      if (part.rows() > 0) parts.push_back(std::move(part));
+    }
+    if (parts.size() == 1) return parts.front();
+    return tree_merge(std::move(parts), ell);
+  }
+
+  /// Sketcher::basis's recipe over sketch(), with a fresh workspace.
+  Matrix basis(std::size_t k) {
+    const Matrix b = sketch();
+    if (b.rows() == 0) return Matrix(0, b.cols());
+    linalg::Workspace ws;
+    linalg::SigmaVt svd;
+    linalg::sigma_vt_svd(b, ws, svd, std::min(k, b.rows()));
+    const std::size_t cap = std::min({k, svd.w.rows(), svd.sigma.size()});
+    const double floor = 1e-7 * svd.sigma[0];
+    std::size_t keep = 0;
+    while (keep < cap && svd.sigma[keep] > floor) ++keep;
+    Matrix out(keep, b.cols());
+    for (std::size_t i = 0; i < keep; ++i) {
+      out.set_row(i, svd.w.row(i));
+      linalg::scale(out.row(i), 1.0 / svd.sigma[i]);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<std::unique_ptr<Sketcher>> inner_;
+  std::size_t cursor_ = 0;
+};
+
+std::uint64_t digest_of(const Matrix& m, std::uint64_t h) {
+  const std::size_t shape[2] = {m.rows(), m.cols()};
+  h = test::fnv1a(shape, sizeof shape, h);
+  return test::fnv1a(m.data(), m.size() * sizeof(double), h);
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+SketcherConfig pinned_config(const std::string& backend) {
+  SketcherConfig config;
+  config.backend = backend;
+  config.ell = 16;
+  config.seed = 21;
+  config.arams.ell = 16;
+  config.arams.seed = 21;
+  config.arams.beta = 0.8;
+  return config;
+}
+
+/// Streams 8 batches of 128 rows (d = 2048, fp64 or fp32) through a
+/// 4-shard sketcher on the shared pool and through the serial reference.
+/// After every batch, basis(current_ell()) and then sketch() must equal
+/// the reference's bits. Returns a digest of every basis and sketch.
+template <typename M>
+std::uint64_t pinned_stream(const std::string& backend, const M& rows) {
+  const SketcherConfig inner = pinned_config(backend);
+  ShardedSketcher sharded(inner, 4, &parallel::shared_pool());
+  SerialShardReference reference(inner, 4);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t r0 = 0; r0 < rows.rows(); r0 += 128) {
+    const M batch = rows.slice_rows(r0, r0 + 128);
+    sharded.push_batch(batch);
+    reference.push(batch);
+    const std::size_t ell = sharded.current_ell();
+    const Matrix basis = sharded.basis(ell);
+    const Matrix sketch = sharded.sketch();
+    EXPECT_TRUE(same_bits(basis, reference.basis(ell)))
+        << backend << " basis after row " << r0;
+    EXPECT_TRUE(same_bits(sketch, reference.sketch()))
+        << backend << " sketch after row " << r0;
+    h = digest_of(sketch, digest_of(basis, h));
+  }
+  return h;
+}
+
+std::uint64_t pinned_digest() {
+  const Matrix a64 = random_matrix(1024, 2048, 41);
+  const linalg::MatrixF a32 = random_matrix_f32(1024, 2048, 42);
+  std::uint64_t h = 0;
+  for (const std::string backend : {"arams", "fd"}) {
+    h = h * 31 + pinned_stream(backend, a64);
+    h = h * 31 + pinned_stream(backend, a32);
+  }
+  return h;
+}
+
+TEST(ShardedMergeBits, EqualSerialShardsPlusTreeMergeAtPool1And4) {
+  // The pooled shard sketches, the kept merge scratch and the merged-sketch
+  // cache change nothing: sharded:arams and sharded:fd, fp64 and fp32,
+  // equal the serial reference after every batch; a child process re-runs
+  // the test at pool sizes 1 and 4 and must print the same digest.
+  const std::uint64_t digest = pinned_digest();
+  test::print_pool_digest(parallel::shared_pool().thread_count(), digest);
+  if (std::getenv("ARAMS_SHARDED_BITS_CHILD") != nullptr) return;
+  test::expect_digest_at_pool_sizes(
+      "ARAMS_SHARDED_BITS_CHILD",
+      "ShardedMergeBits.EqualSerialShardsPlusTreeMergeAtPool1And4", digest);
+}
+
+TEST(ShardedMergeBits, SameBitsFromAPoolWorker) {
+  // Called on a pool worker, the shard tasks and merge groups run inline:
+  // same bits as from the caller's thread.
+  const std::uint64_t caller = pinned_digest();
+  std::uint64_t worker = 0;
+  parallel::shared_pool().submit([&] { worker = pinned_digest(); }).get();
+  EXPECT_EQ(worker, caller);
+}
+
+TEST(ShardedMergeBits, UnchangedStateMergesOnceAndAPushMergesAgain) {
+  obs::Counter& merge_ops = obs::metrics().counter("merge.ops");
+  ShardedSketcher sharded(fd_config(8, 5), 4, &parallel::shared_pool());
+  stream_batches(sharded, random_matrix(128, 64, 43), 32);
+
+  long before = merge_ops.value();
+  const Matrix first = sharded.sketch();
+  EXPECT_EQ(merge_ops.value() - before, 3);  // 4 parts → 2 + 1 groups
+  before = merge_ops.value();
+  const Matrix again = sharded.sketch();
+  const Matrix basis = sharded.basis(4);
+  EXPECT_EQ(merge_ops.value() - before, 0);
+  EXPECT_TRUE(same_bits(again, first));
+  ASSERT_EQ(basis.rows(), 4u);
+
+  sharded.push_batch(random_matrix(32, 64, 44));
+  before = merge_ops.value();
+  const Matrix after_push = sharded.sketch();
+  EXPECT_EQ(merge_ops.value() - before, 3);
+  EXPECT_FALSE(same_bits(after_push, first));
+  // An empty batch changes no state and keeps the cached merge.
+  sharded.push_batch(Matrix(0, 64));
+  before = merge_ops.value();
+  EXPECT_TRUE(same_bits(sharded.sketch(), after_push));
+  EXPECT_EQ(merge_ops.value() - before, 0);
+}
+
+TEST(ShardedMergeBits, KeptScratchMergesEqualFreshScratchMerges) {
+  // tree_merge over caller-kept slots, reused across calls of growing and
+  // shrinking shapes, against fresh slots per call.
+  std::vector<MergeScratch> kept;
+  for (const std::size_t parts : {4u, 8u, 3u, 5u, 2u}) {
+    for (const std::size_t d : {40u, 300u}) {
+      std::vector<Matrix> sketches;
+      for (std::size_t i = 0; i < parts; ++i) {
+        sketches.push_back(random_matrix(12, d, 500 + 10 * parts + i));
+      }
+      const Matrix fresh = tree_merge(sketches, 8);
+      const Matrix reused =
+          tree_merge(sketches, 8, 2, nullptr, &parallel::shared_pool(),
+                     &kept);
+      EXPECT_TRUE(same_bits(reused, fresh)) << parts << " parts, d " << d;
+      EXPECT_GE(kept.size(), (parts + 1) / 2);
+    }
+  }
 }
 
 TEST(Sharded, PooledMergeDispatchesGroups) {

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -561,6 +562,82 @@ TEST_P(SketcherConformance, F32DriftWithinBoundOnDiffractionFrames) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SketcherConformance,
                          ::testing::ValuesIn(registered_sketchers()));
+
+// ------------------------------------------------------ exact low-rank input
+
+// A quiet detector streams rows of (numerically) tiny rank. Every shrink
+// and merge then eigendecomposes a Gram with a roundoff-level block of
+// zero eigenvalues; the FD-family backends must sketch it and keep the FD
+// bound ‖AᵀA − BᵀB‖₂ ≤ ‖A‖²_F/ℓ. "arams" runs with sampling off, so the
+// bound is over all rows (rank adaptation stays on and only grows ℓ).
+struct LowRankCase {
+  const char* backend;
+  std::size_t rank;
+  std::size_t ell;
+
+  friend void PrintTo(const LowRankCase& c, std::ostream* os) {
+    *os << c.backend << " rank " << c.rank << " ell " << c.ell;
+  }
+};
+
+class ExactLowRank : public ::testing::TestWithParam<LowRankCase> {};
+
+TEST_P(ExactLowRank, SketchesAndKeepsTheFdBound) {
+  const LowRankCase c = GetParam();
+  constexpr std::size_t kRows = 4096;
+  constexpr std::size_t kDim = 1024;
+  Rng rng(1000 + 10 * c.rank + c.ell);
+  Matrix u(kRows, c.rank);
+  Matrix w(c.rank, kDim);
+  for (std::size_t i = 0; i < kRows; ++i) rng.fill_normal(u.row(i));
+  for (std::size_t i = 0; i < c.rank; ++i) rng.fill_normal(w.row(i));
+  const Matrix a = linalg::matmul(u, w);
+
+  SketcherConfig config;
+  config.backend = c.backend;
+  config.ell = c.ell;
+  config.seed = 3;
+  config.shards = std::string(c.backend) == "sharded:fd" ? 4 : 1;
+  config.arams.ell = c.ell;
+  config.arams.use_sampling = false;
+  const auto sketcher = make_sketcher(config);
+  for (std::size_t r0 = 0; r0 < kRows; r0 += 256) {
+    ASSERT_NO_THROW(sketcher->push_batch(a.slice_rows(r0, r0 + 256)))
+        << c.backend << " rank " << c.rank << " ell " << c.ell;
+  }
+  Matrix b;
+  ASSERT_NO_THROW(b = sketcher->sketch());
+  ASSERT_GT(b.rows(), 0u);
+  Rng power(17);
+  const double err = linalg::covariance_error(a, b, power, 40);
+  EXPECT_LE(err, linalg::frobenius_norm_squared(a) /
+                     static_cast<double>(c.ell))
+      << c.backend << " rank " << c.rank << " ell " << c.ell;
+  const Matrix q = sketcher->basis(c.rank);
+  EXPECT_EQ(q.rows(), c.rank);
+}
+
+std::string low_rank_case_name(
+    const ::testing::TestParamInfo<LowRankCase>& info) {
+  std::string name = info.param.backend;
+  if (name == "sharded:fd") name = "ShardedFd";
+  return name + "_Rank" + std::to_string(info.param.rank) + "_Ell" +
+         std::to_string(info.param.ell);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FdFamily, ExactLowRank,
+    ::testing::Values(LowRankCase{"fd", 1, 64}, LowRankCase{"fd", 8, 64},
+                      LowRankCase{"fd", 1, 128}, LowRankCase{"fd", 8, 128},
+                      LowRankCase{"arams", 1, 64},
+                      LowRankCase{"arams", 8, 64},
+                      LowRankCase{"arams", 1, 128},
+                      LowRankCase{"arams", 8, 128},
+                      LowRankCase{"sharded:fd", 1, 64},
+                      LowRankCase{"sharded:fd", 8, 64},
+                      LowRankCase{"sharded:fd", 1, 128},
+                      LowRankCase{"sharded:fd", 8, 128}),
+    low_rank_case_name);
 
 // ------------------------------------------------------------- rangefinder
 

@@ -376,6 +376,36 @@ TEST(Monitor, F32IngestLaneEndToEnd) {
   EXPECT_EQ(monitor.sketch_stats().rows_processed, 80);
 }
 
+TEST(Monitor, SnapshotsCarryTheSketchersReport) {
+  // Both snapshot kinds fold the sketcher's report into their own: for a
+  // 2-shard fp32 sharded:arams sampling at β = 0.5, the shards' "sample"
+  // time, the lane's "ingest_widen", "shards" and the merge keys.
+  MonitorConfig config = small_monitor();
+  config.pipeline.ingest_precision = PipelineConfig::IngestPrecision::kF32;
+  config.pipeline.sketcher = "sharded:arams";
+  config.pipeline.shards = 2;
+  config.pipeline.sketch.use_sampling = true;
+  config.pipeline.sketch.beta = 0.5;
+  StreamingMonitor monitor(config);
+  BeamProfileSource source(small_beam(), 96, 120.0, 12);
+  while (auto event = source.next()) monitor.ingest(*event);
+  monitor.flush();
+  const SnapshotResult full = monitor.snapshot();
+  BeamProfileSource more(small_beam(), 32, 120.0, 13);
+  while (auto event = more.next()) monitor.ingest(*event);
+  monitor.flush();
+  const SnapshotResult incremental = monitor.snapshot_incremental();
+  for (const SnapshotResult* snap : {&full, &incremental}) {
+    EXPECT_GT(snap->report.seconds("sample"), 0.0);
+    EXPECT_TRUE(snap->report.has_stage("ingest_widen"));
+    EXPECT_EQ(snap->report.counter("shards"), 2);
+    EXPECT_EQ(snap->report.counter("merge_ops"), 1);
+    EXPECT_GT(snap->report.seconds("snapshot"), 0.0);
+  }
+  EXPECT_EQ(incremental.report.counter("rows_processed"),
+            monitor.sketch_stats().rows_processed);
+}
+
 TEST(Monitor, F32LaneTracksF64ErrorEstimate) {
   // Same stream through both lanes: the operator-facing reconstruction
   // error gauge must agree far inside the lane's drift budget (the inputs
