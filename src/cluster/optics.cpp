@@ -66,23 +66,13 @@ obs::Counter& sq_dist_count() {
   return count;
 }
 
-/// Runs band(i0, i1) over [0, n): in bands on the shared pool when
-/// allow_parallel and n² reaches kParallelPairThreshold, else in one call.
-template <class Band>
-void run_bands(std::size_t n, bool allow_parallel, const Band& band) {
-  parallel::ThreadPool* pool = nullptr;
-  if (allow_parallel && n * n >= kParallelPairThreshold) {
-    pool = &parallel::shared_pool();
-    if (pool->thread_count() < 2) pool = nullptr;
-  }
-  if (pool == nullptr) {
-    band(0, n);
-    return;
-  }
-  const std::size_t bands = std::min(n, pool->thread_count() * 4);
-  pool->parallel_for(bands, [&](std::size_t t) {
-    band(n * t / bands, n * (t + 1) / bands);
-  });
+/// The shared pool a pass over n points runs its bands on: when
+/// allow_parallel and n² reaches kParallelPairThreshold, else null (one
+/// band on the caller).
+parallel::ThreadPool* pass_pool(std::size_t n, bool allow_parallel) {
+  if (!allow_parallel || n * n < kParallelPairThreshold) return nullptr;
+  parallel::ThreadPool& pool = parallel::shared_pool();
+  return pool.thread_count() >= 2 ? &pool : nullptr;
 }
 
 /// The point set at every width but the grid's. Every d²(p, q) is formed
@@ -405,7 +395,9 @@ double kth_sq_dist(const CellGrid& grid, std::size_t s, std::span<double> best,
 /// row is formed in full and selected from with embed::select_k.
 void core_pass(const CellGrid& grid, std::size_t k, bool allow_parallel,
                std::span<double> core) {
-  run_bands(grid.size(), allow_parallel, [&](std::size_t s0, std::size_t s1) {
+  const std::size_t n = grid.size();
+  parallel::for_bands(pass_pool(n, allow_parallel), n, [&](std::size_t s0,
+                                                          std::size_t s1) {
     std::vector<double> d2(grid.largest);
     std::vector<double> best(k);
     long formed = 0;
@@ -420,7 +412,8 @@ void core_pass(const PointSet& set, std::size_t k, bool allow_parallel,
                std::span<double> core) {
   const Matrix& pts = set.points;
   const std::size_t n = pts.rows();
-  run_bands(n, allow_parallel, [&](std::size_t p0, std::size_t p1) {
+  parallel::for_bands(pass_pool(n, allow_parallel), n, [&](std::size_t p0,
+                                                          std::size_t p1) {
     std::vector<double> gram(set.gemm ? n : 0);
     Matrix row;
     linalg::Workspace ws;

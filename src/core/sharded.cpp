@@ -49,13 +49,13 @@ ShardedSketcher::ShardedSketcher(const SketcherConfig& inner,
   inner_name_ = shards_.front().inner->name();
 }
 
-bool ShardedSketcher::use_pool() const {
-  return pool_ != nullptr && pool_->thread_count() > 1 && shards_.size() > 1;
-}
-
-void ShardedSketcher::pool_dispatch(
-    const std::function<void(std::size_t)>& fn) {
-  pool_->parallel_for(shards_.size(), fn);
+template <typename Fn>
+void ShardedSketcher::for_each_shard(const Fn& fn) {
+  if (pool_ != nullptr && shards_.size() > 1) {
+    pool_->parallel_for(shards_.size(), fn);
+  } else {
+    for (std::size_t s = 0; s < shards_.size(); ++s) fn(s);
+  }
 }
 
 template <typename View>

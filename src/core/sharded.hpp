@@ -11,14 +11,13 @@
 // at any thread count (including pool == nullptr, fully inline).
 //
 // Concurrency/allocation contract: every shard owns its inner sketcher and
-// one grow-only gather matrix per precision, so concurrent shard tasks
+// one grow-only gather matrix per precision, so concurrent shard items
 // never share mutable state (no locks on the data path) and steady-state
-// ingest performs no heap allocation in the shard work itself. Dispatching
-// onto a ThreadPool costs O(shards) small control allocations per batch;
-// run with pool == nullptr for strictly allocation-free inline ingest.
+// ingest performs no heap allocation in the shard work itself, pooled or
+// inline: a pool entry allocates nothing.
 //
 // sketch() runs each shard's own sketch() (its compress) as one shard
-// task, then tree-merges the parts. The merge's group scratch (one
+// item, then tree-merges the parts. The merge's group scratch (one
 // grow-only slot per group index) is kept here across calls, as is the
 // workspace of the default basis(); the part and group-output matrices
 // are fresh on every merge. The merged sketch is cached with the ingest
@@ -29,14 +28,13 @@
 // unchanged shard is a no-op), so the parts would stack identically.
 //
 // Errors: when a shard's sketch() throws, the pool rethrows the exception
-// of the lowest throwing shard index after every shard task has finished;
+// of the lowest throwing shard index after every shard item has finished;
 // the other shards may by then have compressed (which no later result can
 // tell apart from not compressing, by idempotence), no merge runs, and the
 // cache keeps its old version, so the next sketch() starts over.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,24 +107,12 @@ class ShardedSketcher final : public Sketcher {
   template <typename View>
   void push_rows(View batch);
 
-  /// True when shard work should go to the pool (>1 worker, >1 shard).
-  [[nodiscard]] bool use_pool() const;
-  /// Pooled fan-out, out of line to keep ThreadPool out of this header.
-  void pool_dispatch(const std::function<void(std::size_t)>& fn);
-
-  /// Runs fn(s) for every shard — on the pool when it has >1 worker,
-  /// inline otherwise. Either way shard s does identical work. Templated
-  /// so the inline path never type-erases fn into a std::function (that
-  /// erasure heap-allocates, which would break the allocation-free
-  /// steady-state contract of pool-less ingest).
+  /// Runs fn(s) for every shard: through the pool when there is one and
+  /// more than one shard, inline otherwise (a single shard keeps the pool
+  /// for its own kernels). Either way shard s does identical work. Defined
+  /// in sharded.cpp, its only user.
   template <typename Fn>
-  void for_each_shard(Fn&& fn) {
-    if (use_pool()) {
-      pool_dispatch(std::function<void(std::size_t)>(std::forward<Fn>(fn)));
-    } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) fn(s);
-    }
-  }
+  void for_each_shard(const Fn& fn);
 
   std::vector<Shard> shards_;
   parallel::ThreadPool* pool_;

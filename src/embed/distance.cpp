@@ -1,6 +1,5 @@
 #include "embed/distance.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -93,7 +92,8 @@ void pairwise_gemm(MatrixView x, MatrixView y,
   pairwise_gram(x, y, out);
   const std::size_t m = x.rows();
   const std::size_t n = y.rows();
-  const auto fix_rows = [&](std::size_t i0, std::size_t i1) {
+  parallel::for_bands(fixup_pool(m * n, opts), m, [&](std::size_t i0,
+                                                      std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) {
       const double xn = x_sq_norms[i];
       double* row = out.data() + i * n;
@@ -101,16 +101,7 @@ void pairwise_gemm(MatrixView x, MatrixView y,
         row[j] = gram_sq_dist(xn, y_sq_norms[j], row[j]);
       }
     }
-  };
-  parallel::ThreadPool* pool = fixup_pool(m * n, opts);
-  if (pool == nullptr) {
-    fix_rows(0, m);
-  } else {
-    const std::size_t bands = std::min(m, pool->thread_count() * 4);
-    pool->parallel_for(bands, [&](std::size_t t) {
-      fix_rows(m * t / bands, m * (t + 1) / bands);
-    });
-  }
+  });
 }
 
 }  // namespace

@@ -14,8 +14,7 @@
 //
 // Scratch discipline: blocks land in caller-provided matrices (typically
 // `Workspace` slots in the `wslot::kDist*` range), so steady-state calls in
-// a snapshot loop are allocation-free on the serial path (the pool dispatch
-// itself allocates task state, same as the GEMM core).
+// a snapshot loop are allocation-free; a pool entry allocates nothing.
 //
 // Accuracy contract: the Gram trick reorders the accumulation, so engine
 // distances differ from the naive per-pair loop by rounding only —

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
-#include <type_traits>
 
 #include "embed/pca.hpp"
 #include "linalg/blas.hpp"
@@ -32,8 +28,6 @@ constexpr std::size_t kChunks = 16;
 constexpr std::size_t kWaves = 2;
 // Below this many edges the layout runs inline on the caller.
 constexpr std::size_t kPoolMinEdges = 2048;
-// How long an idle member of the layout's team spins before it blocks.
-constexpr std::chrono::microseconds kSpin{200};
 
 }  // namespace
 
@@ -305,126 +299,6 @@ Matrix initialize_embedding(const Matrix& points, const UmapConfig& config,
 
 double clip4(double v) { return std::clamp(v, -4.0, 4.0); }
 
-/// Spins while `word` holds `seen`, for up to kSpin, then blocks until it
-/// changes; returns the value that ended the wait.
-template <typename T>
-T await_change(const std::atomic<T>& word, T seen) {
-  const auto until = std::chrono::steady_clock::now() + kSpin;
-  for (unsigned i = 1;; ++i) {
-    const T now = word.load(std::memory_order_acquire);
-    if (now != seen) return now;
-    if (i % 64 == 0 && std::chrono::steady_clock::now() >= until) break;
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  }
-  word.wait(seen, std::memory_order_acquire);
-  return word.load(std::memory_order_acquire);
-}
-
-/// The team of one layout run: the caller plus thread_count() − 1 pool
-/// helpers, submitted once, that run each phase's items. Every claim goes
-/// through one atomic word holding (phase, item count, next item). The
-/// caller opens a phase only after every item of the previous one is done,
-/// and it waits for items, never for a helper: a helper that starts late,
-/// or wakes after its phase closed, finds nothing to claim and touches only
-/// the state it co-owns. Idle helpers spin for kSpin, then block on the
-/// word; they keep their workers until the team's destructor stops them.
-/// Without a pool every phase runs inline on the caller.
-class LayoutTeam {
- public:
-  explicit LayoutTeam(parallel::ThreadPool* pool) {
-    if (pool == nullptr) return;
-    shared_ = std::make_shared<Shared>();
-    try {
-      for (std::size_t t = 1; t < pool->thread_count(); ++t) {
-        (void)pool->submit([shared = shared_] { shared->help(); });
-      }
-    } catch (...) {
-      stop();
-      throw;
-    }
-  }
-  LayoutTeam(const LayoutTeam&) = delete;
-  LayoutTeam& operator=(const LayoutTeam&) = delete;
-  ~LayoutTeam() { stop(); }
-
-  /// Runs fn(i) once for every i in [0, items), items < 2¹⁶, on the team
-  /// and returns when all are done. An item that throws would strand the
-  /// phase, so fn must be noexcept.
-  template <typename Fn>
-  void run(std::size_t items, const Fn& fn) {
-    static_assert(std::is_nothrow_invocable_v<const Fn&, std::size_t>);
-    if (shared_ == nullptr) {
-      for (std::size_t i = 0; i < items; ++i) fn(i);
-      return;
-    }
-    Shared& s = *shared_;
-    s.fn = &fn;
-    s.call = [](const void* f, std::size_t i) {
-      (*static_cast<const Fn*>(f))(i);
-    };
-    s.done.store(0, std::memory_order_relaxed);
-    const std::uint64_t open = (++phase_ << 32) | (items << 16);
-    s.word.store(open, std::memory_order_release);
-    s.word.notify_all();
-    s.claim_from(open);
-    for (std::uint32_t d;
-         (d = s.done.load(std::memory_order_acquire)) < items;) {
-      await_change(s.done, d);
-    }
-  }
-
- private:
-  static constexpr std::uint64_t kStopped = ~std::uint64_t{0};
-
-  /// Releases the helpers. No item is in flight: run() returns only after
-  /// all of its items are done.
-  void stop() {
-    if (shared_ == nullptr) return;
-    shared_->word.store(kStopped, std::memory_order_release);
-    shared_->word.notify_all();
-  }
-
-  struct Shared {
-    std::atomic<std::uint64_t> word{0};  ///< phase << 32 | items << 16 | next
-    std::atomic<std::uint32_t> done{0};  ///< items of the open phase done
-    // The open phase's items; set before the phase opens, read only by a
-    // member that has claimed one of them.
-    const void* fn = nullptr;
-    void (*call)(const void*, std::size_t) = nullptr;
-
-    /// Claims and runs items while the word shows any left; returns the
-    /// last word read.
-    std::uint64_t claim_from(std::uint64_t seen) {
-      const auto next = [](std::uint64_t w) { return w & 0xffff; };
-      const auto count = [](std::uint64_t w) { return (w >> 16) & 0xffff; };
-      while (seen != kStopped && next(seen) < count(seen)) {
-        if (!word.compare_exchange_weak(seen, seen + 1,
-                                        std::memory_order_acquire)) {
-          continue;
-        }
-        call(fn, next(seen));
-        if (done.fetch_add(1, std::memory_order_release) + 1 == count(seen)) {
-          done.notify_one();
-        }
-        seen = word.load(std::memory_order_acquire);
-      }
-      return seen;
-    }
-
-    void help() {
-      for (std::uint64_t seen = word.load(std::memory_order_acquire);
-           (seen = claim_from(seen)) != kStopped;) {
-        seen = await_change(word, seen);
-      }
-    }
-  };
-
-  std::shared_ptr<Shared> shared_;
-  std::uint64_t phase_ = 0;
-};
-
 /// One chunk of the owned-chunk layout: a contiguous run of the
 /// (u, v)-sorted edge list, cut at a change of head u, whose heads all fall
 /// in the rows [lo, hi) it owns. It is the only one that writes those rows,
@@ -490,12 +364,12 @@ std::vector<LayoutChunk> cut_chunks(const FuzzyGraph& graph, std::size_t dim,
 }
 
 /// Negative-sampling SGD on the fuzzy graph's cross-entropy, as owned
-/// chunks. Each epoch runs in kWaves waves, and each wave in two phases on
-/// one team: first every chunk moves the w-th slice of its edges with the
-/// reference per-edge rule, then every chunk folds the rows it owns (the
-/// other chunks' deltas, in chunk order) and refreshes them in the
-/// snapshot. Within a phase no item reads a row another item writes, so
-/// the result does not depend on who runs them.
+/// chunks. Each epoch runs in kWaves waves, and each wave in two phases,
+/// each one parallel_for over kChunks items: first every chunk moves the
+/// w-th slice of its edges with the reference per-edge rule, then every
+/// chunk folds the rows it owns (the other chunks' deltas, in chunk order)
+/// and refreshes them in the snapshot. Within a phase no item reads a row
+/// another item writes, so the result does not depend on who runs them.
 class Layout {
  public:
   Layout(Matrix& y, const FuzzyGraph& graph, double a, double b)
@@ -515,12 +389,16 @@ class Layout {
   }
 
   void run(int n_epochs, const Rng& rng) {
-    parallel::ThreadPool& shared = parallel::shared_pool();
-    LayoutTeam team(
-        (graph_.edges.size() >= kPoolMinEdges && shared.thread_count() >= 2 &&
-         !shared.on_worker_thread())
-            ? &shared
-            : nullptr);
+    parallel::ThreadPool* pool = graph_.edges.size() >= kPoolMinEdges
+                                     ? &parallel::shared_pool()
+                                     : nullptr;
+    const auto phase = [pool](const auto& item) {
+      if (pool != nullptr) {
+        pool->parallel_for(kChunks, item);
+        return;
+      }
+      for (std::size_t c = 0; c < kChunks; ++c) item(c);
+    };
     for (int epoch = 1; epoch <= n_epochs; ++epoch) {
       const double alpha =
           kLearningRate *
@@ -530,13 +408,13 @@ class Layout {
             rng.split(static_cast<std::uint64_t>(epoch) * kChunks + c);
       }
       for (std::size_t wave = 0; wave < kWaves; ++wave) {
-        team.run(kChunks, [&](std::size_t c) noexcept {
+        phase([&](std::size_t c) {
           LayoutChunk& ch = chunks_[c];
           const std::size_t len = ch.e1 - ch.e0;
           move_edges(ch, ch.e0 + len * wave / kWaves,
                      ch.e0 + len * (wave + 1) / kWaves, epoch, alpha);
         });
-        team.run(kChunks, [&](std::size_t b) noexcept { fold(b); });
+        phase([&](std::size_t b) { fold(b); });
       }
     }
   }

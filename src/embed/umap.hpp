@@ -10,10 +10,11 @@
 //
 // The SGD layout runs on the shared pool as owned edge chunks with the
 // reference per-edge rule (learning rate 1, 5 negative samples per visit,
-// repulsion 1, all fixed) and gives the same bits at any pool size. It
-// enters the pool once per call: the caller and thread_count() − 1 helpers
-// run every wave as a chunk phase and a fold phase, and the caller never
-// waits for a helper to start. docs/ALGORITHMS.md describes it.
+// repulsion 1, all fixed) and gives the same bits at any pool size. Every
+// wave is a chunk phase and a fold phase, each one parallel_for over the
+// chunks, whose items the caller and the pool's standing workers claim;
+// the caller never waits for a worker to start. docs/ALGORITHMS.md
+// describes it.
 //
 // Deviations from the reference implementation (documented in DESIGN.md):
 // spectral initialization is replaced by PCA initialization (deterministic,

@@ -218,8 +218,8 @@ std::vector<BasicImage<T>> preprocess_batch_impl(
   return out;
 }
 
-/// Frames per pool task in preprocess_rows. One 64×64 frame takes tens of
-/// microseconds, so a band amortises the queue round trip; a batch of one
+/// Frames per pool item in preprocess_rows. One 64×64 frame takes tens of
+/// microseconds, so a band amortises the item's dispatch; a batch of one
 /// band stays on the calling thread.
 constexpr std::size_t kRowBand = 64;
 

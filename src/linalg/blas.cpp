@@ -300,7 +300,7 @@ void micro_kernel(const double* am, std::size_t kb, const double* bp,
 /// The parallel axis is chosen once per call from the shape:
 ///  * column blocks — when there are at least as many NC column blocks as
 ///    MR row tiles (the d ≫ ℓ short-fat products of an FD shrink and the
-///    rank-adaptive probes): one task per block packs its own B panels and
+///    rank-adaptive probes): one item per block packs its own B panels and
 ///    runs every KC panel and row tile, so the pool is entered once;
 ///  * row bands — otherwise: the caller packs every KC panel of a column
 ///    block once, and one pool entry per column block splits the row

@@ -8,15 +8,15 @@
 // onto the shared parallel::ThreadPool once a call exceeds a flop
 // threshold — below it everything stays sequential so the small shapes FD
 // produces at modest ℓ pay zero overhead. GEMM picks its parallel axis by
-// shape, once per call: whole NC column blocks per task for short-fat
+// shape, once per call: whole NC column blocks per item for short-fat
 // d ≫ ℓ products, row bands otherwise, serial when neither axis has a unit
 // of work per pool thread. Every partition covers disjoint outputs with an
 // unchanged per-element accumulation order, so tiled, parallel and
 // sequential paths produce identical results at any pool size.
 // Packing scratch is thread-local and grow-only: steady-state calls do not
 // touch the heap. Dispatches are counted in the
-// "linalg.gemm_parallel_count" metric. A call made on one of the pool's own
-// workers takes the serial path (parallel_for would run its tasks inline
+// "linalg.gemm_parallel_count" metric. A call made inside one of the pool's
+// own items takes the serial path (parallel_for would run its items inline
 // there anyway) and is not counted.
 //
 // All kernels take MatrixView, so they accept an owning Matrix or a
@@ -91,7 +91,7 @@ void matmul_nt_row(std::span<const double> a, const double* bt,
 /// a_i1·a_j1) + …, summed in column order with each product rounded
 /// before its add, at any pool size and in every build (NaN sign and
 /// payload aside). A pooled call enters the pool once, with at most one
-/// task per pool thread.
+/// item per pool thread.
 Matrix gram_rows(MatrixView a);
 void gram_rows(MatrixView a, Matrix& out);
 

@@ -10,8 +10,8 @@ namespace arams::linalg::detail {
 
 /// The pool a call of `flops` dispatches to, or nullptr for the serial
 /// path: below the 8 Mflop threshold (2·m·n·k for GEMM, m²·d for Gram), on
-/// a one-thread pool, and on one of the pool's own workers, where
-/// parallel_for would run the tasks inline.
+/// a one-thread pool, and inside one of the pool's own items, where
+/// parallel_for would run the items inline.
 parallel::ThreadPool* maybe_pool(double flops);
 
 /// Counts one dispatched call in "linalg.gemm_parallel_count".

@@ -226,9 +226,10 @@ void MetricsRegistry::reset() {
 }
 
 MetricsRegistry& metrics() {
-  // Never destroyed: a pool worker records its task's run time and
-  // utilization after the task's future is ready, so at process exit it
-  // can still be writing here while static destructors run.
+  // Never destroyed: a pool worker sets its busy and utilization gauges
+  // after its last item of a job is counted done, when the caller may
+  // already have returned, so at process exit it can still be writing here
+  // while static destructors run.
   static MetricsRegistry& registry = *new MetricsRegistry();
   return registry;
 }

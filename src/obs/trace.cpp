@@ -141,7 +141,7 @@ void TraceRecorder::write_json_lines(std::ostream& out) const {
 
 TraceRecorder& tracer() {
   // Never destroyed, like the metrics registry: a pool worker closes its
-  // "pool.task" span after the task's future is ready.
+  // "pool.task" span after its last item of a job is counted done.
   static TraceRecorder& recorder = *new TraceRecorder();
   return recorder;
 }

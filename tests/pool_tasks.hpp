@@ -1,41 +1,22 @@
 #pragma once
-// Clock-free count of the shared-pool tasks a call submits: every task's
-// queue wait is observed in "pool.task_wait_seconds" when a worker takes
-// it, so the histogram's count between two fences is the number of tasks.
-
-#include <cstddef>
-#include <future>
-#include <latch>
-#include <vector>
+// Clock-free count of the shared-pool items a call runs as pool jobs: every
+// item's wait is observed in "pool.task_wait_seconds" when it is claimed,
+// and a pooled call returns only after all of its items, so the count's
+// rise across the call is the number of items. Inline runs are not pool
+// jobs and add nothing.
 
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace arams::test {
 
-/// Holds every shared-pool worker at once, so every task queued before the
-/// call has been taken, and its wait observed, when it returns.
-inline void fence_pool() {
-  parallel::ThreadPool& pool = parallel::shared_pool();
-  std::latch all(static_cast<std::ptrdiff_t>(pool.thread_count()));
-  std::vector<std::future<void>> held;
-  for (std::size_t t = 0; t < pool.thread_count(); ++t) {
-    held.push_back(pool.submit([&all] { all.arrive_and_wait(); }));
-  }
-  for (auto& f : held) f.get();
-}
-
-/// The number of pool tasks fn() submits, counted between two fences.
+/// The number of pool items fn() runs.
 template <typename Fn>
-long tasks_submitted_by(const Fn& fn) {
-  const obs::Histogram& tasks =
+long pool_items_of(const Fn& fn) {
+  const obs::Histogram& items =
       obs::metrics().histogram("pool.task_wait_seconds");
-  fence_pool();
-  const long before = tasks.count();
+  const long before = items.count();
   fn();
-  fence_pool();
-  return tasks.count() - before -
-         static_cast<long>(parallel::shared_pool().thread_count());
+  return items.count() - before;
 }
 
 }  // namespace arams::test

@@ -156,9 +156,8 @@ TEST(Abod, SameBitsAtAnyPoolSize) {
   const std::vector<double> serial =
       fast_abod(pts, config, ws, {.allow_parallel = false});
   std::vector<double> on_worker;
-  parallel::shared_pool()
-      .submit([&] { on_worker = fast_abod(pts, config); })
-      .get();
+  parallel::shared_pool().parallel_for(
+      1, [&](std::size_t) { on_worker = fast_abod(pts, config); });
   const auto digest = [](const std::vector<double>& v) {
     return test::fnv1a(v.data(), v.size() * sizeof(double));
   };

@@ -492,7 +492,8 @@ TEST(AnnDeterminism, ForestGraphMatchesSerialOracleAtAnyPoolSize) {
     };
     const KnnGraph got = forest_graph();
     KnnGraph on_worker;
-    parallel::shared_pool().submit([&] { on_worker = forest_graph(); }).get();
+    parallel::shared_pool().parallel_for(
+        1, [&](std::size_t) { on_worker = forest_graph(); });
     const std::uint64_t want_digest = graph_digest(want, 0);
     EXPECT_EQ(got.neighbors, want.neighbors) << "d = " << s.d;
     EXPECT_EQ(graph_digest(got, 0), want_digest) << "d = " << s.d;

@@ -401,14 +401,15 @@ TEST(GramBits, SameBitsOnAPoolWorker) {
   const Matrix a = gram_operand(65, 4096, 1, rng);
   const Matrix caller = gram_rows(a);
   Matrix worker;
-  parallel::shared_pool().submit([&] { worker = gram_rows(a); }).get();
+  parallel::shared_pool().parallel_for(
+      1, [&](std::size_t) { worker = gram_rows(a); });
   EXPECT_EQ(first_bit_difference(worker, caller), -1);
   EXPECT_EQ(first_bit_difference(caller, gram_oracle(a)), -1);
 }
 
 TEST(GramBits, PooledCallEntersThePoolOnce) {
   // 64² · 4096 ≈ 1.7·10⁷ flops, above the threshold: one dispatch, and at
-  // most one task per pool thread, whatever the number of term chunks.
+  // most one item per pool thread, whatever the number of term chunks.
   ASSERT_TRUE(kPoolEnvForced);
   const std::size_t threads = parallel::shared_pool().thread_count();
   Rng rng(27);
@@ -419,7 +420,7 @@ TEST(GramBits, PooledCallEntersThePoolOnce) {
   for (const bool rows : {true, false}) {
     Matrix g;
     const long before = dispatches.value();
-    const long tasks = test::tasks_submitted_by([&] {
+    const long items = test::pool_items_of([&] {
       if (rows) {
         gram_rows(a, g);
       } else {
@@ -428,11 +429,11 @@ TEST(GramBits, PooledCallEntersThePoolOnce) {
     });
     if (threads >= 2) {
       EXPECT_EQ(dispatches.value(), before + 1) << "rows " << rows;
-      EXPECT_GE(tasks, 2) << "rows " << rows;
-      EXPECT_LE(tasks, static_cast<long>(threads)) << "rows " << rows;
+      EXPECT_GE(items, 2) << "rows " << rows;
+      EXPECT_LE(items, static_cast<long>(threads)) << "rows " << rows;
     } else {
       EXPECT_EQ(dispatches.value(), before) << "rows " << rows;
-      EXPECT_EQ(tasks, 0) << "rows " << rows;
+      EXPECT_EQ(items, 0) << "rows " << rows;
     }
   }
 }
@@ -473,7 +474,7 @@ TEST(BlasParallel, LargeGramDispatchesToPoolAndMatchesNaive) {
 
 TEST(BlasParallel, DispatchIsCountedOnlyOffThePoolWorkers) {
   ASSERT_TRUE(kPoolEnvForced);
-  // On a pool worker parallel_for would run the tasks inline, so the call
+  // On a pool worker parallel_for would run the items inline, so the call
   // takes the serial path, with the same bits, and is not a dispatch.
   const std::size_t n = 192;
   Rng rng(4243);
@@ -486,7 +487,8 @@ TEST(BlasParallel, DispatchIsCountedOnlyOffThePoolWorkers) {
   EXPECT_EQ(dispatches.value(), before + 1);
   Matrix worker;
   before = dispatches.value();
-  parallel::shared_pool().submit([&] { worker = matmul(a, b); }).get();
+  parallel::shared_pool().parallel_for(
+      1, [&](std::size_t) { worker = matmul(a, b); });
   EXPECT_EQ(dispatches.value(), before);
   EXPECT_EQ(Matrix::max_abs_diff(caller, worker), 0.0);
 }
@@ -770,7 +772,7 @@ TEST(BlasParallel, WideShapeDispatchFollowsShape) {
 
 TEST(BlasParallel, RowBandCallEntersThePoolOncePerColumnBlock) {
   // A row-band product packs each column block's KC panels on the caller
-  // and submits at most min(tiles, 4·threads) band tasks per column block,
+  // and runs at most min(tiles, 4·threads) band items per column block,
   // whatever k is; the bits equal the serial call's on a pool worker.
   ASSERT_TRUE(kPoolEnvForced);
   const std::size_t threads = parallel::shared_pool().thread_count();
@@ -788,15 +790,16 @@ TEST(BlasParallel, RowBandCallEntersThePoolOncePerColumnBlock) {
     ASSERT_LT(blocks, tiles) << shape_name(s);
     Matrix pooled;
     const long before = dispatches.value();
-    const long tasks =
-        test::tasks_submitted_by([&] { matmul_nt(a, bt, pooled); });
+    const long items =
+        test::pool_items_of([&] { matmul_nt(a, bt, pooled); });
     EXPECT_EQ(dispatches.value(), before + 1) << shape_name(s);
-    EXPECT_GE(tasks, static_cast<long>(blocks)) << shape_name(s);
-    EXPECT_LE(tasks, static_cast<long>(
+    EXPECT_GE(items, static_cast<long>(blocks)) << shape_name(s);
+    EXPECT_LE(items, static_cast<long>(
                          blocks * std::min(tiles, 4 * threads)))
         << shape_name(s);
     Matrix serial;
-    parallel::shared_pool().submit([&] { matmul_nt(a, bt, serial); }).get();
+    parallel::shared_pool().parallel_for(
+        1, [&](std::size_t) { matmul_nt(a, bt, serial); });
     EXPECT_EQ(fingerprint(pooled), fingerprint(serial)) << shape_name(s);
   }
 }

@@ -186,9 +186,8 @@ TEST(NnDescent, JoinMatchesSerialOracleAtAnyPoolSize) {
     };
     KnnGraph got = refine(pooled);
     KnnGraph on_worker;
-    parallel::shared_pool()
-        .submit([&] { on_worker = refine(pooled); })
-        .get();
+    parallel::shared_pool().parallel_for(
+        1, [&](std::size_t) { on_worker = refine(pooled); });
     for (const KnnGraph* g : {&got, &on_worker}) {
       EXPECT_EQ(g->neighbors, want.neighbors) << "d = " << c.d;
       EXPECT_EQ(test::fnv1a(g->distances.data(),

@@ -347,9 +347,8 @@ TEST(Pipeline, ConcurrentRangeShardsSameBitsAtAnyPoolSize) {
   EXPECT_EQ(result.report.counter("merge_ops"), merge_stats.merge_ops);
 
   PipelineResult on_worker;
-  parallel::shared_pool()
-      .submit([&] { on_worker = pipeline.analyze_matrix(rows); })
-      .get();
+  parallel::shared_pool().parallel_for(
+      1, [&](std::size_t) { on_worker = pipeline.analyze_matrix(rows); });
   expect_same_run(on_worker, result);
 
   test::print_pool_digest(parallel::shared_pool().thread_count(),

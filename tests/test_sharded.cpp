@@ -571,7 +571,8 @@ TEST(ShardedMergeBits, SameBitsFromAPoolWorker) {
   // same bits as from the caller's thread.
   const std::uint64_t caller = pinned_digest();
   std::uint64_t worker = 0;
-  parallel::shared_pool().submit([&] { worker = pinned_digest(); }).get();
+  parallel::shared_pool().parallel_for(
+      1, [&](std::size_t) { worker = pinned_digest(); });
   EXPECT_EQ(worker, caller);
 }
 

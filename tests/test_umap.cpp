@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
+#include <exception>
 #include <latch>
 #include <limits>
 #include <map>
@@ -93,7 +93,8 @@ TEST(FuzzyGraph, SmoothAndFuzzySameBitsAtAnyPoolSize) {
   };
   const std::uint64_t here = digest();
   std::uint64_t on_worker = 0;
-  parallel::shared_pool().submit([&] { on_worker = digest(); }).get();
+  parallel::shared_pool().parallel_for(
+      1, [&](std::size_t) { on_worker = digest(); });
   EXPECT_EQ(on_worker, here);
   test::print_pool_digest(threads, here);
   if (std::getenv("ARAMS_FUZZY_CHILD") != nullptr) return;
@@ -489,19 +490,11 @@ Matrix latent_classes(std::size_t n, std::size_t dim, std::size_t classes,
 }
 
 
-/// The helpers one pooled layout run submits: thread_count() − 1, or none
-/// on a one-thread pool, where the layout runs inline.
-long layout_helpers() {
-  const std::size_t threads = parallel::shared_pool().thread_count();
-  return threads >= 2 ? static_cast<long>(threads) - 1 : 0;
-}
-
 TEST(UmapLayout, SameBitsAtAnyPoolSize) {
   // 2048 points: the layout runs on the pool when it has two or more
-  // threads, entering it once per call: its thread_count() − 1 helpers
-  // come on top of the smooth-kNN and fuzzy-set band tasks, and their
-  // number does not grow with the epochs. The same call made from a pool
-  // worker, where the layout runs inline, gives the same bits; a child
+  // threads, as 4 phases of 16 chunk items per epoch on top of the
+  // smooth-kNN and fuzzy-set band items. The same call made from a pool
+  // item, where the layout runs inline, gives the same bits; a child
   // process re-runs this test at pool sizes 1 and 4 and must print the
   // same digest.
   const std::size_t threads = parallel::shared_pool().thread_count();
@@ -510,22 +503,17 @@ TEST(UmapLayout, SameBitsAtAnyPoolSize) {
   config.n_epochs = 40;
   const KnnGraph graph = exact_knn(pts, config.n_neighbors);
 
-  const long graph_tasks = test::tasks_submitted_by(
+  const long graph_items = test::pool_items_of(
       [&] { (void)fuzzy_simplicial_set(graph, smooth_knn_distances(graph)); });
   Matrix y;
-  const long tasks_40 = test::tasks_submitted_by(
+  const long items = test::pool_items_of(
       [&] { y = umap_embed_graph(pts, graph, config); });
-  UmapConfig longer = config;
-  longer.n_epochs = 80;
-  const long tasks_80 = test::tasks_submitted_by(
-      [&] { (void)umap_embed_graph(pts, graph, longer); });
-  EXPECT_EQ(tasks_40, graph_tasks + layout_helpers());
-  EXPECT_EQ(tasks_80, tasks_40);
+  EXPECT_EQ(items - graph_items, threads >= 2 ? 4 * 16 * config.n_epochs : 0);
 
   Matrix on_worker;
-  parallel::shared_pool()
-      .submit([&] { on_worker = umap_embed_graph(pts, graph, config); })
-      .get();
+  parallel::shared_pool().parallel_for(1, [&](std::size_t) {
+    on_worker = umap_embed_graph(pts, graph, config);
+  });
   ASSERT_EQ(on_worker.size(), y.size());
   EXPECT_EQ(std::memcmp(on_worker.data(), y.data(), y.size() * sizeof(double)),
             0);
@@ -540,15 +528,12 @@ TEST(UmapLayout, SameBitsAtAnyPoolSize) {
 }
 
 TEST(UmapLayout, FinishesAloneWhenThePoolIsBusy) {
-  // Every shared-pool worker is held on a latch while the test thread runs
-  // a 2048-point layout that goes to the pool, so its helpers wait in the
-  // queue until the run is over. The caller runs every item itself and
-  // returns the bits of an unblocked call. Once released, the helpers find
-  // the team stopped and leave without touching the finished run: the
-  // fence after them completes and the embedding keeps its bits. At k = 7
-  // the smooth-kNN and fuzzy-set loops (2048 · 7 units) stay on the caller,
-  // so nothing else waits on the held workers. On a one-thread pool a
-  // child process repeats the test at pool size 4.
+  // A second thread's job holds every shared-pool worker on a latch while
+  // the test thread runs a 2048-point layout that would go to the pool.
+  // Its phases find the pool busy and run inline on the caller, which
+  // returns the bits of an unblocked call. At k = 7 the smooth-kNN and
+  // fuzzy-set loops (2048 · 7 units) stay on the caller as well. On a
+  // one-thread pool a child process repeats the test at pool size 4.
   parallel::ThreadPool& pool = parallel::shared_pool();
   if (pool.thread_count() < 2 &&
       std::getenv("ARAMS_UMAP_BUSY_CHILD") == nullptr) {
@@ -568,23 +553,24 @@ TEST(UmapLayout, FinishesAloneWhenThePoolIsBusy) {
     return test::fnv1a(m.data(), m.size() * sizeof(double));
   };
 
-  Matrix y;
-  std::uint64_t returned = 0;
-  const long tasks = test::tasks_submitted_by([&] {
-    std::latch release(1);
-    std::vector<std::future<void>> held;
-    for (std::size_t t = 0; t < pool.thread_count(); ++t) {
-      held.push_back(pool.submit([&release] { release.wait(); }));
-    }
-    y = umap_embed_graph(pts, graph, config);
-    returned = digest_of(y);
-    release.count_down();
-    for (auto& f : held) f.get();
+  std::latch held(1);
+  std::latch release(1);
+  std::thread holder([&] {
+    pool.parallel_for(pool.thread_count(), [&](std::size_t i) {
+      if (i == 0) held.count_down();
+      release.wait();
+    });
   });
-  // The held tasks, then the helpers, which ran only after the release.
-  EXPECT_EQ(tasks, static_cast<long>(pool.thread_count()) + layout_helpers());
+  held.wait();
+  std::uint64_t returned = 0;
+  try {
+    returned = digest_of(umap_embed_graph(pts, graph, config));
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  release.count_down();
+  holder.join();
   EXPECT_EQ(returned, digest_of(unblocked));
-  EXPECT_EQ(digest_of(y), returned);
 }
 
 TEST(UmapLayout, QualityWithinSerialReferenceSpread) {
